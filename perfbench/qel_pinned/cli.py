@@ -1,0 +1,641 @@
+"""Command-line driver: traces, scaling sweeps, and inequality campaigns.
+
+Exit status is 0 iff every assertion requested by the subcommand held,
+1 on an assertion or inequality failure, 2 on bad configuration.
+QEL_THREADS caps task parallelism over grid points.
+"""
+
+import argparse
+import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from .gates import Rotation, program_to_text, random_program
+from .hadamard import fast_wht_program, wht_matrix
+from .lemma import C_MAX, run_campaign, sample_instance
+from .perturb import ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, synth_perturbation
+from .potential import (
+    PotentialSpec,
+    hat_wht_spec,
+    k_slice_quasi_entropy,
+    load_matrices_text,
+    trace_potentials,
+    write_matrix_text,
+)
+
+TRACE_COLUMNS = (
+    "step",
+    "kind",
+    "i",
+    "iprime",
+    "theta_or_c",
+    "potential",
+    "delta",
+    "thm2_bound",
+    "kappa",
+)
+SWEEP_COLUMNS = (
+    "n",
+    "eps",
+    "phi_plain",
+    "denom_plain",
+    "ratio_plain",
+    "phi_precond_id_f",
+    "denom_precond_id_f",
+    "ratio_precond_id_f",
+    "phi_hat",
+    "denom_hat",
+    "ratio_hat",
+)
+LEMMA_COLUMNS = ("seed", "ell", "C", "norm1", "lhs", "rhs", "margin", "holds")
+THEOREM2_COLUMNS = ("program", "step", "i", "iprime", "delta", "bound", "ratio")
+
+DEFAULT_N_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
+DEFAULT_EPS_GRID = tuple(2.0 ** -j for j in range(3, 9))
+DEFAULT_ELL_GRID = (64, 256, 1024, 4096, 65536)
+DEFAULT_SEED = 20250819
+
+SIGN_EPS_CAP = 0.125
+BOUND_SLACK = 1e-8
+
+
+@dataclass
+class TraceRow:
+    """One line of a gate-by-gate trace in the canonical CSV schema."""
+
+    step: int
+    kind: str
+    i: int | None
+    iprime: int | None
+    theta_or_c: float | None
+    potential: float
+    delta: float
+    thm2_bound: float | None
+    kappa: float | None
+
+    def fields(self):
+        return (
+            self.step,
+            self.kind,
+            self.i,
+            self.iprime,
+            self.theta_or_c,
+            self.potential,
+            self.delta,
+            self.thm2_bound,
+            self.kappa,
+        )
+
+
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def format_csv_row(values):
+    return ",".join(_fmt(v) for v in values)
+
+
+def worker_count():
+    """Parallel width for grid work, honoring the QEL_THREADS cap."""
+    raw = os.environ.get("QEL_THREADS", "").strip()
+    if raw:
+        try:
+            width = int(raw)
+        except ValueError:
+            raise ValueError(f"QEL_THREADS must be an integer, got {raw!r}") from None
+        if width < 1:
+            raise ValueError(f"QEL_THREADS must be >= 1, got {width}")
+        return width
+    return os.cpu_count() or 1
+
+
+def _pool_map(fn, items):
+    """Map fn over items, preserving order, with at most worker_count() threads."""
+    items = list(items)
+    width = min(worker_count(), len(items))
+    if width <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, items))
+
+
+def _write_table(path, header, rows):
+    lines = [",".join(header)]
+    lines.extend(format_csv_row(row) for row in rows)
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+
+def _parse_int_grid(text):
+    toks = text.replace(",", " ").split()
+    if not toks:
+        raise ValueError("empty grid")
+    return tuple(int(tok) for tok in toks)
+
+
+def _parse_float_grid(text):
+    toks = text.replace(",", " ").split()
+    if not toks:
+        raise ValueError("empty grid")
+    return tuple(float(tok) for tok in toks)
+
+
+def _require_power_of_two(n):
+    if n < 2 or (n & (n - 1)) != 0:
+        raise ValueError(f"n must be a power of two >= 2, got {n}")
+
+
+def _require_eps(eps, allow_zero=False):
+    lo_ok = eps >= 0.0 if allow_zero else eps > 0.0
+    if not (lo_ok and eps < 0.5):
+        raise ValueError(f"eps must lie in [0, 1/2): got {eps}")
+
+
+def _warn_asymptotic_regime(n, eps):
+    if eps > 0.0 and 1.0 / eps > n:
+        print(
+            f"warning: 1/eps = {1.0 / eps:g} exceeds n = {n}; "
+            "the asymptotic regime needs n >= 1/eps",
+            file=sys.stderr,
+        )
+
+
+def build_potential_spec(kind, n, slices_path=None):
+    """Resolve a --potential flag value into a PotentialSpec."""
+    if kind == "plain":
+        return PotentialSpec.plain(n)
+    if kind == "precond-id-f":
+        return PotentialSpec(n, [(None, wht_matrix(n))], label="precond-id-f")
+    if kind == "hat-pq":
+        return hat_wht_spec(n)
+    if kind == "k-slice":
+        if slices_path is None:
+            raise ValueError("--potential k-slice requires --slices <file>")
+        mats = load_matrices_text(slices_path)
+        if not mats or len(mats) % 2 != 0:
+            raise ValueError(
+                "slices file must hold an even, positive number of matrices "
+                "(A1, B1, A2, B2, ...)"
+            )
+        pairs = list(zip(mats[0::2], mats[1::2]))
+        return PotentialSpec(n, pairs, label="k-slice")
+    raise ValueError(f"unknown potential kind {kind!r}")
+
+
+def trajectory_rows(trajectory):
+    """CSV rows for one trajectory, with a step-0 initialization row."""
+    rows = [
+        TraceRow(0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)
+    ]
+    for rec in trajectory.records:
+        gate = rec.gate
+        if isinstance(gate, Rotation):
+            rows.append(
+                TraceRow(
+                    rec.t,
+                    "R",
+                    gate.i,
+                    gate.iprime,
+                    gate.theta,
+                    rec.potential,
+                    rec.delta,
+                    rec.bound,
+                    rec.kappa,
+                )
+            )
+        else:
+            rows.append(
+                TraceRow(
+                    rec.t,
+                    "C",
+                    gate.i,
+                    None,
+                    gate.c,
+                    rec.potential,
+                    rec.delta,
+                    rec.bound,
+                    rec.kappa,
+                )
+            )
+    return rows
+
+
+def _emit_trace(args, trajectory):
+    if args.plot_data:
+        rows = [(0, trajectory.initial_value)]
+        rows.extend((rec.t, rec.potential) for rec in trajectory.records)
+        _write_table(args.out, ("step", "potential"), rows)
+    else:
+        rows = [row.fields() for row in trajectory_rows(trajectory)]
+        _write_table(args.out, TRACE_COLUMNS, rows)
+
+
+def cmd_run_wht(args):
+    _require_power_of_two(args.n)
+    spec = build_potential_spec(args.potential, args.n, args.slices)
+    program = fast_wht_program(args.n)
+    trajectory = trace_potentials(
+        program, [spec], recompute_every=args.recompute_every
+    )[0]
+    _emit_trace(args, trajectory)
+    print(
+        f"run-wht n={args.n} potential={spec.label}: gates={len(program)} "
+        f"final={trajectory.final_value!r} direct={trajectory.direct_final!r} "
+        f"max|delta|={trajectory.max_abs_delta!r}"
+    )
+    return 0
+
+
+def cmd_run_perturbation(args):
+    _require_power_of_two(args.n)
+    _require_eps(args.eps, allow_zero=True)
+    _warn_asymptotic_regime(args.n, args.eps)
+    route = ROUTE_APPENDIX_B if args.route == "appendix-b" else ROUTE_FAST_KRONECKER
+    plan = synth_perturbation(args.n, args.eps, route)
+    spec = build_potential_spec(args.potential, args.n, args.slices)
+    trajectory = trace_potentials(
+        plan.program, [spec], recompute_every=args.recompute_every
+    )[0]
+    _emit_trace(args, trajectory)
+
+    program = plan.program
+    print(
+        f"run-perturbation n={args.n} eps={args.eps!r} route={plan.route} "
+        f"potential={spec.label}: gates={len(program)} "
+        f"(rotations={program.rotation_count()}, constants={program.constant_count()}) "
+        f"kappa_certificate={plan.kappa_certificate!r}"
+    )
+    print(
+        f"  endpoint incremental={trajectory.final_value!r} "
+        f"direct={trajectory.direct_final!r} "
+        f"disagreement={abs(trajectory.final_value - trajectory.direct_final)!r}"
+    )
+    max_delta = trajectory.max_abs_delta
+    if args.eps > 0.0:
+        step_denom = args.eps * math.log2(1.0 / args.eps)
+        gate_denom = args.n * math.log2(args.n) / math.log2(1.0 / args.eps)
+        print(
+            f"  max|delta|={max_delta!r} ratio_to_eps_log_inv_eps="
+            f"{max_delta / step_denom!r}"
+        )
+        print(
+            f"  gate_count_ratio_to_n_log_n_over_log_inv_eps="
+            f"{len(program) / gate_denom!r}"
+        )
+    else:
+        print(f"  max|delta|={max_delta!r} (eps=0: no step-size normalization)")
+    return 0
+
+
+def _sweep_point(n, eps_grid, sign_failures):
+    F = wht_matrix(n)
+    eye = np.eye(n)
+    hat_spec = hat_wht_spec(n)
+    precond_spec = PotentialSpec(n, [(None, F)], label="precond-id-f")
+    plain_spec = PotentialSpec.plain(n)
+    log2n = math.log2(n)
+    rows = []
+    for eps in eps_grid:
+        M = eye + eps * F
+        MinvT = (eye - eps * F) / (1.0 - eps * eps)
+        phi_plain = k_slice_quasi_entropy(M, plain_spec, minv_t=MinvT)
+        phi_precond = k_slice_quasi_entropy(M, precond_spec, minv_t=MinvT)
+        phi_hat = k_slice_quasi_entropy(M, hat_spec, minv_t=MinvT)
+        denom_plain = eps * eps * n * log2n
+        denom_first = eps * n * log2n
+        rows.append(
+            (
+                n,
+                eps,
+                phi_plain,
+                denom_plain,
+                abs(phi_plain) / denom_plain,
+                phi_precond,
+                denom_first,
+                phi_precond / denom_first,
+                phi_hat,
+                denom_first,
+                phi_hat / denom_first,
+            )
+        )
+        if phi_plain >= 0.0:
+            sign_failures.append(f"phi_plain >= 0 at n={n} eps={eps!r}")
+        if eps <= SIGN_EPS_CAP + 1e-12:
+            if phi_precond <= 0.0:
+                sign_failures.append(f"phi_precond_id_f <= 0 at n={n} eps={eps!r}")
+            if phi_hat <= 0.0:
+                sign_failures.append(f"phi_hat <= 0 at n={n} eps={eps!r}")
+    return rows
+
+
+def cmd_scaling_sweep(args):
+    n_grid = args.n_grid
+    eps_grid = args.eps_grid
+    for n in n_grid:
+        _require_power_of_two(n)
+    for eps in eps_grid:
+        _require_eps(eps)
+    for n in n_grid:
+        for eps in eps_grid:
+            _warn_asymptotic_regime(n, eps)
+
+    sign_failures = []
+    blocks = _pool_map(lambda n: _sweep_point(n, eps_grid, sign_failures), n_grid)
+    rows = [row for block in blocks for row in block]
+    _write_table(args.out, SWEEP_COLUMNS, rows)
+
+    for name, idx in (("plain", 4), ("precond-id-f", 7), ("hat-pq", 10)):
+        ratios = [row[idx] for row in rows]
+        print(
+            f"scaling-sweep {name}: ratio range "
+            f"[{min(ratios)!r}, {max(ratios)!r}] "
+            f"spread={max(ratios) / min(ratios)!r}"
+        )
+    for message in sign_failures:
+        print(f"FAIL: {message}", file=sys.stderr)
+    return 1 if sign_failures else 0
+
+
+def cmd_verify_lemma(args):
+    if not (0.0 <= args.c <= C_MAX):
+        raise ValueError(
+            f"--c must lie in [0, {C_MAX}]: the inequality is only claimed "
+            f"for interference budgets up to 1/8, got {args.c!r}"
+        )
+    for ell in args.ell_grid:
+        if ell < 64:
+            raise ValueError(f"--ell-grid entries must be >= 64, got {ell}")
+    if args.instances < 1:
+        raise ValueError("--instances must be >= 1")
+
+    def campaign(ell):
+        return list(
+            run_campaign([ell], args.instances, C=args.c, seed=args.seed)
+        )
+
+    blocks = _pool_map(campaign, args.ell_grid)
+    rows = [row for block in blocks for row in block]
+    _write_table(args.out, LEMMA_COLUMNS, rows)
+
+    failures = []
+    for block, ell in zip(blocks, args.ell_grid):
+        margins = [row[6] for row in block]
+        holds = all(row[7] for row in block)
+        print(
+            f"verify-lemma ell={ell} instances={len(block)} "
+            f"min_margin={min(margins)!r} holds={holds}"
+        )
+        if not holds:
+            failures.extend(row for row in block if not row[7])
+
+    for row in failures[:4]:
+        seed, ell = int(row[0]), int(row[1])
+        inst = sample_instance(ell, args.c, norm1_target=float(row[3]), seed=seed)
+        path = f"lemma-violation-ell{ell}-seed{seed}.txt"
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(f"# ell={ell} C={args.c!r} seed={seed} norm1={row[3]!r}\n")
+            fh.write(f"# lhs={row[4]!r} rhs={row[5]!r} margin={row[6]!r}\n")
+            for name, vec in (("x", inst.x), ("y", inst.y)):
+                fh.write(f"{name} " + " ".join(repr(float(v)) for v in vec) + "\n")
+        print(f"FAIL: archived counterexample to {path}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _random_preconditioner(n, rng):
+    """Random dense matrix with spectral norm in (0, 2]."""
+    G = rng.standard_normal((n, n))
+    smax = np.linalg.svd(G, compute_uv=False)[0]
+    return G * (2.0 * rng.uniform(0.25, 1.0) / smax)
+
+
+def cmd_verify_theorem2(args):
+    _require_power_of_two(args.n)
+    if args.programs < 1 or args.gates < 1:
+        raise ValueError("--programs and --gates must be >= 1")
+
+    seeds = np.random.SeedSequence(args.seed).spawn(args.programs)
+    rotations_each = max(1, args.gates // args.programs)
+    constants_each = max(1, rotations_each // 10)
+
+    def one_program(index):
+        rng = np.random.default_rng(seeds[index])
+        A = _random_preconditioner(args.n, rng)
+        B = _random_preconditioner(args.n, rng)
+        spec = PotentialSpec.preconditioned(A, B)
+        program = random_program(args.n, rotations_each, constants_each, rng)
+        trajectory = trace_potentials(
+            program,
+            [spec],
+            recompute_every=args.recompute_every,
+            check_bounds=False,
+            track_kappa=False,
+        )[0]
+        rows = []
+        violations = []
+        for rec in trajectory.records:
+            if not isinstance(rec.gate, Rotation):
+                continue
+            ratio = abs(rec.delta) / rec.bound if rec.bound > 1e-300 else 0.0
+            rows.append(
+                (index, rec.t, rec.gate.i, rec.gate.iprime, rec.delta, rec.bound, ratio)
+            )
+            if abs(rec.delta) > rec.bound + BOUND_SLACK:
+                violations.append((index, rec.t))
+        return rows, violations, program, A, B
+
+    results = _pool_map(one_program, range(args.programs))
+    rows = [row for rows_i, _, _, _, _ in results for row in rows_i]
+    _write_table(args.out, THEOREM2_COLUMNS, rows)
+
+    ratios = np.array([row[6] for row in rows])
+    edges = np.linspace(0.0, 1.0, 11)
+    counts, _ = np.histogram(np.clip(ratios, 0.0, 1.0), bins=edges)
+    print(
+        f"verify-theorem2 n={args.n} programs={args.programs} "
+        f"rotations_checked={len(rows)} max_ratio={float(ratios.max())!r}"
+    )
+    for lo, hi, count in zip(edges[:-1], edges[1:], counts):
+        print(f"  ratio [{lo:.1f}, {hi:.1f}]: {int(count)}")
+
+    violation_total = 0
+    for index, (rows_i, violations, program, A, B) in enumerate(results):
+        if not violations:
+            continue
+        violation_total += len(violations)
+        stem = f"theorem2-violation-program{index}"
+        with open(f"{stem}.gates", "w", encoding="ascii") as fh:
+            fh.write(program_to_text(program))
+        with open(f"{stem}.mats", "w", encoding="ascii") as fh:
+            write_matrix_text(fh, A)
+            write_matrix_text(fh, B)
+        steps = sorted(t for _, t in violations)
+        print(
+            f"FAIL: program {index} broke the rotation bound at steps {steps}; "
+            f"archived {stem}.gates and {stem}.mats",
+            file=sys.stderr,
+        )
+    return 1 if violation_total else 0
+
+
+def _add_trace_flags(parser):
+    parser.add_argument(
+        "--potential",
+        choices=("plain", "precond-id-f", "hat-pq", "k-slice"),
+        default="plain",
+        help="which quasi-entropy functional to trace",
+    )
+    parser.add_argument(
+        "--slices",
+        default=None,
+        help="matrix-text file of A/B pairs for --potential k-slice",
+    )
+    parser.add_argument(
+        "--recompute-every",
+        type=int,
+        default=1024,
+        metavar="K",
+        help="steps between full recomputations of the tracked value",
+    )
+    parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    parser.add_argument(
+        "--plot-data",
+        action="store_true",
+        help="emit two-column step,potential data instead of the full trace",
+    )
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="qel",
+        description=(
+            "Quasi-entropy laboratory: trace potential functionals along "
+            "rotation/scaling gate programs and stress the inequalities "
+            "that make them useful."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    p = sub.add_parser(
+        "run-wht",
+        help="trace a potential along the butterfly Walsh-Hadamard program",
+    )
+    p.add_argument("--n", type=int, default=8, help="transform size (power of two)")
+    _add_trace_flags(p)
+    p.set_defaults(func=cmd_run_wht)
+
+    p = sub.add_parser(
+        "run-perturbation",
+        help="synthesize Id + eps*F in the gate model and trace a potential",
+    )
+    p.add_argument("--n", type=int, default=64, help="transform size (power of two)")
+    p.add_argument("--eps", type=float, default=2.0 ** -6, help="perturbation size")
+    p.add_argument(
+        "--route",
+        choices=("appendix-b", "fast"),
+        default="fast",
+        help="eigenbasis factorization: generic Givens or Kronecker layers",
+    )
+    _add_trace_flags(p)
+    p.set_defaults(func=cmd_run_perturbation)
+
+    p = sub.add_parser(
+        "scaling-sweep",
+        help="closed-form potentials of Id + eps*F over an (n, eps) grid",
+    )
+    p.add_argument(
+        "--n-grid",
+        type=_parse_int_grid,
+        default=DEFAULT_N_GRID,
+        help="space- or comma-separated powers of two",
+    )
+    p.add_argument(
+        "--eps-grid",
+        type=_parse_float_grid,
+        default=DEFAULT_EPS_GRID,
+        help="space- or comma-separated values in (0, 1/2)",
+    )
+    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.set_defaults(func=cmd_scaling_sweep)
+
+    p = sub.add_parser(
+        "verify-lemma",
+        help="randomized campaign for the clustered-mass entropy inequality",
+    )
+    p.add_argument(
+        "--ell-grid",
+        type=_parse_int_grid,
+        default=DEFAULT_ELL_GRID,
+        help="ambient dimensions, each >= 64",
+    )
+    p.add_argument(
+        "--instances", type=int, default=1000, help="random instances per dimension"
+    )
+    p.add_argument(
+        "--c",
+        type=float,
+        default=C_MAX,
+        help="interference budget C (rejected above 1/8)",
+    )
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
+    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.set_defaults(func=cmd_verify_lemma)
+
+    p = sub.add_parser(
+        "verify-theorem2",
+        help="stress the per-rotation change bound on random programs",
+    )
+    p.add_argument("--n", type=int, default=128, help="state size (power of two)")
+    p.add_argument(
+        "--programs", type=int, default=10, help="independent random programs"
+    )
+    p.add_argument(
+        "--gates", type=int, default=2000, help="total rotations across programs"
+    )
+    p.add_argument(
+        "--recompute-every",
+        type=int,
+        default=1024,
+        metavar="K",
+        help="steps between full recomputations of the tracked value",
+    )
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
+    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.set_defaults(func=cmd_verify_theorem2)
+
+    return parser
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "recompute_every", 1) < 1:
+        print("qel: error: --recompute-every must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"qel: error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print(f"qel: FAIL: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,322 @@
+"""Straight-line programs of planar rotations and row scalings.
+
+The machine state is a linear map: an n-by-n matrix M sending the input
+vector to the current register contents.  A rotation gate left-multiplies
+M by a plane rotation touching two rows; a constant gate rescales one row
+by a nonzero scalar.  The inverse-transpose of M is evolved jointly (the
+same rotation applies to it, a row scaling applies with 1/c), which keeps
+every step O(n) instead of the O(n^3) a re-inversion would cost.
+
+Programs serialize to a plain text format: a header line ``n <dim> m
+<count>`` followed by one line per gate, ``R <i> <i'> <theta>`` or
+``C <i> <c>``, 1-based indices, floats written with full round-trip
+precision.  Lines starting with ``#`` are comments and are ignored.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = [
+    "Rotation",
+    "Constant",
+    "GateProgram",
+    "TrackedState",
+    "WellConditionReport",
+    "apply_gate",
+    "run_program",
+    "program_matrix",
+    "inverse_drift",
+    "condition_number",
+    "verify_well_conditioned",
+    "program_to_text",
+    "program_from_text",
+    "save_program",
+    "load_program",
+    "random_program",
+    "DRIFT_TOL",
+    "DRIFT_CHECK_EVERY",
+    "SIGMA_FLOOR",
+]
+
+DRIFT_TOL = 1e-8          # max-entry tolerance for M^T @ MinvT - Id
+DRIFT_CHECK_EVERY = 1024  # gates between full inverse cross-checks
+SIGMA_FLOOR = 1e-12       # smallest singular value treated as nonsingular
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """Plane rotation acting on rows/columns (i, iprime), 1-based.
+
+    Left-multiplication by the matrix that is the identity except for the
+    2x2 block [[cos theta, sin theta], [-sin theta, cos theta]] at rows
+    and columns (i, iprime).
+    """
+
+    i: int
+    iprime: int
+    theta: float
+
+    def validate(self, n):
+        if not (1 <= self.i <= n and 1 <= self.iprime <= n):
+            raise ValueError(f"rotation indices ({self.i},{self.iprime}) out of range for n={n}")
+        if self.i == self.iprime:
+            raise ValueError("rotation needs two distinct rows")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"non-finite rotation angle {self.theta!r}")
+
+
+@dataclass(frozen=True)
+class Constant:
+    """Row-scaling gate: multiplies row i (1-based) by c != 0."""
+
+    i: int
+    c: float
+
+    def validate(self, n):
+        if not 1 <= self.i <= n:
+            raise ValueError(f"constant gate row {self.i} out of range for n={n}")
+        if self.c == 0.0 or not math.isfinite(self.c):
+            raise ValueError(f"constant gate needs a finite nonzero scalar, got {self.c!r}")
+
+
+Gate = Rotation | Constant
+
+
+@dataclass
+class GateProgram:
+    """A fixed dimension n plus an ordered list of gates."""
+
+    n: int
+    gates: list
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+        self.validate()
+
+    def validate(self):
+        for t, gate in enumerate(self.gates, start=1):
+            if not isinstance(gate, (Rotation, Constant)):
+                raise ValueError(f"gate {t}: not a Rotation or Constant: {gate!r}")
+            try:
+                gate.validate(self.n)
+            except ValueError as exc:
+                raise ValueError(f"gate {t}: {exc}") from exc
+
+    def __len__(self):
+        return len(self.gates)
+
+    def rotation_count(self):
+        return sum(1 for g in self.gates if isinstance(g, Rotation))
+
+    def constant_count(self):
+        return sum(1 for g in self.gates if isinstance(g, Constant))
+
+    def save(self, path, header_comments=()):
+        save_program(self, path, header_comments)
+
+    @classmethod
+    def load(cls, path):
+        return load_program(path)
+
+
+@dataclass
+class TrackedState:
+    """State matrix M and its inverse-transpose, evolved jointly."""
+
+    M: np.ndarray
+    MinvT: np.ndarray
+    t: int = 0
+
+    @classmethod
+    def identity(cls, n):
+        return cls(np.eye(n), np.eye(n), 0)
+
+    def copy(self):
+        return TrackedState(self.M.copy(), self.MinvT.copy(), self.t)
+
+
+def apply_gate(state, gate):
+    """Apply one gate to the state in place; returns the same state.
+
+    Rotations touch rows (i, iprime) of both M and MinvT identically
+    (plane rotations are orthogonal, so the inverse-transpose rotates the
+    same way).  A constant gate scales row i of M by c and row i of MinvT
+    by 1/c.  O(n) per call.
+    """
+    n = state.M.shape[0]
+    gate.validate(n)
+    if isinstance(gate, Rotation):
+        i, ip = gate.i - 1, gate.iprime - 1
+        c, s = math.cos(gate.theta), math.sin(gate.theta)
+        for X in (state.M, state.MinvT):
+            new_i = c * X[i] + s * X[ip]
+            new_ip = c * X[ip] - s * X[i]
+            X[i] = new_i
+            X[ip] = new_ip
+    else:
+        i = gate.i - 1
+        state.M[i] *= gate.c
+        state.MinvT[i] *= 1.0 / gate.c
+    state.t += 1
+    return state
+
+
+def inverse_drift(state):
+    """Max-entry deviation of M^T @ MinvT from the identity."""
+    n = state.M.shape[0]
+    return float(np.max(np.abs(state.M.T @ state.MinvT - np.eye(n))))
+
+
+def run_program(program, observers=(), drift_check_every=DRIFT_CHECK_EVERY,
+                drift_tol=DRIFT_TOL):
+    """Run all gates from the identity state.
+
+    Each observer is called after every gate with (step, gate, state);
+    the state passed is the live object, mutated in place as the run
+    proceeds.  Every `drift_check_every` gates the tracked inverse is
+    cross-checked against M by a full product; drift beyond `drift_tol`
+    raises RuntimeError.
+    """
+    state = TrackedState.identity(program.n)
+    for t, gate in enumerate(program.gates, start=1):
+        try:
+            apply_gate(state, gate)
+        except ValueError as exc:
+            raise ValueError(f"gate {t}: {exc}") from exc
+        if drift_check_every and t % drift_check_every == 0:
+            err = inverse_drift(state)
+            if err > drift_tol:
+                raise RuntimeError(
+                    f"inverse-transpose drift {err:.3e} exceeds {drift_tol:.1e} at step {t}")
+        for obs in observers:
+            obs(t, gate, state)
+    return state
+
+
+def program_matrix(program, **kwargs):
+    """The matrix the program computes (its final state M)."""
+    return run_program(program, **kwargs).M
+
+
+def condition_number(M, sigma_floor=SIGMA_FLOOR):
+    """sigma_max / sigma_min by a full singular value computation.
+
+    Raises ValueError when the smallest singular value is at or below
+    `sigma_floor` (singular to working precision).
+    """
+    sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
+    if smin <= sigma_floor:
+        raise ValueError(
+            f"matrix is singular to working precision (sigma_min={smin:.3e}, floor={sigma_floor:.1e})")
+    return smax / smin
+
+
+@dataclass
+class WellConditionReport:
+    passed: bool
+    kappa_max: float
+    max_kappa: float
+    at_step: int
+    final_state: TrackedState = field(repr=False, default=None)
+
+
+def verify_well_conditioned(program, kappa_max, exhaustive=False,
+                            sigma_floor=SIGMA_FLOOR):
+    """Check that every intermediate state has condition number <= kappa_max.
+
+    Rotations and sign flips (|c| = 1) are exact isometries, so singular
+    values are recomputed only after constant gates with |c| != 1, plus at
+    t=0 and t=m; in between kappa is carried forward unchanged.  With
+    `exhaustive=True` it is recomputed after every gate (slow; for tests).
+    Reports the max over t of kappa(M^(t)) and where it occurred.
+    """
+    state = TrackedState.identity(program.n)
+    kappa = 1.0
+    max_kappa, at_step = 1.0, 0
+    m = len(program.gates)
+    for t, gate in enumerate(program.gates, start=1):
+        try:
+            apply_gate(state, gate)
+        except ValueError as exc:
+            raise ValueError(f"gate {t}: {exc}") from exc
+        scaling = isinstance(gate, Constant) and abs(gate.c) != 1.0
+        if exhaustive or scaling or t == m:
+            try:
+                kappa = condition_number(state.M, sigma_floor)
+            except ValueError as exc:
+                raise ValueError(f"step {t}: {exc}") from exc
+        if kappa > max_kappa:
+            max_kappa, at_step = kappa, t
+    return WellConditionReport(max_kappa <= kappa_max, kappa_max, max_kappa,
+                               at_step, state)
+
+
+def program_to_text(program, header_comments=()):
+    lines = [f"# {c}" for c in header_comments]
+    lines.append(f"n {program.n} m {len(program.gates)}")
+    for gate in program.gates:
+        if isinstance(gate, Rotation):
+            lines.append(f"R {gate.i} {gate.iprime} {gate.theta!r}")
+        else:
+            lines.append(f"C {gate.i} {gate.c!r}")
+    return "\n".join(lines) + "\n"
+
+
+def program_from_text(text):
+    header = None
+    gates = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 4 or parts[0] != "n" or parts[2] != "m":
+                raise ValueError(f"line {lineno}: expected header 'n <dim> m <count>', got {line!r}")
+            header = (int(parts[1]), int(parts[3]))
+        elif parts[0] == "R" and len(parts) == 4:
+            gates.append(Rotation(int(parts[1]), int(parts[2]), float(parts[3])))
+        elif parts[0] == "C" and len(parts) == 3:
+            gates.append(Constant(int(parts[1]), float(parts[2])))
+        else:
+            raise ValueError(f"line {lineno}: unrecognized gate line {line!r}")
+    if header is None:
+        raise ValueError("empty program text: missing header line")
+    n, m = header
+    if m != len(gates):
+        raise ValueError(f"header declares m={m} gates but {len(gates)} were found")
+    return GateProgram(n, gates)
+
+
+def save_program(program, path, header_comments=()):
+    with open(path, "w") as fh:
+        fh.write(program_to_text(program, header_comments))
+
+
+def load_program(path):
+    with open(path) as fh:
+        return program_from_text(fh.read())
+
+
+def random_program(n, rotations, constants, rng, log2_scale=1.0):
+    """Random program for campaigns: uniform plane rotations plus row
+    scalings with |log2 c| <= log2_scale (keeps intermediates reasonably
+    conditioned).  Gate order is a random interleaving."""
+    gates = []
+    for _ in range(rotations):
+        i, ip = rng.choice(n, size=2, replace=False) + 1
+        gates.append(Rotation(int(i), int(ip), float(rng.uniform(-math.pi, math.pi))))
+    for _ in range(constants):
+        i = int(rng.integers(1, n + 1))
+        c = float(2.0 ** rng.uniform(-log2_scale, log2_scale))
+        if rng.integers(2):
+            c = -c
+        gates.append(Constant(i, c))
+    order = rng.permutation(len(gates))
+    return GateProgram(n, [gates[j] for j in order])

@@ -1,0 +1,232 @@
+"""Synthesis of gate programs computing the perturbed map Id + eps*F.
+
+F diagonalizes over the rotation eigenbasis: F = W D W^T where W is the
+log2(n)-fold Kronecker power of the 2x2 rotation by pi/8 (tan(pi/8) =
+sqrt2 - 1 diagonalizes the 2x2 case) and D is the +-1 diagonal with
+D(i,i) = (-1)^popcount(i-1).  Hence
+
+    Id + eps*F = W (Id + eps*D) W^T,
+
+a program of rotations, then n row scalings 1 + eps*D(i,i), then more
+rotations.  Every intermediate state has condition number at most
+(1 + eps)/(1 - eps), attained inside the scaling section.
+
+Two routes emit the rotation sections: "AppendixB" triangularizes W and
+W^T by Givens elimination (O(n^2) gates, works for any orthogonal
+matrix), "FastKronecker" exploits the Kronecker structure (exactly
+n log2 n rotations + n constants).
+
+Plans serialize as the program text format preceded by a metadata line:
+# route=<AppendixB|FastKronecker> n=<n> eps=<eps> kappa=<certificate>
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .gates import (Constant, GateProgram, Rotation, program_from_text,
+                    program_to_text, verify_well_conditioned)
+from .hadamard import _log2_int, kron_rotation_layer, wht_matrix
+
+__all__ = [
+    "ROUTES",
+    "PerturbationPlan",
+    "perturbation_matrix",
+    "exact_inverse_perturbation",
+    "inverse_residual",
+    "inverse_residual_norm",
+    "wht_eigenbasis",
+    "givens_decompose",
+    "synth_perturbation",
+    "save_plan",
+    "load_plan",
+]
+
+ROUTE_APPENDIX_B = "AppendixB"
+ROUTE_FAST_KRONECKER = "FastKronecker"
+ROUTES = (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER)
+
+KAPPA_CERT_TOL = 1e-9
+REALIZED_TOL_PER_N = 1e-9  # Frobenius budget is this times n
+
+
+def _check_eps(eps):
+    if not (0.0 <= eps < 0.5) or not math.isfinite(eps):
+        raise ValueError(f"eps must lie in [0, 1/2), got {eps!r}")
+    return float(eps)
+
+
+def perturbation_matrix(n, eps):
+    """Id + eps * wht_matrix(n).  Eigenvalues 1 +- eps, so the condition
+    number is (1+eps)/(1-eps)."""
+    eps = _check_eps(eps)
+    return np.eye(n) + eps * wht_matrix(n)
+
+
+def exact_inverse_perturbation(n, eps):
+    """(Id - eps*F) / (1 - eps^2), the exact inverse of Id + eps*F
+    (multiply out and use F @ F = Id)."""
+    eps = _check_eps(eps)
+    return (np.eye(n) - eps * wht_matrix(n)) / (1.0 - eps * eps)
+
+
+def inverse_residual(n, eps):
+    """Z = exact inverse - (Id - eps*F) = (eps^2/(1-eps^2)) (Id - eps*F)."""
+    eps = _check_eps(eps)
+    return (eps * eps / (1.0 - eps * eps)) * (np.eye(n) - eps * wht_matrix(n))
+
+
+def inverse_residual_norm(eps):
+    """Spectral norm of the residual Z: eps^2 / (1 - eps)."""
+    eps = _check_eps(eps)
+    return eps * eps / (1.0 - eps)
+
+
+def wht_eigenbasis(n):
+    """(W, d) with F = W diag(d) W^T: W the Kronecker power of the pi/8
+    rotation [[cos, -sin], [sin, cos]], d(i) = (-1)^popcount(i-1)."""
+    k = _log2_int(n)
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    W2 = np.array([[c, -s], [s, c]])
+    W = np.eye(1)
+    for _ in range(k):
+        W = np.kron(W, W2)
+    v = np.arange(n)  # popcount parity via progressive xor fold
+    for shift in (16, 8, 4, 2, 1):
+        v ^= v >> shift
+    d = 1.0 - 2.0 * (v & 1)
+    return W, d
+
+
+def givens_decompose(orth, tol=1e-9):
+    """Gate program realizing an orthogonal matrix.
+
+    Triangularizes column-major, bottom-up: each subdiagonal entry (i, j)
+    is zeroed by a rotation of rows (j, i) against the pivot; entries that
+    are already exactly zero emit no gate.  The orthogonal residue is a
+    +-1 diagonal, emitted as sign gates (c = -1) ahead of the reversed,
+    angle-negated rotations.  At most n(n-1)/2 rotations + n constants.
+    """
+    W = np.asarray(orth, dtype=float)
+    n = W.shape[0]
+    if W.ndim != 2 or W.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {W.shape}")
+    ortho_err = float(np.max(np.abs(W.T @ W - np.eye(n))))
+    if ortho_err > tol:
+        raise ValueError(
+            f"input is not orthogonal within {tol:.1e} (max deviation {ortho_err:.3e})")
+    A = W.copy()
+    rotations = []
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            a = A[i, j]
+            if a == 0.0:
+                continue
+            theta = math.atan2(a, A[j, j])
+            c, s = math.cos(theta), math.sin(theta)
+            new_j = c * A[j] + s * A[i]
+            new_i = c * A[i] - s * A[j]
+            A[j] = new_j
+            A[i] = new_i
+            rotations.append((j + 1, i + 1, theta))
+    d = np.diag(A).copy()
+    residue = float(np.max(np.abs(A - np.diag(d))))
+    sign_err = float(np.max(np.abs(np.abs(d) - 1.0)))
+    if residue > n * tol or sign_err > n * tol:
+        raise ValueError(
+            f"triangularization residue is not a sign diagonal "
+            f"(off-diagonal {residue:.3e}, |d|-1 {sign_err:.3e})")
+    gates = [Constant(i + 1, -1.0) for i in range(n) if d[i] < 0.0]
+    gates += [Rotation(i, ip, -theta) for (i, ip, theta) in reversed(rotations)]
+    return GateProgram(n, gates)
+
+
+@dataclass
+class PerturbationPlan:
+    """A verified program computing Id + eps*F with its kappa certificate."""
+
+    n: int
+    eps: float
+    route: str
+    program: GateProgram
+    kappa_certificate: float
+
+    def save(self, path):
+        save_plan(self, path)
+
+
+def _basis_gates(n, route):
+    """(gates of W^T, gates of W) for the chosen route.
+
+    A rotation gate with angle theta realizes [[cos, sin], [-sin, cos]]
+    on its plane, the transpose of the standard rotation by theta; so the
+    W^T section uses +pi/8 layers and the W section -pi/8.
+    """
+    k = _log2_int(n)
+    if route == ROUTE_FAST_KRONECKER:
+        wt = [g for s in range(1, k + 1) for g in kron_rotation_layer(n, s, math.pi / 8).gates]
+        w = [g for s in range(1, k + 1) for g in kron_rotation_layer(n, s, -math.pi / 8).gates]
+        return wt, w
+    if route == ROUTE_APPENDIX_B:
+        W, _ = wht_eigenbasis(n)
+        return givens_decompose(W.T).gates, givens_decompose(W).gates
+    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+
+
+def synth_perturbation(n, eps, route=ROUTE_FAST_KRONECKER):
+    """Emit and verify a program computing Id + eps*F.
+
+    Gate order: the gates of W^T, then n constant gates 1 + eps*D(i,i),
+    then the gates of W.  The realized matrix is checked against
+    perturbation_matrix(n, eps) within 1e-9 * n Frobenius, and every
+    intermediate condition number is certified <= (1+eps)/(1-eps) + 1e-9.
+    """
+    eps = _check_eps(eps)
+    wt_gates, w_gates = _basis_gates(n, route)
+    _, d = wht_eigenbasis(n)
+    constants = [Constant(i + 1, 1.0 + eps * float(d[i])) for i in range(n)]
+    program = GateProgram(n, [*wt_gates, *constants, *w_gates])
+
+    kappa_allowed = (1.0 + eps) / (1.0 - eps) + KAPPA_CERT_TOL
+    report = verify_well_conditioned(program, kappa_allowed)
+    realized = report.final_state.M
+    err = float(np.linalg.norm(realized - perturbation_matrix(n, eps)))
+    if err > REALIZED_TOL_PER_N * n:
+        raise RuntimeError(
+            f"route {route} realized matrix off target: Frobenius error {err:.3e} "
+            f"exceeds {REALIZED_TOL_PER_N * n:.1e}")
+    if not report.passed:
+        raise RuntimeError(
+            f"route {route} exceeded the conditioning certificate: max kappa "
+            f"{report.max_kappa!r} at step {report.at_step} > {kappa_allowed!r}")
+    return PerturbationPlan(n, eps, route, program, report.max_kappa)
+
+
+def save_plan(plan, path):
+    meta = (f"route={plan.route} n={plan.n} eps={plan.eps!r} "
+            f"kappa={plan.kappa_certificate!r}")
+    with open(path, "w") as fh:
+        fh.write(f"# {meta}\n")
+        fh.write(program_to_text(plan.program))
+
+
+def load_plan(path):
+    with open(path) as fh:
+        text = fh.read()
+    meta = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("#"):
+            continue
+        for token in line[1:].split():
+            if "=" in token:
+                key, _, value = token.partition("=")
+                meta[key] = value
+        break
+    for key in ("route", "n", "eps", "kappa"):
+        if key not in meta:
+            raise ValueError(f"plan file {path} is missing metadata field {key!r}")
+    program = program_from_text(text)
+    return PerturbationPlan(int(meta["n"]), float(meta["eps"]), meta["route"],
+                            program, float(meta["kappa"]))

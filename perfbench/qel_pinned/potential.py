@@ -1,0 +1,453 @@
+"""Quasi-entropy potentials of gate-program states, with incremental tracking.
+
+All logarithms are base 2.  The entropy kernel is L(x) = x log2|x| with
+L(0) = 0.  For a nonsingular matrix M with inverse-transpose N:
+
+    plain:          Phi(M)       = -sum_ij L( M(i,j) N(i,j) )
+    preconditioned: Phi_{A,B}(M) = -sum_ij L( (M A)(i,j) (N B)(i,j) )
+    k-slice:        Phi^(k)(M)   = -sum_ij L( sum_p (M A_p)(i,j) (N B_p)(i,j) )
+
+The hat potential takes n-by-2n preconditioners P, Q and couples column j
+with column j+n inside the kernel; it is exactly the k-slice potential of
+the two column blocks.  A PotentialSpec holds the slice pairs (None in a
+slot means the identity, which skips a product).
+
+Rotation and constant gates touch two rows (resp. one row) of every
+sliced product, so a PotentialTracker updates the potential in O(k n) per
+gate from cached products.  A full recomputation fires every
+`recompute_every` gates and replaces the running value; disagreement
+beyond `desync_tol` means the caches lost sync with the state and raises.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .gates import (Constant, Rotation, TrackedState, apply_gate,
+                    condition_number, run_program)
+from .hadamard import wht_matrix
+
+__all__ = [
+    "entropy_kernel",
+    "PotentialSpec",
+    "PotentialTracker",
+    "TraceRecord",
+    "Trajectory",
+    "quasi_entropy",
+    "preconditioned_quasi_entropy",
+    "hat_quasi_entropy",
+    "k_slice_quasi_entropy",
+    "hat_wht_spec",
+    "rotation_delta_bound",
+    "tracked_delta",
+    "trace_potentials",
+    "save_matrix_text",
+    "load_matrix_text",
+    "load_matrices_text",
+]
+
+BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
+AGREE_TOL = 1e-6   # tracker endpoint vs from-scratch evaluation
+DESYNC_TOL = 1e-6  # periodic recomputation vs running value
+RECOMPUTE_EVERY = 1024
+
+
+def entropy_kernel(x):
+    """L(x) = x log2|x|, with L(0) = 0."""
+    if x == 0.0:
+        return 0.0
+    return x * math.log2(abs(x))
+
+
+def _L(values):
+    a = np.asarray(values, dtype=float)
+    out = np.zeros_like(a)
+    nz = a != 0.0
+    out[nz] = a[nz] * np.log2(np.abs(a[nz]))
+    return out
+
+
+def _inverse_transpose(M):
+    try:
+        return np.linalg.inv(M).T
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular state matrix: quasi-entropy undefined") from exc
+
+
+def _as_square(M, name="M"):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+    return M
+
+
+@dataclass
+class PotentialSpec:
+    """k preconditioner slice pairs (A_p, B_p); None means the identity."""
+
+    n: int
+    slices: list
+    label: str = "custom"
+
+    def __post_init__(self):
+        if not self.slices:
+            raise ValueError("a potential spec needs at least one slice")
+        checked = []
+        for p, (A, B) in enumerate(self.slices):
+            pair = []
+            for name, X in (("A", A), ("B", B)):
+                if X is None:
+                    pair.append(None)
+                    continue
+                X = np.ascontiguousarray(X, dtype=float)
+                if X.shape != (self.n, self.n):
+                    raise ValueError(
+                        f"slice {p}: {name} has shape {X.shape}, expected ({self.n}, {self.n})")
+                pair.append(X)
+            checked.append(tuple(pair))
+        self.slices = checked
+
+    @property
+    def k(self):
+        return len(self.slices)
+
+    @property
+    def is_plain(self):
+        A, B = self.slices[0]
+        return self.k == 1 and A is None and B is None
+
+    @classmethod
+    def plain(cls, n):
+        return cls(n, [(None, None)], label="plain")
+
+    @classmethod
+    def preconditioned(cls, A, B):
+        if A is None and B is None:
+            raise ValueError("use plain(n) when both preconditioners are the identity")
+        n = (A if A is not None else B).shape[0]
+        return cls(n, [(A, B)], label="precond")
+
+    @classmethod
+    def hat(cls, P, Q):
+        P = np.asarray(P, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        n = P.shape[0]
+        if P.shape != (n, 2 * n) or Q.shape != (n, 2 * n):
+            raise ValueError(
+                f"hat preconditioners must be n-by-2n, got {P.shape} and {Q.shape}")
+        return cls(n, [(P[:, :n].copy(), Q[:, :n].copy()),
+                       (P[:, n:].copy(), Q[:, n:].copy())], label="hat")
+
+    @classmethod
+    def k_slice(cls, As, Bs):
+        if len(As) != len(Bs) or not As:
+            raise ValueError("need equally many nonempty A and B slices")
+        first = next(X for X in list(As) + list(Bs) if X is not None)
+        return cls(first.shape[0], list(zip(As, Bs)), label="k-slice")
+
+
+def hat_wht_spec(n):
+    """The hat spec with P = [Id, -F], Q = [F, Id] (F = wht_matrix(n)),
+    stored as two identity-aware slices so M @ Id is never materialized."""
+    F = wht_matrix(n)
+    return PotentialSpec(n, [(None, F), (-F, None)], label="hat-pq")
+
+
+def _slice_products(M, N, spec):
+    return [(M if A is None else M @ A, N if B is None else N @ B)
+            for A, B in spec.slices]
+
+
+def _coupled(products):
+    (L0, R0) = products[0]
+    s = L0 * R0
+    for Lp, Rp in products[1:]:
+        s += Lp * Rp
+    return s
+
+
+def k_slice_quasi_entropy(M, spec, minv_t=None):
+    """General k-slice quasi-entropy; the k=1 identity slice is Phi(M)."""
+    M = _as_square(M)
+    if M.shape[0] != spec.n:
+        raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
+    N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
+    return -float(np.sum(_L(_coupled(_slice_products(M, N, spec))))) + 0.0
+
+
+def quasi_entropy(M, minv_t=None):
+    """Plain quasi-entropy Phi(M) = -sum L(M(i,j) * MinvT(i,j))."""
+    M = _as_square(M)
+    return k_slice_quasi_entropy(M, PotentialSpec.plain(M.shape[0]), minv_t)
+
+
+def preconditioned_quasi_entropy(M, A, B, minv_t=None):
+    """Phi_{A,B}(M); A or B may be None for the identity."""
+    M = _as_square(M)
+    n = M.shape[0]
+    spec = (PotentialSpec.plain(n) if A is None and B is None
+            else PotentialSpec.preconditioned(A, B))
+    return k_slice_quasi_entropy(M, spec, minv_t)
+
+
+def hat_quasi_entropy(M, P, Q, minv_t=None):
+    """Hat potential over n-by-2n preconditioners; equals the k-slice
+    potential of the two column blocks, exactly."""
+    return k_slice_quasi_entropy(M, PotentialSpec.hat(P, Q), minv_t)
+
+
+def rotation_delta_bound(state, spec, i, iprime):
+    """Product of the Frobenius norms of rows (i, iprime) of M A and of
+    MinvT B: an upper bound on |delta Phi_{A,B}| for any rotation on those
+    rows.  Single-slice specs only."""
+    if spec.k != 1:
+        raise ValueError("rotation delta bound is defined for single-slice specs")
+    n = state.M.shape[0]
+    if not (1 <= i <= n and 1 <= iprime <= n) or i == iprime:
+        raise ValueError(f"invalid row pair ({i}, {iprime}) for n={n}")
+    rows = [i - 1, iprime - 1]
+    A, B = spec.slices[0]
+    left = state.M[rows] if A is None else state.M[rows] @ A
+    right = state.MinvT[rows] if B is None else state.MinvT[rows] @ B
+    return float(np.linalg.norm(left) * np.linalg.norm(right))
+
+
+class PotentialTracker:
+    """Incremental quasi-entropy along a gate program.
+
+    Caches the per-slice products (M A_p, MinvT B_p); a rotation touches
+    two rows of every cache, a constant gate one row, so each step costs
+    O(k n).  Constant gates leave the plain potential unchanged exactly
+    (row i of M scales by c, of MinvT by 1/c, products cancel) and the
+    tracker returns literal 0.0 there; general specs recompute the one
+    affected row.
+    """
+
+    def __init__(self, spec, state, recompute_every=RECOMPUTE_EVERY,
+                 desync_tol=DESYNC_TOL):
+        if state.M.shape[0] != spec.n:
+            raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
+        self.spec = spec
+        self.recompute_every = int(recompute_every) if recompute_every else 0
+        self.desync_tol = desync_tol
+        self.applied = 0
+        self.products = [(state.M.copy() if A is None else state.M @ A,
+                          state.MinvT.copy() if B is None else state.MinvT @ B)
+                         for A, B in spec.slices]
+        self.value = -float(np.sum(_L(self._coupled_rows(slice(None))))) + 0.0
+
+    def _coupled_rows(self, rows):
+        (L0, R0) = self.products[0]
+        s = L0[rows] * R0[rows]
+        for Lp, Rp in self.products[1:]:
+            s += Lp[rows] * Rp[rows]
+        return s
+
+    def rotation_bound(self, i, iprime):
+        """rotation_delta_bound from the caches, O(n)."""
+        if self.spec.k != 1:
+            raise ValueError("rotation delta bound is defined for single-slice specs")
+        rows = [i - 1, iprime - 1]
+        Lp, Rp = self.products[0]
+        return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
+
+    def recompute_due(self):
+        return self.recompute_every and (self.applied + 1) % self.recompute_every == 0
+
+    def advance(self, gate, state_after=None):
+        """Apply one gate to the caches; returns the potential change.
+
+        `state_after` (the tracked state after the same gate) must be
+        supplied on steps where the periodic full recomputation fires.
+        """
+        if isinstance(gate, Rotation):
+            i, ip = gate.i - 1, gate.iprime - 1
+            rows = [i, ip]
+            before = float(np.sum(_L(self._coupled_rows(rows))))
+            c, s = math.cos(gate.theta), math.sin(gate.theta)
+            for Lp, Rp in self.products:
+                for X in (Lp, Rp):
+                    new_i = c * X[i] + s * X[ip]
+                    new_ip = c * X[ip] - s * X[i]
+                    X[i] = new_i
+                    X[ip] = new_ip
+            after = float(np.sum(_L(self._coupled_rows(rows))))
+            delta = -(after - before) + 0.0
+        else:
+            i = gate.i - 1
+            c = gate.c
+            if self.spec.is_plain:
+                Lp, Rp = self.products[0]
+                Lp[i] *= c
+                Rp[i] *= 1.0 / c
+                delta = 0.0
+            else:
+                before = float(np.sum(_L(self._coupled_rows([i]))))
+                for Lp, Rp in self.products:
+                    Lp[i] *= c
+                    Rp[i] *= 1.0 / c
+                after = float(np.sum(_L(self._coupled_rows([i]))))
+                delta = -(after - before) + 0.0
+        self.value += delta
+        self.applied += 1
+        if self.recompute_every and self.applied % self.recompute_every == 0:
+            if state_after is None:
+                raise ValueError("state_after is required on recomputation steps")
+            self._recompute(state_after)
+        return delta
+
+    def _recompute(self, state):
+        products = _slice_products(state.M, state.MinvT, self.spec)
+        direct = -float(np.sum(_L(_coupled(products))))
+        if abs(direct - self.value) > self.desync_tol:
+            raise RuntimeError(
+                f"tracker desynchronized from state at step {self.applied}: "
+                f"incremental {self.value!r} vs direct {direct!r}")
+        self.value = direct
+        self.products = [(Lp.copy() if Lp is state.M else Lp,
+                          Rp.copy() if Rp is state.MinvT else Rp)
+                         for Lp, Rp in products]
+
+
+def tracked_delta(tracker, state_before, gate):
+    """Potential change of one gate, computed incrementally; updates the
+    tracker caches.  `state_before` is only needed (and copied) on steps
+    where the periodic full recomputation fires."""
+    state_after = None
+    if tracker.recompute_due():
+        state_after = apply_gate(state_before.copy(), gate)
+    return tracker.advance(gate, state_after)
+
+
+@dataclass
+class TraceRecord:
+    t: int
+    gate: object
+    potential: float
+    delta: float
+    bound: float | None
+    kappa: float | None
+
+
+@dataclass
+class Trajectory:
+    """Per-spec record of a traced run.  `records` has one entry per gate
+    (an empty program leaves only the initial value); deltas telescope to
+    final_value - initial_value up to roundoff."""
+
+    label: str
+    initial_value: float
+    records: list = field(default_factory=list)
+    direct_final: float = math.nan
+
+    @property
+    def final_value(self):
+        return self.records[-1].potential if self.records else self.initial_value
+
+    @property
+    def max_abs_delta(self):
+        return max((abs(r.delta) for r in self.records), default=0.0)
+
+    def telescoping_error(self):
+        total = math.fsum(r.delta for r in self.records)
+        return abs((self.final_value - self.initial_value) - total)
+
+
+def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
+                     check_bounds=True, track_kappa=True,
+                     bound_tol=BOUND_TOL, agree_tol=AGREE_TOL):
+    """Run a program once, tracking every spec's potential per step.
+
+    Per record: potential value, delta, the rotation delta bound (single
+    slice specs; 0.0 on constant gates, None for k >= 2), and kappa
+    (recomputed after scaling gates, carried across isometries).  With
+    `check_bounds`, a rotation whose |delta| exceeds bound + bound_tol
+    raises RuntimeError.  Endpoints are re-evaluated from scratch and must
+    agree with the tracker within `agree_tol`.
+    """
+    if isinstance(specs, PotentialSpec):
+        specs = [specs]
+    state0 = TrackedState.identity(program.n)
+    trackers = [PotentialTracker(spec, state0, recompute_every) for spec in specs]
+    trajectories = [Trajectory(spec.label, tracker.value)
+                    for spec, tracker in zip(specs, trackers)]
+    kappa_holder = [1.0]
+
+    def observer(t, gate, state):
+        if track_kappa and isinstance(gate, Constant) and abs(gate.c) != 1.0:
+            kappa_holder[0] = condition_number(state.M)
+        kappa = kappa_holder[0] if track_kappa else None
+        for tracker, traj in zip(trackers, trajectories):
+            bound = None
+            if tracker.spec.k == 1:
+                bound = (tracker.rotation_bound(gate.i, gate.iprime)
+                         if isinstance(gate, Rotation) else 0.0)
+            delta = tracker.advance(gate, state)
+            if (check_bounds and isinstance(gate, Rotation) and bound is not None
+                    and abs(delta) > bound + bound_tol):
+                raise RuntimeError(
+                    f"step {t}: |delta| = {abs(delta)!r} exceeds rotation bound {bound!r}")
+            traj.records.append(TraceRecord(t, gate, tracker.value, delta, bound, kappa))
+
+    final = run_program(program, observers=[observer])
+    for tracker, traj in zip(trackers, trajectories):
+        direct = k_slice_quasi_entropy(final.M, tracker.spec, minv_t=final.MinvT)
+        traj.direct_final = direct
+        if abs(direct - traj.final_value) > agree_tol:
+            raise RuntimeError(
+                f"tracker endpoint {traj.final_value!r} disagrees with from-scratch "
+                f"evaluation {direct!r} beyond {agree_tol:.1e}")
+    return trajectories
+
+
+def write_matrix_text(fh, M):
+    """Write one matrix block to an open handle: header 'n <rows> <cols>',
+    then row-major decimals. Blocks may be concatenated in a single file."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    fh.write(f"n {M.shape[0]} {M.shape[1]}\n")
+    for row in M:
+        fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+
+
+def save_matrix_text(M, path):
+    with open(path, "w") as fh:
+        write_matrix_text(fh, M)
+
+
+def _parse_matrix_blocks(tokens):
+    pos = 0
+    while pos < len(tokens):
+        if tokens[pos] != "n" or pos + 3 > len(tokens):
+            raise ValueError("expected matrix header 'n <rows> <cols>'")
+        rows, cols = int(tokens[pos + 1]), int(tokens[pos + 2])
+        pos += 3
+        count = rows * cols
+        if pos + count > len(tokens):
+            raise ValueError(f"matrix body truncated: needed {count} entries")
+        data = np.array([float(tok) for tok in tokens[pos:pos + count]])
+        pos += count
+        yield data.reshape(rows, cols)
+
+
+def load_matrices_text(path):
+    """All matrices concatenated in one file, each in the text format."""
+    with open(path) as fh:
+        tokens = [tok for line in fh
+                  if not line.lstrip().startswith("#")
+                  for tok in line.split()]
+    matrices = list(_parse_matrix_blocks(tokens))
+    if not matrices:
+        raise ValueError(f"no matrices found in {path}")
+    return matrices
+
+
+def load_matrix_text(path):
+    matrices = load_matrices_text(path)
+    if len(matrices) != 1:
+        raise ValueError(f"expected exactly one matrix in {path}, found {len(matrices)}")
+    return matrices[0]
