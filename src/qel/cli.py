@@ -10,14 +10,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import Rotation, program_to_text, random_program
-from .hadamard import fast_wht_program, wht_matrix
-from .lemma import C_MAX, run_campaign, sample_instance
-from .perturb import ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, synth_perturbation
+from .hadamard import _log2_int, fast_wht_program, wht_matrix
+from .lemma import C_MAX, ELL_FLOOR, campaign_instance, run_campaign
+from .perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, _check_eps,
+                      synth_perturbation)
 from .potential import (
     PotentialSpec,
     hat_wht_spec,
@@ -61,34 +61,6 @@ DEFAULT_SEED = 20250819
 
 SIGN_EPS_CAP = 0.125
 BOUND_SLACK = 1e-8
-
-
-@dataclass
-class TraceRow:
-    """One line of a gate-by-gate trace in the canonical CSV schema."""
-
-    step: int
-    kind: str
-    i: int | None
-    iprime: int | None
-    theta_or_c: float | None
-    potential: float
-    delta: float
-    thm2_bound: float | None
-    kappa: float | None
-
-    def fields(self):
-        return (
-            self.step,
-            self.kind,
-            self.i,
-            self.iprime,
-            self.theta_or_c,
-            self.potential,
-            self.delta,
-            self.thm2_bound,
-            self.kappa,
-        )
 
 
 def _fmt(value):
@@ -156,17 +128,6 @@ def _parse_float_grid(text):
     return tuple(float(tok) for tok in toks)
 
 
-def _require_power_of_two(n):
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-
-
-def _require_eps(eps, allow_zero=False):
-    lo_ok = eps >= 0.0 if allow_zero else eps > 0.0
-    if not (lo_ok and eps < 0.5):
-        raise ValueError(f"eps must lie in [0, 1/2): got {eps}")
-
-
 def _warn_asymptotic_regime(n, eps):
     if eps > 0.0 and 1.0 / eps > n:
         print(
@@ -200,39 +161,14 @@ def build_potential_spec(kind, n, slices_path=None):
 
 def trajectory_rows(trajectory):
     """CSV rows for one trajectory, with a step-0 initialization row."""
-    rows = [
-        TraceRow(0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)
-    ]
+    rows = [(0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)]
     for rec in trajectory.records:
         gate = rec.gate
         if isinstance(gate, Rotation):
-            rows.append(
-                TraceRow(
-                    rec.t,
-                    "R",
-                    gate.i,
-                    gate.iprime,
-                    gate.theta,
-                    rec.potential,
-                    rec.delta,
-                    rec.bound,
-                    rec.kappa,
-                )
-            )
+            head = ("R", gate.i, gate.iprime, gate.theta)
         else:
-            rows.append(
-                TraceRow(
-                    rec.t,
-                    "C",
-                    gate.i,
-                    None,
-                    gate.c,
-                    rec.potential,
-                    rec.delta,
-                    rec.bound,
-                    rec.kappa,
-                )
-            )
+            head = ("C", gate.i, None, gate.c)
+        rows.append((rec.t, *head, rec.potential, rec.delta, rec.bound, rec.kappa))
     return rows
 
 
@@ -242,12 +178,11 @@ def _emit_trace(args, trajectory):
         rows.extend((rec.t, rec.potential) for rec in trajectory.records)
         _write_table(args.out, ("step", "potential"), rows)
     else:
-        rows = [row.fields() for row in trajectory_rows(trajectory)]
-        _write_table(args.out, TRACE_COLUMNS, rows)
+        _write_table(args.out, TRACE_COLUMNS, trajectory_rows(trajectory))
 
 
 def cmd_run_wht(args):
-    _require_power_of_two(args.n)
+    _log2_int(args.n)
     spec = build_potential_spec(args.potential, args.n, args.slices)
     program = fast_wht_program(args.n)
     trajectory = trace_potentials(
@@ -263,8 +198,8 @@ def cmd_run_wht(args):
 
 
 def cmd_run_perturbation(args):
-    _require_power_of_two(args.n)
-    _require_eps(args.eps, allow_zero=True)
+    _log2_int(args.n)
+    _check_eps(args.eps)
     _warn_asymptotic_regime(args.n, args.eps)
     route = ROUTE_APPENDIX_B if args.route == "appendix-b" else ROUTE_FAST_KRONECKER
     plan = synth_perturbation(args.n, args.eps, route)
@@ -303,14 +238,15 @@ def cmd_run_perturbation(args):
     return 0
 
 
-def _sweep_point(n, eps_grid, sign_failures):
+def _sweep_point(n, eps_grid):
+    """(CSV rows, sign-failure messages) of one n over the eps grid."""
     F = wht_matrix(n)
     eye = np.eye(n)
     hat_spec = hat_wht_spec(n)
     precond_spec = PotentialSpec(n, [(None, F)], label="precond-id-f")
     plain_spec = PotentialSpec.plain(n)
     log2n = math.log2(n)
-    rows = []
+    rows, failures = [], []
     for eps in eps_grid:
         M = eye + eps * F
         MinvT = (eye - eps * F) / (1.0 - eps * eps)
@@ -335,29 +271,30 @@ def _sweep_point(n, eps_grid, sign_failures):
             )
         )
         if phi_plain >= 0.0:
-            sign_failures.append(f"phi_plain >= 0 at n={n} eps={eps!r}")
+            failures.append(f"phi_plain >= 0 at n={n} eps={eps!r}")
         if eps <= SIGN_EPS_CAP + 1e-12:
             if phi_precond <= 0.0:
-                sign_failures.append(f"phi_precond_id_f <= 0 at n={n} eps={eps!r}")
+                failures.append(f"phi_precond_id_f <= 0 at n={n} eps={eps!r}")
             if phi_hat <= 0.0:
-                sign_failures.append(f"phi_hat <= 0 at n={n} eps={eps!r}")
-    return rows
+                failures.append(f"phi_hat <= 0 at n={n} eps={eps!r}")
+    return rows, failures
 
 
 def cmd_scaling_sweep(args):
     n_grid = args.n_grid
     eps_grid = args.eps_grid
     for n in n_grid:
-        _require_power_of_two(n)
+        _log2_int(n)
     for eps in eps_grid:
-        _require_eps(eps)
+        if _check_eps(eps) == 0.0:
+            raise ValueError("scaling-sweep needs eps > 0: the ratios divide by eps")
     for n in n_grid:
         for eps in eps_grid:
             _warn_asymptotic_regime(n, eps)
 
-    sign_failures = []
-    blocks = _pool_map(lambda n: _sweep_point(n, eps_grid, sign_failures), n_grid)
-    rows = [row for block in blocks for row in block]
+    blocks = _pool_map(lambda n: _sweep_point(n, eps_grid), n_grid)
+    rows = [row for block, _ in blocks for row in block]
+    sign_failures = [message for _, failures in blocks for message in failures]
     _write_table(args.out, SWEEP_COLUMNS, rows)
 
     for name, idx in (("plain", 4), ("precond-id-f", 7), ("hat-pq", 10)):
@@ -379,8 +316,8 @@ def cmd_verify_lemma(args):
             f"for interference budgets up to 1/8, got {args.c!r}"
         )
     for ell in args.ell_grid:
-        if ell < 64:
-            raise ValueError(f"--ell-grid entries must be >= 64, got {ell}")
+        if ell < ELL_FLOOR:
+            raise ValueError(f"--ell-grid entries must be >= {ELL_FLOOR}, got {ell}")
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
 
@@ -406,7 +343,7 @@ def cmd_verify_lemma(args):
 
     for row in failures[:4]:
         seed, ell = int(row[0]), int(row[1])
-        inst = sample_instance(ell, args.c, norm1_target=float(row[3]), seed=seed)
+        inst = campaign_instance(ell, args.c, seed)
         path = f"lemma-violation-ell{ell}-seed{seed}.txt"
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"# ell={ell} C={args.c!r} seed={seed} norm1={row[3]!r}\n")
@@ -425,7 +362,7 @@ def _random_preconditioner(n, rng):
 
 
 def cmd_verify_theorem2(args):
-    _require_power_of_two(args.n)
+    _log2_int(args.n)
     if args.programs < 1 or args.gates < 1:
         raise ValueError("--programs and --gates must be >= 1")
 

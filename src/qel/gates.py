@@ -26,6 +26,8 @@ __all__ = [
     "GateProgram",
     "TrackedState",
     "WellConditionReport",
+    "KappaCertifier",
+    "rotate_rows",
     "apply_gate",
     "run_program",
     "program_matrix",
@@ -116,13 +118,6 @@ class GateProgram:
     def constant_count(self):
         return sum(1 for g in self.gates if isinstance(g, Constant))
 
-    def save(self, path, header_comments=()):
-        save_program(self, path, header_comments)
-
-    @classmethod
-    def load(cls, path):
-        return load_program(path)
-
 
 @dataclass
 class TrackedState:
@@ -140,6 +135,15 @@ class TrackedState:
         return TrackedState(self.M.copy(), self.MinvT.copy(), self.t)
 
 
+def rotate_rows(X, i, ip, c, s):
+    """Replace rows i, ip (0-based) of X in place by c X[i] + s X[ip] and
+    c X[ip] - s X[i]: left-multiplication by a plane rotation."""
+    new_i = c * X[i] + s * X[ip]
+    new_ip = c * X[ip] - s * X[i]
+    X[i] = new_i
+    X[ip] = new_ip
+
+
 def apply_gate(state, gate):
     """Apply one gate to the state in place; returns the same state.
 
@@ -153,11 +157,8 @@ def apply_gate(state, gate):
     if isinstance(gate, Rotation):
         i, ip = gate.i - 1, gate.iprime - 1
         c, s = math.cos(gate.theta), math.sin(gate.theta)
-        for X in (state.M, state.MinvT):
-            new_i = c * X[i] + s * X[ip]
-            new_ip = c * X[ip] - s * X[i]
-            X[i] = new_i
-            X[ip] = new_ip
+        rotate_rows(state.M, i, ip, c, s)
+        rotate_rows(state.MinvT, i, ip, c, s)
     else:
         i = gate.i - 1
         state.M[i] *= gate.c
@@ -203,18 +204,46 @@ def program_matrix(program, **kwargs):
     return run_program(program, **kwargs).M
 
 
-def condition_number(M, sigma_floor=SIGMA_FLOOR):
+def condition_number(M):
     """sigma_max / sigma_min by a full singular value computation.
 
     Raises ValueError when the smallest singular value is at or below
-    `sigma_floor` (singular to working precision).
+    SIGMA_FLOOR (singular to working precision).
     """
     sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     smax, smin = float(sv[0]), float(sv[-1])
-    if smin <= sigma_floor:
+    if smin <= SIGMA_FLOOR:
         raise ValueError(
-            f"matrix is singular to working precision (sigma_min={smin:.3e}, floor={sigma_floor:.1e})")
+            f"matrix is singular to working precision (sigma_min={smin:.3e}, floor={SIGMA_FLOOR:.1e})")
     return smax / smin
+
+
+class KappaCertifier:
+    """run_program observer tracking the condition number of every state.
+
+    Rotations and sign flips (|c| = 1) are exact isometries, so singular
+    values are recomputed only after constant gates with |c| != 1 and at
+    step `final_step`; in between kappa is carried forward unchanged.
+    With `exhaustive=True` it is recomputed after every gate (slow; the
+    test oracle).  `kappa` is the current value, `max_kappa` the running
+    maximum over t (t=0 included) and `at_step` where it occurred.
+    """
+
+    def __init__(self, final_step=None, exhaustive=False):
+        self.final_step = final_step
+        self.exhaustive = exhaustive
+        self.kappa = self.max_kappa = 1.0
+        self.at_step = 0
+
+    def __call__(self, t, gate, state):
+        scaling = isinstance(gate, Constant) and abs(gate.c) != 1.0
+        if self.exhaustive or scaling or t == self.final_step:
+            try:
+                self.kappa = condition_number(state.M)
+            except ValueError as exc:
+                raise ValueError(f"step {t}: {exc}") from exc
+        if self.kappa > self.max_kappa:
+            self.max_kappa, self.at_step = self.kappa, t
 
 
 @dataclass
@@ -226,40 +255,21 @@ class WellConditionReport:
     final_state: TrackedState = field(repr=False, default=None)
 
 
-def verify_well_conditioned(program, kappa_max, exhaustive=False,
-                            sigma_floor=SIGMA_FLOOR):
+def verify_well_conditioned(program, kappa_max, exhaustive=False):
     """Check that every intermediate state has condition number <= kappa_max.
 
-    Rotations and sign flips (|c| = 1) are exact isometries, so singular
-    values are recomputed only after constant gates with |c| != 1, plus at
-    t=0 and t=m; in between kappa is carried forward unchanged.  With
-    `exhaustive=True` it is recomputed after every gate (slow; for tests).
-    Reports the max over t of kappa(M^(t)) and where it occurred.
+    Runs the program without drift checks under a KappaCertifier that also
+    recomputes at t=m.  Reports the max over t of kappa(M^(t)) and where
+    it occurred.
     """
-    state = TrackedState.identity(program.n)
-    kappa = 1.0
-    max_kappa, at_step = 1.0, 0
-    m = len(program.gates)
-    for t, gate in enumerate(program.gates, start=1):
-        try:
-            apply_gate(state, gate)
-        except ValueError as exc:
-            raise ValueError(f"gate {t}: {exc}") from exc
-        scaling = isinstance(gate, Constant) and abs(gate.c) != 1.0
-        if exhaustive or scaling or t == m:
-            try:
-                kappa = condition_number(state.M, sigma_floor)
-            except ValueError as exc:
-                raise ValueError(f"step {t}: {exc}") from exc
-        if kappa > max_kappa:
-            max_kappa, at_step = kappa, t
-    return WellConditionReport(max_kappa <= kappa_max, kappa_max, max_kappa,
-                               at_step, state)
+    cert = KappaCertifier(len(program.gates), exhaustive)
+    state = run_program(program, observers=[cert], drift_check_every=0)
+    return WellConditionReport(cert.max_kappa <= kappa_max, kappa_max,
+                               cert.max_kappa, cert.at_step, state)
 
 
-def program_to_text(program, header_comments=()):
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(f"n {program.n} m {len(program.gates)}")
+def program_to_text(program):
+    lines = [f"n {program.n} m {len(program.gates)}"]
     for gate in program.gates:
         if isinstance(gate, Rotation):
             lines.append(f"R {gate.i} {gate.iprime} {gate.theta!r}")
@@ -294,9 +304,9 @@ def program_from_text(text):
     return GateProgram(n, gates)
 
 
-def save_program(program, path, header_comments=()):
+def save_program(program, path):
     with open(path, "w") as fh:
-        fh.write(program_to_text(program, header_comments))
+        fh.write(program_to_text(program))
 
 
 def load_program(path):

@@ -26,6 +26,7 @@ __all__ = [
     "lemma_lhs",
     "lemma_rhs",
     "sample_instance",
+    "campaign_instance",
     "check_lemma",
     "run_campaign",
 ]
@@ -33,6 +34,7 @@ __all__ = [
 C_MAX = 0.125
 ELL_FLOOR = 64
 SLACK = 1e-9  # relative slack allowed when validating instance inequalities
+HOLDS_TOL = 1e-9  # absolute slack on lhs >= rhs
 
 
 @dataclass
@@ -112,7 +114,7 @@ def _water_fill(raw, target, cap):
     return out
 
 
-def sample_instance(ell, C, norm1_target, seed, ell_floor=ELL_FLOOR):
+def sample_instance(ell, C, norm1_target, seed):
     """Random admissible instance, deterministic in the seed.
 
     x is drawn either flat (uniform draws) or concentrated (a power of
@@ -121,8 +123,8 @@ def sample_instance(ell, C, norm1_target, seed, ell_floor=ELL_FLOOR):
     4 ||x||_1 / ell.  y gets random signs and a random 1-norm in
     [0, C ||x||_1]; C = 0 gives y = 0.
     """
-    if ell < ell_floor:
-        raise ValueError(f"ell must be at least {ell_floor}, got {ell}")
+    if ell < ELL_FLOOR:
+        raise ValueError(f"ell must be at least {ELL_FLOOR}, got {ell}")
     if not 0.0 <= C <= C_MAX:
         raise ValueError(f"C must lie in [0, {C_MAX}], got {C!r}")
     if not 0.0 < norm1_target <= 1.0:
@@ -153,8 +155,16 @@ class LemmaReport:
     small_below_e_inv: bool  # |x_i + y_i| <= 1/e on the small split
 
 
-def check_lemma(instance, tol=1e-9):
-    """Evaluate both sides; `holds` allows slack tol on the comparison.
+def campaign_instance(ell, C, inst_seed):
+    """The instance run_campaign checks for one instance seed: the 1-norm
+    target is drawn from the seed, then sample_instance runs on it."""
+    norm1 = np.random.default_rng(inst_seed ^ 0x9E3779B97F4A7C15).random()
+    norm1 = norm1 * (1.0 - 1e-9) + 1e-9  # keep in (0, 1]
+    return sample_instance(ell, C, norm1, inst_seed)
+
+
+def check_lemma(instance):
+    """Evaluate both sides; `holds` allows slack HOLDS_TOL on the comparison.
 
     Also reports the big/small split by |y_i| >= x_i/2 and whether the
     small-side entries stay below 1/e (reported, never enforced).
@@ -165,11 +175,11 @@ def check_lemma(instance, tol=1e-9):
     big = np.abs(instance.y) >= instance.x / 2.0
     small_vals = np.abs(instance.x + instance.y)[~big]
     below = bool(np.all(small_vals <= math.exp(-1.0))) if small_vals.size else True
-    return LemmaReport(lhs, rhs, lhs - rhs, lhs >= rhs - tol,
+    return LemmaReport(lhs, rhs, lhs - rhs, lhs >= rhs - HOLDS_TOL,
                        int(np.sum(big)), int(np.sum(~big)), below)
 
 
-def run_campaign(ells, instances, C, seed, tol=1e-9):
+def run_campaign(ells, instances, C, seed):
     """Yield (instance_seed, ell, C, norm1, lhs, rhs, margin, holds) rows.
 
     Instance seeds are drawn deterministically from the campaign seed; the
@@ -181,9 +191,7 @@ def run_campaign(ells, instances, C, seed, tol=1e-9):
             instances, dtype=np.uint64)
         for inst_seed in seeds:
             inst_seed = int(inst_seed)
-            norm1 = np.random.default_rng(inst_seed ^ 0x9E3779B97F4A7C15).random()
-            norm1 = norm1 * (1.0 - 1e-9) + 1e-9  # keep in (0, 1]
-            inst = sample_instance(ell, C, norm1, inst_seed)
-            report = check_lemma(inst, tol)
+            inst = campaign_instance(ell, C, inst_seed)
+            report = check_lemma(inst)
             yield (inst_seed, ell, C, inst.norm1(), report.lhs, report.rhs,
                    report.margin, report.holds)

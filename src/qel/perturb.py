@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import (Constant, GateProgram, Rotation, program_from_text,
-                    program_to_text, verify_well_conditioned)
-from .hadamard import _log2_int, kron_rotation_layer, wht_matrix
+                    program_to_text, rotate_rows, verify_well_conditioned)
+from .hadamard import _bit_parity, _log2_int, kron_rotation_layer, wht_matrix
 
 __all__ = [
     "ROUTES",
@@ -48,6 +48,7 @@ ROUTE_FAST_KRONECKER = "FastKronecker"
 ROUTES = (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER)
 
 KAPPA_CERT_TOL = 1e-9
+ORTHO_TOL = 1e-9  # givens_decompose input check; its sign residue may be n times this
 REALIZED_TOL_PER_N = 1e-9  # Frobenius budget is this times n
 
 
@@ -92,14 +93,10 @@ def wht_eigenbasis(n):
     W = np.eye(1)
     for _ in range(k):
         W = np.kron(W, W2)
-    v = np.arange(n)  # popcount parity via progressive xor fold
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    d = 1.0 - 2.0 * (v & 1)
-    return W, d
+    return W, 1.0 - 2.0 * _bit_parity(np.arange(n))
 
 
-def givens_decompose(orth, tol=1e-9):
+def givens_decompose(orth):
     """Gate program realizing an orthogonal matrix.
 
     Triangularizes column-major, bottom-up: each subdiagonal entry (i, j)
@@ -113,9 +110,9 @@ def givens_decompose(orth, tol=1e-9):
     if W.ndim != 2 or W.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {W.shape}")
     ortho_err = float(np.max(np.abs(W.T @ W - np.eye(n))))
-    if ortho_err > tol:
+    if ortho_err > ORTHO_TOL:
         raise ValueError(
-            f"input is not orthogonal within {tol:.1e} (max deviation {ortho_err:.3e})")
+            f"input is not orthogonal within {ORTHO_TOL:.1e} (max deviation {ortho_err:.3e})")
     A = W.copy()
     rotations = []
     for j in range(n - 1):
@@ -124,16 +121,12 @@ def givens_decompose(orth, tol=1e-9):
             if a == 0.0:
                 continue
             theta = math.atan2(a, A[j, j])
-            c, s = math.cos(theta), math.sin(theta)
-            new_j = c * A[j] + s * A[i]
-            new_i = c * A[i] - s * A[j]
-            A[j] = new_j
-            A[i] = new_i
+            rotate_rows(A, j, i, math.cos(theta), math.sin(theta))
             rotations.append((j + 1, i + 1, theta))
     d = np.diag(A).copy()
     residue = float(np.max(np.abs(A - np.diag(d))))
     sign_err = float(np.max(np.abs(np.abs(d) - 1.0)))
-    if residue > n * tol or sign_err > n * tol:
+    if residue > n * ORTHO_TOL or sign_err > n * ORTHO_TOL:
         raise ValueError(
             f"triangularization residue is not a sign diagonal "
             f"(off-diagonal {residue:.3e}, |d|-1 {sign_err:.3e})")
@@ -151,9 +144,6 @@ class PerturbationPlan:
     route: str
     program: GateProgram
     kappa_certificate: float
-
-    def save(self, path):
-        save_plan(self, path)
 
 
 def _basis_gates(n, route):

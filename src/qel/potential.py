@@ -16,7 +16,7 @@ Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
 gate from cached products.  A full recomputation fires every
 `recompute_every` gates and replaces the running value; disagreement
-beyond `desync_tol` means the caches lost sync with the state and raises.
+beyond DESYNC_TOL means the caches lost sync with the state and raises.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import (Constant, Rotation, TrackedState, apply_gate,
-                    condition_number, run_program)
+from .gates import (KappaCertifier, Rotation, TrackedState, rotate_rows,
+                    run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "k_slice_quasi_entropy",
     "hat_wht_spec",
     "rotation_delta_bound",
-    "tracked_delta",
     "trace_potentials",
     "save_matrix_text",
     "load_matrix_text",
@@ -156,16 +155,20 @@ def hat_wht_spec(n):
     return PotentialSpec(n, [(None, F), (-F, None)], label="hat-pq")
 
 
-def _slice_products(M, N, spec):
-    return [(M if A is None else M @ A, N if B is None else N @ B)
+def _slice_products(M, N, spec, copy=False):
+    """[(M A_p, N B_p)]; an identity slot is M or N itself unless `copy`
+    (a tracker mutates its caches in place)."""
+    return [((M.copy() if copy else M) if A is None else M @ A,
+             (N.copy() if copy else N) if B is None else N @ B)
             for A, B in spec.slices]
 
 
-def _coupled(products):
+def _coupled(products, rows=slice(None)):
+    """sum_p Lp * Rp over the given rows of the sliced products."""
     (L0, R0) = products[0]
-    s = L0 * R0
+    s = L0[rows] * R0[rows]
     for Lp, Rp in products[1:]:
-        s += Lp * Rp
+        s += Lp[rows] * Rp[rows]
     return s
 
 
@@ -226,25 +229,14 @@ class PotentialTracker:
     affected row.
     """
 
-    def __init__(self, spec, state, recompute_every=RECOMPUTE_EVERY,
-                 desync_tol=DESYNC_TOL):
+    def __init__(self, spec, state, recompute_every=RECOMPUTE_EVERY):
         if state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
         self.recompute_every = int(recompute_every) if recompute_every else 0
-        self.desync_tol = desync_tol
         self.applied = 0
-        self.products = [(state.M.copy() if A is None else state.M @ A,
-                          state.MinvT.copy() if B is None else state.MinvT @ B)
-                         for A, B in spec.slices]
-        self.value = -float(np.sum(_L(self._coupled_rows(slice(None))))) + 0.0
-
-    def _coupled_rows(self, rows):
-        (L0, R0) = self.products[0]
-        s = L0[rows] * R0[rows]
-        for Lp, Rp in self.products[1:]:
-            s += Lp[rows] * Rp[rows]
-        return s
+        self.products = _slice_products(state.M, state.MinvT, spec, copy=True)
+        self.value = -float(np.sum(_L(_coupled(self.products)))) + 0.0
 
     def rotation_bound(self, i, iprime):
         """rotation_delta_bound from the caches, O(n)."""
@@ -253,9 +245,6 @@ class PotentialTracker:
         rows = [i - 1, iprime - 1]
         Lp, Rp = self.products[0]
         return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
-
-    def recompute_due(self):
-        return self.recompute_every and (self.applied + 1) % self.recompute_every == 0
 
     def advance(self, gate, state_after=None):
         """Apply one gate to the caches; returns the potential change.
@@ -266,15 +255,12 @@ class PotentialTracker:
         if isinstance(gate, Rotation):
             i, ip = gate.i - 1, gate.iprime - 1
             rows = [i, ip]
-            before = float(np.sum(_L(self._coupled_rows(rows))))
+            before = float(np.sum(_L(_coupled(self.products, rows))))
             c, s = math.cos(gate.theta), math.sin(gate.theta)
             for Lp, Rp in self.products:
-                for X in (Lp, Rp):
-                    new_i = c * X[i] + s * X[ip]
-                    new_ip = c * X[ip] - s * X[i]
-                    X[i] = new_i
-                    X[ip] = new_ip
-            after = float(np.sum(_L(self._coupled_rows(rows))))
+                rotate_rows(Lp, i, ip, c, s)
+                rotate_rows(Rp, i, ip, c, s)
+            after = float(np.sum(_L(_coupled(self.products, rows))))
             delta = -(after - before) + 0.0
         else:
             i = gate.i - 1
@@ -285,11 +271,11 @@ class PotentialTracker:
                 Rp[i] *= 1.0 / c
                 delta = 0.0
             else:
-                before = float(np.sum(_L(self._coupled_rows([i]))))
+                before = float(np.sum(_L(_coupled(self.products, [i]))))
                 for Lp, Rp in self.products:
                     Lp[i] *= c
                     Rp[i] *= 1.0 / c
-                after = float(np.sum(_L(self._coupled_rows([i]))))
+                after = float(np.sum(_L(_coupled(self.products, [i]))))
                 delta = -(after - before) + 0.0
         self.value += delta
         self.applied += 1
@@ -302,24 +288,15 @@ class PotentialTracker:
     def _recompute(self, state):
         products = _slice_products(state.M, state.MinvT, self.spec)
         direct = -float(np.sum(_L(_coupled(products))))
-        if abs(direct - self.value) > self.desync_tol:
+        if abs(direct - self.value) > DESYNC_TOL:
             raise RuntimeError(
                 f"tracker desynchronized from state at step {self.applied}: "
                 f"incremental {self.value!r} vs direct {direct!r}")
         self.value = direct
+        # copy the identity slots only now, so they are not live while _L runs
         self.products = [(Lp.copy() if Lp is state.M else Lp,
                           Rp.copy() if Rp is state.MinvT else Rp)
                          for Lp, Rp in products]
-
-
-def tracked_delta(tracker, state_before, gate):
-    """Potential change of one gate, computed incrementally; updates the
-    tracker caches.  `state_before` is only needed (and copied) on steps
-    where the periodic full recomputation fires."""
-    state_after = None
-    if tracker.recompute_due():
-        state_after = apply_gate(state_before.copy(), gate)
-    return tracker.advance(gate, state_after)
 
 
 @dataclass
@@ -357,16 +334,15 @@ class Trajectory:
 
 
 def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
-                     check_bounds=True, track_kappa=True,
-                     bound_tol=BOUND_TOL, agree_tol=AGREE_TOL):
+                     check_bounds=True, track_kappa=True):
     """Run a program once, tracking every spec's potential per step.
 
     Per record: potential value, delta, the rotation delta bound (single
-    slice specs; 0.0 on constant gates, None for k >= 2), and kappa
-    (recomputed after scaling gates, carried across isometries).  With
-    `check_bounds`, a rotation whose |delta| exceeds bound + bound_tol
-    raises RuntimeError.  Endpoints are re-evaluated from scratch and must
-    agree with the tracker within `agree_tol`.
+    slice specs; 0.0 on constant gates, None for k >= 2), and kappa (from
+    a KappaCertifier: recomputed after scaling gates, carried across
+    isometries).  With `check_bounds`, a rotation whose |delta| exceeds
+    bound + BOUND_TOL raises RuntimeError.  Endpoints are re-evaluated
+    from scratch and must agree with the tracker within AGREE_TOL.
     """
     if isinstance(specs, PotentialSpec):
         specs = [specs]
@@ -374,12 +350,10 @@ def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
     trackers = [PotentialTracker(spec, state0, recompute_every) for spec in specs]
     trajectories = [Trajectory(spec.label, tracker.value)
                     for spec, tracker in zip(specs, trackers)]
-    kappa_holder = [1.0]
+    cert = KappaCertifier()
 
     def observer(t, gate, state):
-        if track_kappa and isinstance(gate, Constant) and abs(gate.c) != 1.0:
-            kappa_holder[0] = condition_number(state.M)
-        kappa = kappa_holder[0] if track_kappa else None
+        kappa = cert.kappa if track_kappa else None
         for tracker, traj in zip(trackers, trajectories):
             bound = None
             if tracker.spec.k == 1:
@@ -387,19 +361,19 @@ def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
                          if isinstance(gate, Rotation) else 0.0)
             delta = tracker.advance(gate, state)
             if (check_bounds and isinstance(gate, Rotation) and bound is not None
-                    and abs(delta) > bound + bound_tol):
+                    and abs(delta) > bound + BOUND_TOL):
                 raise RuntimeError(
                     f"step {t}: |delta| = {abs(delta)!r} exceeds rotation bound {bound!r}")
             traj.records.append(TraceRecord(t, gate, tracker.value, delta, bound, kappa))
 
-    final = run_program(program, observers=[observer])
+    final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
     for tracker, traj in zip(trackers, trajectories):
         direct = k_slice_quasi_entropy(final.M, tracker.spec, minv_t=final.MinvT)
         traj.direct_final = direct
-        if abs(direct - traj.final_value) > agree_tol:
+        if abs(direct - traj.final_value) > AGREE_TOL:
             raise RuntimeError(
                 f"tracker endpoint {traj.final_value!r} disagrees with from-scratch "
-                f"evaluation {direct!r} beyond {agree_tol:.1e}")
+                f"evaluation {direct!r} beyond {AGREE_TOL:.1e}")
     return trajectories
 
 

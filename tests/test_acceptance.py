@@ -118,9 +118,7 @@ def test_criterion_03_rotation_bound_campaign_and_tightness(report):
         spec = PotentialSpec.preconditioned(A, B)
         program = random_program(n, 1000, 100, rng)
         try:
-            trajectory = trace_potentials(
-                program, [spec], track_kappa=False, bound_tol=1e-8
-            )[0]
+            trajectory = trace_potentials(program, [spec], track_kappa=False)[0]
         except RuntimeError:
             ok = False
             break

@@ -1,14 +1,17 @@
 """Command-line driver tests: golden traces, determinism, exit codes."""
 
 import csv
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qel import cli, lemma
 from qel.cli import build_potential_spec, format_csv_row, main, worker_count
 from qel.hadamard import wht_matrix
+from qel.lemma import LemmaInstance, lemma_lhs, lemma_rhs
 from qel.potential import write_matrix_text
 
 DATA = Path(__file__).parent / "data"
@@ -27,6 +30,25 @@ def test_run_wht_trace_matches_golden_bytes(n, tmp_path, capsys):
     assert code == 0
     golden = (DATA / f"run_wht_n{n}.csv").read_bytes()
     assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize(
+    "route, potential, name",
+    [
+        ("fast", "plain", "run_perturbation_n8_fast.csv"),
+        ("appendix-b", "plain", "run_perturbation_n8_appendix_b.csv"),
+        ("fast", "hat-pq", "run_perturbation_n8_fast_hat.csv"),
+    ],
+)
+def test_run_perturbation_trace_matches_golden_bytes(route, potential, name, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    code, _, _ = run_cli(
+        ["run-perturbation", "--n", "8", "--eps", "0.125", "--route", route,
+         "--potential", potential, "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 def test_run_wht_summary_line(capsys):
@@ -130,6 +152,28 @@ def test_scaling_sweep_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scaling_sweep_failures_print_in_grid_order(capsys, monkeypatch):
+    # plain potentials come out positive and the others negative, so every
+    # sign condition that applies fails
+    monkeypatch.setattr(
+        cli, "k_slice_quasi_entropy",
+        lambda M, spec, minv_t: 1.0 if spec.is_plain else -1.0)
+    monkeypatch.setenv("QEL_THREADS", "4")
+    code, _, err = run_cli(
+        ["scaling-sweep", "--n-grid", "64 128 256 512", "--eps-grid", "0.25 0.125",
+         "--out", os.devnull],
+        capsys,
+    )
+    assert code == 1
+    expected = []
+    for n in (64, 128, 256, 512):
+        expected += [f"FAIL: phi_plain >= 0 at n={n} eps=0.25",
+                     f"FAIL: phi_plain >= 0 at n={n} eps=0.125",
+                     f"FAIL: phi_precond_id_f <= 0 at n={n} eps=0.125",
+                     f"FAIL: phi_hat <= 0 at n={n} eps=0.125"]
+    assert [line for line in err.splitlines() if line.startswith("FAIL")] == expected
+
+
 def test_thread_cap_does_not_change_results(tmp_path, capsys, monkeypatch):
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     monkeypatch.setenv("QEL_THREADS", "1")
@@ -164,6 +208,32 @@ def test_verify_lemma_csv_and_exit(tmp_path, capsys):
     assert all(row["holds"] == "True" for row in rows)
     assert all(float(row["margin"]) > 0.0 for row in rows)
     assert "verify-lemma ell=64" in stdout
+
+
+def test_verify_lemma_archives_rebuild_the_failing_rows(tmp_path, capsys, monkeypatch):
+    real = lemma.check_lemma
+    # every row counts as failing, so the first four rows are archived
+    monkeypatch.setattr(
+        lemma, "check_lemma", lambda inst: dataclasses.replace(real(inst), holds=False))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "lemma.csv"
+    code, _, _ = run_cli(
+        ["verify-lemma", "--ell-grid", "64,256", "--instances", "3",
+         "--seed", "20250819", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    for row in list(csv.DictReader(out.open()))[:4]:
+        path = tmp_path / f"lemma-violation-ell{row['ell']}-seed{row['seed']}.txt"
+        vectors = {}
+        for line in path.read_text().splitlines():
+            if not line.startswith("#"):
+                name, *values = line.split()
+                vectors[name] = np.array([float(v) for v in values])
+        inst = LemmaInstance(int(row["ell"]), vectors["x"], vectors["y"], float(row["C"]))
+        assert inst.norm1() == float(row["norm1"])
+        assert lemma_lhs(inst) == float(row["lhs"])
+        assert lemma_rhs(inst) == float(row["rhs"])
 
 
 def test_verify_lemma_rejects_large_interference(capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qel import gates
 from qel.gates import (
     Constant,
     GateProgram,
+    KappaCertifier,
     Rotation,
     TrackedState,
     apply_gate,
@@ -142,6 +144,29 @@ def test_exhaustive_and_sampled_conditioning_agree():
     fast = verify_well_conditioned(program, kappa_max=1e6)
     slow = verify_well_conditioned(program, kappa_max=1e6, exhaustive=True)
     assert fast.max_kappa == pytest.approx(slow.max_kappa, rel=1e-9)
+
+
+def test_certifier_recomputes_after_scalings_and_at_final_step(monkeypatch):
+    calls = []
+    real = gates.condition_number
+    monkeypatch.setattr(gates, "condition_number", lambda M: calls.append(1) or real(M))
+    program = GateProgram(4, [Rotation(1, 2, 0.3), Constant(1, -1.0),
+                              Constant(2, 2.0), Rotation(2, 3, 0.1)])
+    report = verify_well_conditioned(program, kappa_max=2.0 + 1e-9)
+    assert len(calls) == 2  # after the |c| != 1 gate and at t = m
+    assert report.passed and report.max_kappa == pytest.approx(2.0)
+    calls.clear()
+    run_program(program, observers=[KappaCertifier()])
+    assert len(calls) == 1
+    calls.clear()
+    verify_well_conditioned(program, kappa_max=2.0, exhaustive=True)
+    assert len(calls) == 4
+
+
+def test_certifier_names_the_singular_step():
+    program = GateProgram(3, [Rotation(1, 2, 0.3), Constant(2, 1e-13)])
+    with pytest.raises(ValueError, match="step 2: .*singular"):
+        verify_well_conditioned(program, kappa_max=10.0)
 
 
 def test_program_text_round_trip():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qel.lemma import (
     C_MAX,
     LemmaInstance,
+    campaign_instance,
     check_lemma,
     lemma_lhs,
     lemma_rhs,
@@ -107,6 +108,12 @@ def test_campaign_rows_and_determinism():
     assert all(row[7] for row in rows_a)
     assert {row[1] for row in rows_a} == {64, 256}
     assert all(row[6] > 0.0 for row in rows_a)
+
+
+def test_campaign_rows_rebuild_bitwise_from_their_seeds():
+    for row in run_campaign([64, 256, 1024], 20, C=0.125, seed=20250819):
+        inst = campaign_instance(row[1], row[2], row[0])
+        assert (inst.norm1(), lemma_lhs(inst), lemma_rhs(inst)) == row[3:6]
 
 
 def test_campaign_zero_interference():

@@ -14,6 +14,7 @@ import pytest
 
 from qel.gates import (
     Constant,
+    KappaCertifier,
     Rotation,
     TrackedState,
     apply_gate,
@@ -35,7 +36,6 @@ from qel.potential import (
     rotation_delta_bound,
     save_matrix_text,
     trace_potentials,
-    tracked_delta,
     write_matrix_text,
 )
 
@@ -270,8 +270,8 @@ def test_tracker_agrees_with_direct_evaluation(recompute_every):
     state = TrackedState.identity(n)
     tracker = PotentialTracker(spec, state, recompute_every=recompute_every)
     for gate in program.gates:
-        tracked_delta(tracker, state, gate)
         apply_gate(state, gate)
+        tracker.advance(gate, state)
     direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
     assert tracker.value == pytest.approx(direct, abs=TRACK_ATOL)
 
@@ -321,6 +321,31 @@ def test_trace_reports_bounds_only_for_single_slice_specs():
     rotation_records = [r for r in plain.records if isinstance(r.gate, Rotation)]
     assert all(r.bound is not None for r in rotation_records)
     assert all(r.bound is None for r in hat.records)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_hat_potential_is_exactly_zero_on_orthogonal_states(n):
+    # M^-T = M, so the slices M o (M F) and (M (-F)) o M cancel entrywise
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    assert k_slice_quasi_entropy(Q, hat_wht_spec(n), minv_t=Q) == 0.0
+
+
+def test_hat_potential_stays_zero_along_rotation_only_programs():
+    n = 16
+    program = random_program(n, 300, 0, np.random.default_rng(43))
+    trajectory = trace_potentials(program, [hat_wht_spec(n)], recompute_every=64)[0]
+    assert all(r.potential == 0.0 and r.delta == 0.0 for r in trajectory.records)
+    state = run_program(program)
+    assert k_slice_quasi_entropy(state.M, hat_wht_spec(n), minv_t=state.MinvT) == 0.0
+
+
+def test_trace_kappa_column_matches_exhaustive_certifier():
+    program = random_program(8, 60, 12, np.random.default_rng(44))
+    oracle = KappaCertifier(exhaustive=True)
+    kappas = []
+    run_program(program, observers=[oracle, lambda t, gate, state: kappas.append(oracle.kappa)])
+    records = trace_potentials(program, [PotentialSpec.plain(8)])[0].records
+    npt.assert_allclose([r.kappa for r in records], kappas, rtol=1e-9)
 
 
 def test_trace_kappa_column_tracks_scaling_gates():
