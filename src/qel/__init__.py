@@ -7,132 +7,15 @@ the Walsh-Hadamard transform inside that gate set, and stress-tests the
 inequalities that turn per-gate potential growth into size lower bounds.
 """
 
-from .gates import (
-    Constant,
-    GateProgram,
-    KappaCertifier,
-    Rotation,
-    TrackedState,
-    WellConditionReport,
-    apply_gate,
-    condition_number,
-    inverse_drift,
-    load_program,
-    program_from_text,
-    program_matrix,
-    program_to_text,
-    random_program,
-    run_program,
-    save_program,
-    verify_well_conditioned,
-)
-from .hadamard import (
-    fast_apply_wht,
-    fast_wht_program,
-    kron_rotation_layer,
-    wht_matrix,
-)
-from .lemma import (
-    C_MAX,
-    LemmaInstance,
-    LemmaReport,
-    campaign_instance,
-    check_lemma,
-    lemma_lhs,
-    lemma_rhs,
-    run_campaign,
-    sample_instance,
-)
-from .perturb import (
-    ROUTE_APPENDIX_B,
-    ROUTE_FAST_KRONECKER,
-    PerturbationPlan,
-    exact_inverse_perturbation,
-    givens_decompose,
-    inverse_residual,
-    inverse_residual_norm,
-    load_plan,
-    perturbation_matrix,
-    save_plan,
-    synth_perturbation,
-    wht_eigenbasis,
-)
-from .potential import (
-    PotentialSpec,
-    PotentialTracker,
-    Trajectory,
-    entropy_kernel,
-    hat_quasi_entropy,
-    hat_wht_spec,
-    k_slice_quasi_entropy,
-    load_matrices_text,
-    load_matrix_text,
-    preconditioned_quasi_entropy,
-    quasi_entropy,
-    rotation_delta_bound,
-    save_matrix_text,
-    trace_potentials,
-    write_matrix_text,
-)
+from . import gates, hadamard, lemma, perturb, potential
+from .gates import *
+from .hadamard import *
+from .lemma import *
+from .perturb import *
+from .potential import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C_MAX",
-    "Constant",
-    "GateProgram",
-    "KappaCertifier",
-    "LemmaInstance",
-    "LemmaReport",
-    "PerturbationPlan",
-    "PotentialSpec",
-    "PotentialTracker",
-    "ROUTE_APPENDIX_B",
-    "ROUTE_FAST_KRONECKER",
-    "Rotation",
-    "TrackedState",
-    "Trajectory",
-    "WellConditionReport",
-    "apply_gate",
-    "campaign_instance",
-    "check_lemma",
-    "condition_number",
-    "entropy_kernel",
-    "exact_inverse_perturbation",
-    "fast_apply_wht",
-    "fast_wht_program",
-    "givens_decompose",
-    "hat_quasi_entropy",
-    "hat_wht_spec",
-    "inverse_drift",
-    "inverse_residual",
-    "inverse_residual_norm",
-    "k_slice_quasi_entropy",
-    "kron_rotation_layer",
-    "lemma_lhs",
-    "lemma_rhs",
-    "load_matrices_text",
-    "load_matrix_text",
-    "load_plan",
-    "load_program",
-    "perturbation_matrix",
-    "preconditioned_quasi_entropy",
-    "program_from_text",
-    "program_matrix",
-    "program_to_text",
-    "quasi_entropy",
-    "random_program",
-    "rotation_delta_bound",
-    "run_campaign",
-    "run_program",
-    "sample_instance",
-    "save_matrix_text",
-    "save_plan",
-    "save_program",
-    "synth_perturbation",
-    "trace_potentials",
-    "verify_well_conditioned",
-    "wht_eigenbasis",
-    "wht_matrix",
-    "write_matrix_text",
-]
+# Each module declares its public names once, in its own __all__.
+__all__ = [*gates.__all__, *hadamard.__all__, *lemma.__all__,
+           *perturb.__all__, *potential.__all__]

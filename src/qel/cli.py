@@ -60,7 +60,6 @@ DEFAULT_ELL_GRID = (64, 256, 1024, 4096, 65536)
 DEFAULT_SEED = 20250819
 
 SIGN_EPS_CAP = 0.125
-BOUND_SLACK = 1e-8
 
 
 def _fmt(value):
@@ -392,7 +391,7 @@ def cmd_verify_theorem2(args):
             rows.append(
                 (index, rec.t, rec.gate.i, rec.gate.iprime, rec.delta, rec.bound, ratio)
             )
-            if abs(rec.delta) > rec.bound + BOUND_SLACK:
+            if rec.exceeds_bound:
                 violations.append((index, rec.t))
         return rows, violations, program, A, B
 

@@ -30,6 +30,8 @@ from .gates import (Constant, GateProgram, Rotation, program_from_text,
 from .hadamard import _bit_parity, _log2_int, kron_rotation_layer, wht_matrix
 
 __all__ = [
+    "ROUTE_APPENDIX_B",
+    "ROUTE_FAST_KRONECKER",
     "ROUTES",
     "PerturbationPlan",
     "perturbation_matrix",

@@ -31,7 +31,7 @@ from .gates import (KappaCertifier, Rotation, TrackedState, rotate_rows,
 from .hadamard import wht_matrix
 
 __all__ = [
-    "entropy_kernel",
+    "entropy_sum",
     "PotentialSpec",
     "PotentialTracker",
     "TraceRecord",
@@ -43,6 +43,7 @@ __all__ = [
     "hat_wht_spec",
     "rotation_delta_bound",
     "trace_potentials",
+    "write_matrix_text",
     "save_matrix_text",
     "load_matrix_text",
     "load_matrices_text",
@@ -54,19 +55,18 @@ DESYNC_TOL = 1e-6  # periodic recomputation vs running value
 RECOMPUTE_EVERY = 1024
 
 
-def entropy_kernel(x):
-    """L(x) = x log2|x|, with L(0) = 0."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log2(abs(x))
+def entropy_sum(values):
+    """sum L(values) as a float, with L(x) = x log2|x| and L(0) = 0.
 
-
-def _L(values):
-    a = np.asarray(values, dtype=float)
-    out = np.zeros_like(a)
-    nz = a != 0.0
-    out[nz] = a[nz] * np.log2(np.abs(a[nz]))
-    return out
+    Works in one scratch buffer (plus a nonzero mask) and leaves `values`
+    unmodified.
+    """
+    v = np.asarray(values, dtype=float)
+    nz = v != 0.0
+    t = np.abs(v)
+    np.log2(t, out=t, where=nz)
+    np.multiply(t, v, out=t, where=nz)
+    return float(np.sum(t))
 
 
 def _inverse_transpose(M):
@@ -140,13 +140,6 @@ class PotentialSpec:
         return cls(n, [(P[:, :n].copy(), Q[:, :n].copy()),
                        (P[:, n:].copy(), Q[:, n:].copy())], label="hat")
 
-    @classmethod
-    def k_slice(cls, As, Bs):
-        if len(As) != len(Bs) or not As:
-            raise ValueError("need equally many nonempty A and B slices")
-        first = next(X for X in list(As) + list(Bs) if X is not None)
-        return cls(first.shape[0], list(zip(As, Bs)), label="k-slice")
-
 
 def hat_wht_spec(n):
     """The hat spec with P = [Id, -F], Q = [F, Id] (F = wht_matrix(n)),
@@ -178,7 +171,7 @@ def k_slice_quasi_entropy(M, spec, minv_t=None):
     if M.shape[0] != spec.n:
         raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
     N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
-    return -float(np.sum(_L(_coupled(_slice_products(M, N, spec))))) + 0.0
+    return -entropy_sum(_coupled(_slice_products(M, N, spec))) + 0.0
 
 
 def quasi_entropy(M, minv_t=None):
@@ -202,20 +195,25 @@ def hat_quasi_entropy(M, P, Q, minv_t=None):
     return k_slice_quasi_entropy(M, PotentialSpec.hat(P, Q), minv_t)
 
 
+def _rotation_bound(spec, products, rows):
+    """Frobenius norm of the given rows of M A times that of MinvT B, from
+    the products of a single-slice spec."""
+    if spec.k != 1:
+        raise ValueError("rotation delta bound is defined for single-slice specs")
+    (Lp, Rp), = products
+    return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
+
+
 def rotation_delta_bound(state, spec, i, iprime):
     """Product of the Frobenius norms of rows (i, iprime) of M A and of
     MinvT B: an upper bound on |delta Phi_{A,B}| for any rotation on those
     rows.  Single-slice specs only."""
-    if spec.k != 1:
-        raise ValueError("rotation delta bound is defined for single-slice specs")
     n = state.M.shape[0]
     if not (1 <= i <= n and 1 <= iprime <= n) or i == iprime:
         raise ValueError(f"invalid row pair ({i}, {iprime}) for n={n}")
     rows = [i - 1, iprime - 1]
-    A, B = spec.slices[0]
-    left = state.M[rows] if A is None else state.M[rows] @ A
-    right = state.MinvT[rows] if B is None else state.MinvT[rows] @ B
-    return float(np.linalg.norm(left) * np.linalg.norm(right))
+    products = _slice_products(state.M[rows], state.MinvT[rows], spec)
+    return _rotation_bound(spec, products, slice(None))
 
 
 class PotentialTracker:
@@ -236,15 +234,11 @@ class PotentialTracker:
         self.recompute_every = int(recompute_every) if recompute_every else 0
         self.applied = 0
         self.products = _slice_products(state.M, state.MinvT, spec, copy=True)
-        self.value = -float(np.sum(_L(_coupled(self.products)))) + 0.0
+        self.value = -entropy_sum(_coupled(self.products)) + 0.0
 
     def rotation_bound(self, i, iprime):
         """rotation_delta_bound from the caches, O(n)."""
-        if self.spec.k != 1:
-            raise ValueError("rotation delta bound is defined for single-slice specs")
-        rows = [i - 1, iprime - 1]
-        Lp, Rp = self.products[0]
-        return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
+        return _rotation_bound(self.spec, self.products, [i - 1, iprime - 1])
 
     def advance(self, gate, state_after=None):
         """Apply one gate to the caches; returns the potential change.
@@ -252,31 +246,28 @@ class PotentialTracker:
         `state_after` (the tracked state after the same gate) must be
         supplied on steps where the periodic full recomputation fires.
         """
-        if isinstance(gate, Rotation):
-            i, ip = gate.i - 1, gate.iprime - 1
-            rows = [i, ip]
-            before = float(np.sum(_L(_coupled(self.products, rows))))
+        rotation = isinstance(gate, Rotation)
+        i = gate.i - 1
+        if rotation:
+            ip = gate.iprime - 1
             c, s = math.cos(gate.theta), math.sin(gate.theta)
-            for Lp, Rp in self.products:
+            rows = [i, ip]
+        elif self.spec.is_plain:
+            rows = None  # the scalings of row i cancel inside the kernel
+        else:
+            rows = [i]
+        before = 0.0 if rows is None else entropy_sum(_coupled(self.products, rows))
+        for Lp, Rp in self.products:
+            if rotation:
                 rotate_rows(Lp, i, ip, c, s)
                 rotate_rows(Rp, i, ip, c, s)
-            after = float(np.sum(_L(_coupled(self.products, rows))))
-            delta = -(after - before) + 0.0
-        else:
-            i = gate.i - 1
-            c = gate.c
-            if self.spec.is_plain:
-                Lp, Rp = self.products[0]
-                Lp[i] *= c
-                Rp[i] *= 1.0 / c
-                delta = 0.0
             else:
-                before = float(np.sum(_L(_coupled(self.products, [i]))))
-                for Lp, Rp in self.products:
-                    Lp[i] *= c
-                    Rp[i] *= 1.0 / c
-                after = float(np.sum(_L(_coupled(self.products, [i]))))
-                delta = -(after - before) + 0.0
+                Lp[i] *= gate.c
+                Rp[i] *= 1.0 / gate.c
+        if rows is None:
+            delta = 0.0
+        else:
+            delta = -(entropy_sum(_coupled(self.products, rows)) - before) + 0.0
         self.value += delta
         self.applied += 1
         if self.recompute_every and self.applied % self.recompute_every == 0:
@@ -287,13 +278,13 @@ class PotentialTracker:
 
     def _recompute(self, state):
         products = _slice_products(state.M, state.MinvT, self.spec)
-        direct = -float(np.sum(_L(_coupled(products))))
+        direct = -entropy_sum(_coupled(products))
         if abs(direct - self.value) > DESYNC_TOL:
             raise RuntimeError(
                 f"tracker desynchronized from state at step {self.applied}: "
                 f"incremental {self.value!r} vs direct {direct!r}")
         self.value = direct
-        # copy the identity slots only now, so they are not live while _L runs
+        # copy the identity slots only now, so they are not live while entropy_sum runs
         self.products = [(Lp.copy() if Lp is state.M else Lp,
                           Rp.copy() if Rp is state.MinvT else Rp)
                          for Lp, Rp in products]
@@ -307,6 +298,12 @@ class TraceRecord:
     delta: float
     bound: float | None
     kappa: float | None
+
+    @property
+    def exceeds_bound(self):
+        """A rotation whose |delta| exceeds its bound by more than BOUND_TOL."""
+        return (isinstance(self.gate, Rotation) and self.bound is not None
+                and abs(self.delta) > self.bound + BOUND_TOL)
 
 
 @dataclass
@@ -340,14 +337,14 @@ def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
     Per record: potential value, delta, the rotation delta bound (single
     slice specs; 0.0 on constant gates, None for k >= 2), and kappa (from
     a KappaCertifier: recomputed after scaling gates, carried across
-    isometries).  With `check_bounds`, a rotation whose |delta| exceeds
-    bound + BOUND_TOL raises RuntimeError.  Endpoints are re-evaluated
-    from scratch and must agree with the tracker within AGREE_TOL.
+    isometries).  With `check_bounds`, a record that `exceeds_bound`
+    raises RuntimeError.  Endpoints are re-evaluated from scratch and must
+    agree with the tracker within AGREE_TOL.
     """
     if isinstance(specs, PotentialSpec):
         specs = [specs]
-    state0 = TrackedState.identity(program.n)
-    trackers = [PotentialTracker(spec, state0, recompute_every) for spec in specs]
+    trackers = [PotentialTracker(spec, TrackedState.identity(program.n), recompute_every)
+                for spec in specs]
     trajectories = [Trajectory(spec.label, tracker.value)
                     for spec, tracker in zip(specs, trackers)]
     cert = KappaCertifier()
@@ -360,11 +357,11 @@ def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
                 bound = (tracker.rotation_bound(gate.i, gate.iprime)
                          if isinstance(gate, Rotation) else 0.0)
             delta = tracker.advance(gate, state)
-            if (check_bounds and isinstance(gate, Rotation) and bound is not None
-                    and abs(delta) > bound + BOUND_TOL):
+            record = TraceRecord(t, gate, tracker.value, delta, bound, kappa)
+            if check_bounds and record.exceeds_bound:
                 raise RuntimeError(
                     f"step {t}: |delta| = {abs(delta)!r} exceeds rotation bound {bound!r}")
-            traj.records.append(TraceRecord(t, gate, tracker.value, delta, bound, kappa))
+            traj.records.append(record)
 
     final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
     for tracker, traj in zip(trackers, trajectories):

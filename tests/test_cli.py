@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qel import cli, lemma
+from qel import cli, lemma, potential
 from qel.cli import build_potential_spec, format_csv_row, main, worker_count
-from qel.hadamard import wht_matrix
+from qel.gates import Rotation, load_program
+from qel.hadamard import fast_wht_program, wht_matrix
 from qel.lemma import LemmaInstance, lemma_lhs, lemma_rhs
-from qel.potential import write_matrix_text
+from qel.potential import (PotentialSpec, load_matrices_text, trace_potentials,
+                           write_matrix_text)
 
 DATA = Path(__file__).parent / "data"
 
@@ -256,6 +258,52 @@ def test_verify_theorem2_histogram_and_exit(tmp_path, capsys):
         assert abs(float(row["delta"])) <= float(row["bound"]) + 1e-8
     assert "rotations_checked=150" in stdout
     assert "ratio [0.9, 1.0]" in stdout
+
+
+def test_run_wht_names_the_first_step_over_the_rotation_bound(tmp_path, capsys, monkeypatch):
+    # the butterfly rotations meet their bound to within an ulp, so a
+    # negative tolerance turns them into violations
+    tol = -1e-12
+    records = trace_potentials(fast_wht_program(8), [PotentialSpec.plain(8)])[0].records
+    first = next(r.t for r in records
+                 if isinstance(r.gate, Rotation) and abs(r.delta) > r.bound + tol)
+    monkeypatch.setattr(potential, "BOUND_TOL", tol)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run-wht", "--n", "8", "--out", "trace.csv"], capsys)
+    assert code == 1
+    assert f"qel: FAIL: step {first}: |delta| = " in err
+    assert "exceeds rotation bound" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_verify_theorem2_archives_replay_the_violations(tmp_path, capsys, monkeypatch):
+    # about half of these rotations sit within 0.44 of their bound
+    tol = -0.44
+    monkeypatch.setattr(potential, "BOUND_TOL", tol)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        ["verify-theorem2", "--n", "8", "--programs", "2", "--gates", "40",
+         "--seed", "11", "--out", "thm2.csv"],
+        capsys,
+    )
+    assert code == 1
+    rows = list(csv.DictReader(open("thm2.csv")))
+    for index in range(2):
+        mine = {int(r["step"]): r for r in rows if r["program"] == str(index)}
+        steps = sorted(t for t, r in mine.items()
+                       if abs(float(r["delta"])) > float(r["bound"]) + tol)
+        assert 0 < len(steps) < len(mine)
+        stem = f"theorem2-violation-program{index}"
+        assert f"FAIL: program {index} broke the rotation bound at steps {steps}" in err
+        A, B = load_matrices_text(f"{stem}.mats")
+        replay = trace_potentials(load_program(f"{stem}.gates"),
+                                  [PotentialSpec.preconditioned(A, B)],
+                                  check_bounds=False, track_kappa=False)[0]
+        violations = [r for r in replay.records if r.exceeds_bound]
+        assert [r.t for r in violations] == steps
+        for r in violations:
+            assert r.delta.hex() == float(mine[r.t]["delta"]).hex()
+            assert r.bound.hex() == float(mine[r.t]["bound"]).hex()
 
 
 def test_verify_theorem2_deterministic(tmp_path, capsys):

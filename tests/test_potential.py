@@ -25,7 +25,7 @@ from qel.hadamard import fast_wht_program, wht_matrix
 from qel.potential import (
     PotentialSpec,
     PotentialTracker,
-    entropy_kernel,
+    entropy_sum,
     hat_quasi_entropy,
     hat_wht_spec,
     k_slice_quasi_entropy,
@@ -75,13 +75,43 @@ def perturbed_pair(n, eps):
     return M, MinvT
 
 
-def test_entropy_kernel_values():
-    assert entropy_kernel(0.0) == 0.0
-    assert entropy_kernel(1.0) == 0.0
-    assert entropy_kernel(-1.0) == 0.0
-    assert entropy_kernel(2.0) == pytest.approx(2.0)
-    assert entropy_kernel(0.5) == pytest.approx(-0.5)
-    assert entropy_kernel(-2.0) == pytest.approx(-2.0)
+def test_entropy_sum_values():
+    for x, expected in [(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
+                        (2.0, 2.0), (0.5, -0.5), (-2.0, -2.0)]:
+        assert entropy_sum([x]) == expected
+    assert entropy_sum([2.0, 0.5, -2.0, 0.0]) == -0.5
+    assert type(entropy_sum(np.ones((2, 2)))) is float
+
+
+ORACLE_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def oracle_values(shape, seed):
+    """Entries over 600 decades, with the specials at random positions."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    v = rng.standard_normal(size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+    v[rng.choice(size, len(ORACLE_SPECIALS), replace=False)] = ORACLE_SPECIALS
+    return v.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(2, 64), (64, 64), (4096,)])
+def test_entropy_sum_matches_scalar_reference_bitwise(shape):
+    v = oracle_values(shape, seed=math.prod(shape))
+    original = v.tobytes()
+    terms = []
+    for x in v.ravel().tolist():
+        if x == 0.0:
+            terms.append(0.0)
+            continue
+        # numpy's log2 may differ from the C library's by one ulp (SIMD builds)
+        log = float(np.log2(abs(x)))
+        assert abs(log - math.log2(abs(x))) <= math.ulp(log)
+        terms.append(x * log)
+    # summed by np.sum over the same shape: the kernel's summation order
+    terms = np.array(terms).reshape(shape)
+    assert entropy_sum(v).hex() == float(np.sum(terms)).hex()
+    assert v.tobytes() == original
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 32])

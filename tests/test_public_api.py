@@ -1,0 +1,75 @@
+"""Public names: the package re-exports, and the functions the benchmark
+tracer (perfbench/tracing.py) wraps by name."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+from pathlib import Path
+
+import pytest
+
+import qel
+from qel import cli, gates, hadamard, lemma, perturb, potential
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MODULES = (gates, hadamard, lemma, perturb, potential)
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    union = set().union(*(module.__all__ for module in MODULES))
+    assert len(qel.__all__) == len(set(qel.__all__))
+    assert set(qel.__all__) == union
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(qel, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_lists_every_public_function_and_class_it_defines(module):
+    defined = {name for name, obj in vars(module).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__}
+    assert defined <= set(module.__all__)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def layer_bindings(tracing):
+    """{(owner, attribute): object} for every place a layer is looked up."""
+    modules = [importlib.import_module(f"qel.{m}") for m in tracing.QEL_MODULES]
+    bindings = {(cli, "_pool_map"): cli._pool_map}
+    for layer in tracing.LAYERS:
+        module_name, _, attr = layer.partition(".")
+        home = importlib.import_module(f"qel.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(home, cls_name)
+            bindings[(cls, method)] = cls.__dict__[method]
+        else:
+            for module in modules:
+                if hasattr(module, attr):
+                    bindings[(module, attr)] = getattr(module, attr)
+    return bindings
+
+
+def test_benchmark_tracer_wraps_every_layer_and_restores_it(capsys):
+    tracing = load_tracing()
+    before = layer_bindings(tracing)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert cli.main(["run-wht", "--n", "4", "--out", os.devnull]) == 0
+    capsys.readouterr()
+    calls, _ = tracer.totals()
+    program_gates = len(hadamard.fast_wht_program(4))
+    assert calls["gates.apply_gate"] == program_gates
+    assert calls["potential.PotentialTracker.advance"] == program_gates
+    after = layer_bindings(tracing)
+    assert after.keys() == before.keys()
+    for key, original in before.items():
+        assert after[key] is original, key
