@@ -19,6 +19,7 @@ from .lemma import C_MAX, ELL_FLOOR, campaign_instance, run_campaign
 from .perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, _check_eps,
                       synth_perturbation)
 from .potential import (
+    RECOMPUTE_EVERY,
     PotentialSpec,
     hat_wht_spec,
     k_slice_quasi_entropy,
@@ -113,18 +114,23 @@ def _write_table(path, header, rows):
             fh.write(text)
 
 
-def _parse_int_grid(text):
-    toks = text.replace(",", " ").split()
-    if not toks:
-        raise ValueError("empty grid")
-    return tuple(int(tok) for tok in toks)
+def _grid(cast):
+    """argparse type: a nonempty space- or comma-separated list of `cast` values."""
+    def parse(text):
+        toks = text.replace(",", " ").split()
+        if not toks:
+            raise ValueError("empty grid")
+        return tuple(cast(tok) for tok in toks)
+    parse.__name__ = f"{cast.__name__} grid"
+    return parse
 
 
-def _parse_float_grid(text):
-    toks = text.replace(",", " ").split()
-    if not toks:
-        raise ValueError("empty grid")
-    return tuple(float(tok) for tok in toks)
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _warn_asymptotic_regime(n, eps):
@@ -171,25 +177,25 @@ def trajectory_rows(trajectory):
     return rows
 
 
-def _emit_trace(args, trajectory):
+def _trace(args, program):
+    """Trace the --potential spec along `program` and write its CSV."""
+    spec = build_potential_spec(args.potential, args.n, args.slices)
+    trajectory = trace_potentials(program, spec, recompute_every=args.recompute_every)
     if args.plot_data:
         rows = [(0, trajectory.initial_value)]
         rows.extend((rec.t, rec.potential) for rec in trajectory.records)
         _write_table(args.out, ("step", "potential"), rows)
     else:
         _write_table(args.out, TRACE_COLUMNS, trajectory_rows(trajectory))
+    return trajectory
 
 
 def cmd_run_wht(args):
     _log2_int(args.n)
-    spec = build_potential_spec(args.potential, args.n, args.slices)
     program = fast_wht_program(args.n)
-    trajectory = trace_potentials(
-        program, [spec], recompute_every=args.recompute_every
-    )[0]
-    _emit_trace(args, trajectory)
+    trajectory = _trace(args, program)
     print(
-        f"run-wht n={args.n} potential={spec.label}: gates={len(program)} "
+        f"run-wht n={args.n} potential={trajectory.label}: gates={len(program)} "
         f"final={trajectory.final_value!r} direct={trajectory.direct_final!r} "
         f"max|delta|={trajectory.max_abs_delta!r}"
     )
@@ -202,16 +208,11 @@ def cmd_run_perturbation(args):
     _warn_asymptotic_regime(args.n, args.eps)
     route = ROUTE_APPENDIX_B if args.route == "appendix-b" else ROUTE_FAST_KRONECKER
     plan = synth_perturbation(args.n, args.eps, route)
-    spec = build_potential_spec(args.potential, args.n, args.slices)
-    trajectory = trace_potentials(
-        plan.program, [spec], recompute_every=args.recompute_every
-    )[0]
-    _emit_trace(args, trajectory)
-
     program = plan.program
+    trajectory = _trace(args, program)
     print(
         f"run-perturbation n={args.n} eps={args.eps!r} route={plan.route} "
-        f"potential={spec.label}: gates={len(program)} "
+        f"potential={trajectory.label}: gates={len(program)} "
         f"(rotations={program.rotation_count()}, constants={program.constant_count()}) "
         f"kappa_certificate={plan.kappa_certificate!r}"
     )
@@ -317,8 +318,6 @@ def cmd_verify_lemma(args):
     for ell in args.ell_grid:
         if ell < ELL_FLOOR:
             raise ValueError(f"--ell-grid entries must be >= {ELL_FLOOR}, got {ell}")
-    if args.instances < 1:
-        raise ValueError("--instances must be >= 1")
 
     def campaign(ell):
         return list(
@@ -362,26 +361,26 @@ def _random_preconditioner(n, rng):
 
 def cmd_verify_theorem2(args):
     _log2_int(args.n)
-    if args.programs < 1 or args.gates < 1:
-        raise ValueError("--programs and --gates must be >= 1")
+    if args.gates < args.programs:
+        raise ValueError(f"--gates must be >= --programs ({args.programs}), got {args.gates}")
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.programs)
-    rotations_each = max(1, args.gates // args.programs)
-    constants_each = max(1, rotations_each // 10)
+    share, extra = divmod(args.gates, args.programs)
 
     def one_program(index):
         rng = np.random.default_rng(seeds[index])
         A = _random_preconditioner(args.n, rng)
         B = _random_preconditioner(args.n, rng)
         spec = PotentialSpec.preconditioned(A, B)
-        program = random_program(args.n, rotations_each, constants_each, rng)
+        rotations = share + (index < extra)
+        program = random_program(args.n, rotations, max(1, rotations // 10), rng)
         trajectory = trace_potentials(
             program,
-            [spec],
+            spec,
             recompute_every=args.recompute_every,
             check_bounds=False,
             track_kappa=False,
-        )[0]
+        )
         rows = []
         violations = []
         for rec in trajectory.records:
@@ -429,6 +428,16 @@ def cmd_verify_theorem2(args):
     return 1 if violation_total else 0
 
 
+def _add_recompute_flag(parser):
+    parser.add_argument(
+        "--recompute-every",
+        type=_positive_int,
+        default=RECOMPUTE_EVERY,
+        metavar="K",
+        help="steps between full recomputations of the tracked value",
+    )
+
+
 def _add_trace_flags(parser):
     parser.add_argument(
         "--potential",
@@ -441,13 +450,7 @@ def _add_trace_flags(parser):
         default=None,
         help="matrix-text file of A/B pairs for --potential k-slice",
     )
-    parser.add_argument(
-        "--recompute-every",
-        type=int,
-        default=1024,
-        metavar="K",
-        help="steps between full recomputations of the tracked value",
-    )
+    _add_recompute_flag(parser)
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
     parser.add_argument(
         "--plot-data",
@@ -496,13 +499,13 @@ def build_parser():
     )
     p.add_argument(
         "--n-grid",
-        type=_parse_int_grid,
+        type=_grid(int),
         default=DEFAULT_N_GRID,
         help="space- or comma-separated powers of two",
     )
     p.add_argument(
         "--eps-grid",
-        type=_parse_float_grid,
+        type=_grid(float),
         default=DEFAULT_EPS_GRID,
         help="space- or comma-separated values in (0, 1/2)",
     )
@@ -515,12 +518,13 @@ def build_parser():
     )
     p.add_argument(
         "--ell-grid",
-        type=_parse_int_grid,
+        type=_grid(int),
         default=DEFAULT_ELL_GRID,
         help="ambient dimensions, each >= 64",
     )
     p.add_argument(
-        "--instances", type=int, default=1000, help="random instances per dimension"
+        "--instances", type=_positive_int, default=1000,
+        help="random instances per dimension",
     )
     p.add_argument(
         "--c",
@@ -538,18 +542,14 @@ def build_parser():
     )
     p.add_argument("--n", type=int, default=128, help="state size (power of two)")
     p.add_argument(
-        "--programs", type=int, default=10, help="independent random programs"
+        "--programs", type=_positive_int, default=10,
+        help="independent random programs",
     )
     p.add_argument(
-        "--gates", type=int, default=2000, help="total rotations across programs"
+        "--gates", type=_positive_int, default=2000,
+        help="total rotations across programs (at least --programs)",
     )
-    p.add_argument(
-        "--recompute-every",
-        type=int,
-        default=1024,
-        metavar="K",
-        help="steps between full recomputations of the tracked value",
-    )
+    _add_recompute_flag(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_verify_theorem2)
@@ -560,9 +560,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "recompute_every", 1) < 1:
-        print("qel: error: --recompute-every must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

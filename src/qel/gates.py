@@ -173,14 +173,13 @@ def inverse_drift(state):
     return float(np.max(np.abs(state.M.T @ state.MinvT - np.eye(n))))
 
 
-def run_program(program, observers=(), drift_check_every=DRIFT_CHECK_EVERY,
-                drift_tol=DRIFT_TOL):
+def run_program(program, observers=(), drift_check_every=DRIFT_CHECK_EVERY):
     """Run all gates from the identity state.
 
     Each observer is called after every gate with (step, gate, state);
     the state passed is the live object, mutated in place as the run
     proceeds.  Every `drift_check_every` gates the tracked inverse is
-    cross-checked against M by a full product; drift beyond `drift_tol`
+    cross-checked against M by a full product; drift beyond DRIFT_TOL
     raises RuntimeError.
     """
     state = TrackedState.identity(program.n)
@@ -191,17 +190,17 @@ def run_program(program, observers=(), drift_check_every=DRIFT_CHECK_EVERY,
             raise ValueError(f"gate {t}: {exc}") from exc
         if drift_check_every and t % drift_check_every == 0:
             err = inverse_drift(state)
-            if err > drift_tol:
+            if err > DRIFT_TOL:
                 raise RuntimeError(
-                    f"inverse-transpose drift {err:.3e} exceeds {drift_tol:.1e} at step {t}")
+                    f"inverse-transpose drift {err:.3e} exceeds {DRIFT_TOL:.1e} at step {t}")
         for obs in observers:
             obs(t, gate, state)
     return state
 
 
-def program_matrix(program, **kwargs):
+def program_matrix(program):
     """The matrix the program computes (its final state M)."""
-    return run_program(program, **kwargs).M
+    return run_program(program).M
 
 
 def condition_number(M):

@@ -65,8 +65,6 @@ def fast_wht_program(n):
     many constants.
     """
     k = _log2_int(n)
-    if k < 1:
-        raise ValueError("butterfly program needs n >= 2")
     gates = []
     theta = math.pi / 4
     for p in range(k):

@@ -14,9 +14,10 @@ slot means the identity, which skips a product).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products.  A full recomputation fires every
-`recompute_every` gates and replaces the running value; disagreement
-beyond DESYNC_TOL means the caches lost sync with the state and raises.
+gate from cached products.  trace_potentials resyncs the tracker with a
+from-scratch evaluation every `recompute_every` gates and at the endpoint;
+disagreement beyond DESYNC_TOL means the caches lost sync with the state
+and raises.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ __all__ = [
 ]
 
 BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
-AGREE_TOL = 1e-6   # tracker endpoint vs from-scratch evaluation
-DESYNC_TOL = 1e-6  # periodic recomputation vs running value
+DESYNC_TOL = 1e-6  # from-scratch evaluation vs the tracker's running value
 RECOMPUTE_EVERY = 1024
 
 
@@ -165,13 +165,18 @@ def _coupled(products, rows=slice(None)):
     return s
 
 
+def _value(products):
+    """The potential of the sliced products (+ 0.0 turns -0.0 into 0.0)."""
+    return -entropy_sum(_coupled(products)) + 0.0
+
+
 def k_slice_quasi_entropy(M, spec, minv_t=None):
     """General k-slice quasi-entropy; the k=1 identity slice is Phi(M)."""
     M = _as_square(M)
     if M.shape[0] != spec.n:
         raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
     N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
-    return -entropy_sum(_coupled(_slice_products(M, N, spec))) + 0.0
+    return _value(_slice_products(M, N, spec))
 
 
 def quasi_entropy(M, minv_t=None):
@@ -224,28 +229,23 @@ class PotentialTracker:
     O(k n).  Constant gates leave the plain potential unchanged exactly
     (row i of M scales by c, of MinvT by 1/c, products cancel) and the
     tracker returns literal 0.0 there; general specs recompute the one
-    affected row.
+    affected row.  `resync` checks the running value against a
+    from-scratch evaluation.
     """
 
-    def __init__(self, spec, state, recompute_every=RECOMPUTE_EVERY):
+    def __init__(self, spec, state):
         if state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
-        self.recompute_every = int(recompute_every) if recompute_every else 0
-        self.applied = 0
         self.products = _slice_products(state.M, state.MinvT, spec, copy=True)
-        self.value = -entropy_sum(_coupled(self.products)) + 0.0
+        self.value = _value(self.products)
 
     def rotation_bound(self, i, iprime):
         """rotation_delta_bound from the caches, O(n)."""
         return _rotation_bound(self.spec, self.products, [i - 1, iprime - 1])
 
-    def advance(self, gate, state_after=None):
-        """Apply one gate to the caches; returns the potential change.
-
-        `state_after` (the tracked state after the same gate) must be
-        supplied on steps where the periodic full recomputation fires.
-        """
+    def advance(self, gate):
+        """Apply one gate to the caches; returns the potential change."""
         rotation = isinstance(gate, Rotation)
         i = gate.i - 1
         if rotation:
@@ -269,25 +269,26 @@ class PotentialTracker:
         else:
             delta = -(entropy_sum(_coupled(self.products, rows)) - before) + 0.0
         self.value += delta
-        self.applied += 1
-        if self.recompute_every and self.applied % self.recompute_every == 0:
-            if state_after is None:
-                raise ValueError("state_after is required on recomputation steps")
-            self._recompute(state_after)
         return delta
 
-    def _recompute(self, state):
+    def resync(self, state):
+        """Evaluate the potential of `state` from scratch and return it.
+
+        Raises RuntimeError if it differs from the running value by more
+        than DESYNC_TOL; otherwise adopts it and caches rebuilt from `state`.
+        """
         products = _slice_products(state.M, state.MinvT, self.spec)
-        direct = -entropy_sum(_coupled(products))
+        direct = _value(products)
         if abs(direct - self.value) > DESYNC_TOL:
             raise RuntimeError(
-                f"tracker desynchronized from state at step {self.applied}: "
+                f"step {state.t}: tracker desynchronized from state: "
                 f"incremental {self.value!r} vs direct {direct!r}")
         self.value = direct
         # copy the identity slots only now, so they are not live while entropy_sum runs
         self.products = [(Lp.copy() if Lp is state.M else Lp,
                           Rp.copy() if Rp is state.MinvT else Rp)
                          for Lp, Rp in products]
+        return direct
 
 
 @dataclass
@@ -308,7 +309,7 @@ class TraceRecord:
 
 @dataclass
 class Trajectory:
-    """Per-spec record of a traced run.  `records` has one entry per gate
+    """Record of one spec's traced run.  `records` has one entry per gate
     (an empty program leaves only the initial value); deltas telescope to
     final_value - initial_value up to roundoff."""
 
@@ -330,48 +331,40 @@ class Trajectory:
         return abs((self.final_value - self.initial_value) - total)
 
 
-def trace_potentials(program, specs, recompute_every=RECOMPUTE_EVERY,
+def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
                      check_bounds=True, track_kappa=True):
-    """Run a program once, tracking every spec's potential per step.
+    """Run a program once, tracking the spec's potential per step.
 
     Per record: potential value, delta, the rotation delta bound (single
     slice specs; 0.0 on constant gates, None for k >= 2), and kappa (from
     a KappaCertifier: recomputed after scaling gates, carried across
     isometries).  With `check_bounds`, a record that `exceeds_bound`
-    raises RuntimeError.  Endpoints are re-evaluated from scratch and must
-    agree with the tracker within AGREE_TOL.
+    raises RuntimeError.  The tracker is resynced every `recompute_every`
+    steps (0: never) and at the endpoint, whose from-scratch value is
+    `direct_final`.
     """
-    if isinstance(specs, PotentialSpec):
-        specs = [specs]
-    trackers = [PotentialTracker(spec, TrackedState.identity(program.n), recompute_every)
-                for spec in specs]
-    trajectories = [Trajectory(spec.label, tracker.value)
-                    for spec, tracker in zip(specs, trackers)]
+    tracker = PotentialTracker(spec, TrackedState.identity(program.n))
+    trajectory = Trajectory(spec.label, tracker.value)
     cert = KappaCertifier()
 
     def observer(t, gate, state):
-        kappa = cert.kappa if track_kappa else None
-        for tracker, traj in zip(trackers, trajectories):
-            bound = None
-            if tracker.spec.k == 1:
-                bound = (tracker.rotation_bound(gate.i, gate.iprime)
-                         if isinstance(gate, Rotation) else 0.0)
-            delta = tracker.advance(gate, state)
-            record = TraceRecord(t, gate, tracker.value, delta, bound, kappa)
-            if check_bounds and record.exceeds_bound:
-                raise RuntimeError(
-                    f"step {t}: |delta| = {abs(delta)!r} exceeds rotation bound {bound!r}")
-            traj.records.append(record)
+        bound = None
+        if spec.k == 1:
+            bound = (tracker.rotation_bound(gate.i, gate.iprime)
+                     if isinstance(gate, Rotation) else 0.0)
+        delta = tracker.advance(gate)
+        if recompute_every and t % recompute_every == 0:
+            tracker.resync(state)
+        record = TraceRecord(t, gate, tracker.value, delta, bound,
+                             cert.kappa if track_kappa else None)
+        if check_bounds and record.exceeds_bound:
+            raise RuntimeError(
+                f"step {t}: |delta| = {abs(delta)!r} exceeds rotation bound {bound!r}")
+        trajectory.records.append(record)
 
     final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
-    for tracker, traj in zip(trackers, trajectories):
-        direct = k_slice_quasi_entropy(final.M, tracker.spec, minv_t=final.MinvT)
-        traj.direct_final = direct
-        if abs(direct - traj.final_value) > AGREE_TOL:
-            raise RuntimeError(
-                f"tracker endpoint {traj.final_value!r} disagrees with from-scratch "
-                f"evaluation {direct!r} beyond {AGREE_TOL:.1e}")
-    return trajectories
+    trajectory.direct_final = tracker.resync(final)
+    return trajectory
 
 
 def write_matrix_text(fh, M):

@@ -118,7 +118,7 @@ def test_criterion_03_rotation_bound_campaign_and_tightness(report):
         spec = PotentialSpec.preconditioned(A, B)
         program = random_program(n, 1000, 100, rng)
         try:
-            trajectory = trace_potentials(program, [spec], track_kappa=False)[0]
+            trajectory = trace_potentials(program, spec, track_kappa=False)
         except RuntimeError:
             ok = False
             break
@@ -247,8 +247,8 @@ def test_criterion_07_per_step_hat_drift_stability(report):
     for n in (64, 128, 256, 512):
         plan = synth_perturbation(n, eps, ROUTE_FAST_KRONECKER)
         trajectory = trace_potentials(
-            plan.program, [hat_wht_spec(n)], track_kappa=False
-        )[0]
+            plan.program, hat_wht_spec(n), track_kappa=False
+        )
         ratios[n] = trajectory.max_abs_delta / denom
     spread = max(ratios.values()) / min(ratios.values())
     ok = all(math.isfinite(v) for v in ratios.values()) and spread <= 4.0
@@ -266,23 +266,23 @@ def test_criterion_08_incremental_tracking_fidelity(report):
     checks = []
     program = fast_wht_program(256)
     trajectory = trace_potentials(
-        program, [PotentialSpec.plain(256)], recompute_every=10 ** 9
-    )[0]
+        program, PotentialSpec.plain(256), recompute_every=10 ** 9
+    )
     checks.append(abs(trajectory.final_value - trajectory.direct_final))
 
     plan = synth_perturbation(256, 2.0 ** -6, ROUTE_FAST_KRONECKER)
     trajectory = trace_potentials(
-        plan.program, [hat_wht_spec(256)], recompute_every=10 ** 9,
+        plan.program, hat_wht_spec(256), recompute_every=10 ** 9,
         track_kappa=False,
-    )[0]
+    )
     checks.append(abs(trajectory.final_value - trajectory.direct_final))
     small_ok = max(checks) <= 1e-8
 
     program = fast_wht_program(512)
     trajectory = trace_potentials(
-        program, [PotentialSpec.plain(512)], recompute_every=10 ** 9,
+        program, PotentialSpec.plain(512), recompute_every=10 ** 9,
         track_kappa=False,
-    )[0]
+    )
     big_gap = abs(trajectory.final_value - trajectory.direct_final)
     ok = small_ok and big_gap <= 1e-6
     report(

@@ -2,12 +2,16 @@
 
 import csv
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qel
 from qel import cli, lemma, potential
 from qel.cli import build_potential_spec, format_csv_row, main, worker_count
 from qel.gates import Rotation, load_program
@@ -17,6 +21,21 @@ from qel.potential import (PotentialSpec, load_matrices_text, trace_potentials,
                            write_matrix_text)
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_WHT = [2, 4]
+GOLDEN_PERTURBATION = [
+    ("fast", "plain", "run_perturbation_n8_fast.csv"),
+    ("appendix-b", "plain", "run_perturbation_n8_appendix_b.csv"),
+    ("fast", "hat-pq", "run_perturbation_n8_fast_hat.csv"),
+]
+
+
+def golden_wht_argv(n):
+    return ["run-wht", "--n", str(n)]
+
+
+def golden_perturbation_argv(route, potential):
+    return ["run-perturbation", "--n", "8", "--eps", "0.125", "--route", route,
+            "--potential", potential]
 
 
 def run_cli(args, capsys):
@@ -25,32 +44,50 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", GOLDEN_WHT)
 def test_run_wht_trace_matches_golden_bytes(n, tmp_path, capsys):
     out = tmp_path / "trace.csv"
-    code, _, _ = run_cli(["run-wht", "--n", str(n), "--out", str(out)], capsys)
+    code, _, _ = run_cli([*golden_wht_argv(n), "--out", str(out)], capsys)
     assert code == 0
     golden = (DATA / f"run_wht_n{n}.csv").read_bytes()
     assert out.read_bytes() == golden
 
 
-@pytest.mark.parametrize(
-    "route, potential, name",
-    [
-        ("fast", "plain", "run_perturbation_n8_fast.csv"),
-        ("appendix-b", "plain", "run_perturbation_n8_appendix_b.csv"),
-        ("fast", "hat-pq", "run_perturbation_n8_fast_hat.csv"),
-    ],
-)
+@pytest.mark.parametrize("route, potential, name", GOLDEN_PERTURBATION)
 def test_run_perturbation_trace_matches_golden_bytes(route, potential, name, tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code, _, _ = run_cli(
-        ["run-perturbation", "--n", "8", "--eps", "0.125", "--route", route,
-         "--potential", potential, "--out", str(out)],
-        capsys,
-    )
+        [*golden_perturbation_argv(route, potential), "--out", str(out)], capsys)
     assert code == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_golden_traces_hold_with_numpy_simd_dispatch_disabled(tmp_path):
+    # np.log2 may round differently at another SIMD level; rerun every
+    # golden trace with each dispatched feature this host enables disabled
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not enabled:
+        pytest.skip("numpy dispatches no SIMD feature beyond its baseline here")
+    runs = [(golden_wht_argv(n), f"run_wht_n{n}.csv") for n in GOLDEN_WHT]
+    runs += [(golden_perturbation_argv(route, potential), name)
+             for route, potential, name in GOLDEN_PERTURBATION]
+    script = (
+        "import json, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+        "from qel.cli import main\n"
+        "print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))\n"
+        "for argv, name in json.loads(sys.argv[1]):\n"
+        "    assert main([*argv, '--out', name]) == 0\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled),
+               PYTHONPATH=str(Path(qel.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0]) == []
+    for _, name in runs:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 def test_run_wht_summary_line(capsys):
@@ -58,6 +95,44 @@ def test_run_wht_summary_line(capsys):
     assert code == 0
     assert "run-wht n=8 potential=plain" in out
     assert "final=24.0" in out
+
+
+def test_resync_rows_print_positive_zero(tmp_path, capsys):
+    # the hat potential of every butterfly state is zero; a resync used to
+    # store the from-scratch value as -0.0
+    out = tmp_path / "trace.csv"
+    code, stdout, _ = run_cli(["run-wht", "--n", "8", "--potential", "hat-pq",
+                               "--recompute-every", "4", "--out", str(out)], capsys)
+    assert code == 0
+    cells = [cell for line in out.read_text().splitlines() for cell in line.split(",")]
+    assert "-0.0" not in cells
+    assert "final=0.0 direct=0.0" in stdout
+
+
+@pytest.mark.parametrize("extra, step", [([], 24), (["--recompute-every", "4"], 4)],
+                         ids=["endpoint", "periodic"])
+def test_run_wht_names_the_step_where_the_tracker_desynchronized(
+        extra, step, tmp_path, capsys, monkeypatch):
+    # step 24 is the endpoint of the n = 8 butterfly program
+    monkeypatch.setattr(potential, "DESYNC_TOL", -1.0)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run-wht", "--n", "8", *extra, "--out", "trace.csv"], capsys)
+    assert code == 1
+    assert f"qel: FAIL: step {step}: tracker desynchronized" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-wht", "--recompute-every", "0"],
+    ["verify-lemma", "--instances", "0"],
+    ["verify-theorem2", "--programs", "0"],
+    ["verify-theorem2", "--gates", "0"],
+], ids=lambda argv: argv[1])
+def test_count_flags_reject_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_plot_data_mode_has_two_columns(tmp_path, capsys):
@@ -260,11 +335,31 @@ def test_verify_theorem2_histogram_and_exit(tmp_path, capsys):
     assert "ratio [0.9, 1.0]" in stdout
 
 
+def test_verify_theorem2_checks_exactly_the_requested_rotations(tmp_path, capsys):
+    out = tmp_path / "thm2.csv"
+    code, stdout, _ = run_cli(
+        ["verify-theorem2", "--n", "16", "--programs", "3", "--gates", "200",
+         "--seed", "11", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert "rotations_checked=200 " in stdout
+    programs = [row["program"] for row in csv.DictReader(out.open())]
+    assert [programs.count(str(i)) for i in range(3)] == [67, 67, 66]
+
+
+def test_verify_theorem2_rejects_fewer_gates_than_programs(capsys):
+    code, _, err = run_cli(
+        ["verify-theorem2", "--n", "8", "--programs", "4", "--gates", "2"], capsys)
+    assert code == 2
+    assert "--gates must be >= --programs (4), got 2" in err
+
+
 def test_run_wht_names_the_first_step_over_the_rotation_bound(tmp_path, capsys, monkeypatch):
     # the butterfly rotations meet their bound to within an ulp, so a
     # negative tolerance turns them into violations
     tol = -1e-12
-    records = trace_potentials(fast_wht_program(8), [PotentialSpec.plain(8)])[0].records
+    records = trace_potentials(fast_wht_program(8), PotentialSpec.plain(8)).records
     first = next(r.t for r in records
                  if isinstance(r.gate, Rotation) and abs(r.delta) > r.bound + tol)
     monkeypatch.setattr(potential, "BOUND_TOL", tol)
@@ -297,8 +392,8 @@ def test_verify_theorem2_archives_replay_the_violations(tmp_path, capsys, monkey
         assert f"FAIL: program {index} broke the rotation bound at steps {steps}" in err
         A, B = load_matrices_text(f"{stem}.mats")
         replay = trace_potentials(load_program(f"{stem}.gates"),
-                                  [PotentialSpec.preconditioned(A, B)],
-                                  check_bounds=False, track_kappa=False)[0]
+                                  PotentialSpec.preconditioned(A, B),
+                                  check_bounds=False, track_kappa=False)
         violations = [r for r in replay.records if r.exceeds_bound]
         assert [r.t for r in violations] == steps
         for r in violations:

@@ -100,11 +100,12 @@ def test_run_program_observer_sees_every_gate():
     assert seen == list(range(1, len(program) + 1))
 
 
-def test_drift_check_raises_on_impossible_tolerance():
+def test_drift_check_raises_on_impossible_tolerance(monkeypatch):
     rng = np.random.default_rng(14)
     program = random_program(8, 64, 8, rng)
+    monkeypatch.setattr(gates, "DRIFT_TOL", 1e-18)
     with pytest.raises(RuntimeError, match="drift"):
-        run_program(program, drift_check_every=16, drift_tol=1e-18)
+        run_program(program, drift_check_every=16)
 
 
 def test_program_matrix_realizes_walsh_hadamard():

@@ -298,10 +298,12 @@ def test_tracker_agrees_with_direct_evaluation(recompute_every):
     F = wht_matrix(n)
     spec = PotentialSpec(n, [(None, F)], label="precond-id-f")
     state = TrackedState.identity(n)
-    tracker = PotentialTracker(spec, state, recompute_every=recompute_every)
+    tracker = PotentialTracker(spec, state)
     for gate in program.gates:
         apply_gate(state, gate)
-        tracker.advance(gate, state)
+        tracker.advance(gate)
+        if recompute_every and state.t % recompute_every == 0:
+            assert tracker.resync(state) == tracker.value
     direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
     assert tracker.value == pytest.approx(direct, abs=TRACK_ATOL)
 
@@ -318,25 +320,19 @@ def test_tracker_plain_constant_delta_is_literal_zero():
 
 def test_tracker_detects_cache_desync():
     state = TrackedState.identity(4)
-    tracker = PotentialTracker(PotentialSpec.plain(4), state, recompute_every=2)
+    tracker = PotentialTracker(PotentialSpec.plain(4), state)
     apply_gate(state, Rotation(1, 2, 0.3))
     tracker.advance(Rotation(1, 2, 0.3))
     tracker.value += 1.0  # simulate accumulated drift
     apply_gate(state, Rotation(3, 4, 0.5))
-    with pytest.raises(RuntimeError, match="desync"):
-        tracker.advance(Rotation(3, 4, 0.5), state_after=state)
-
-
-def test_tracker_requires_state_on_recompute_steps():
-    state = TrackedState.identity(4)
-    tracker = PotentialTracker(PotentialSpec.plain(4), state, recompute_every=1)
-    with pytest.raises(ValueError, match="state_after"):
-        tracker.advance(Rotation(1, 2, 0.3))
+    tracker.advance(Rotation(3, 4, 0.5))
+    with pytest.raises(RuntimeError, match="step 2: tracker desync"):
+        tracker.resync(state)
 
 
 def test_trace_telescoping_and_endpoint():
     program = fast_wht_program(16)
-    trajectory = trace_potentials(program, [PotentialSpec.plain(16)])[0]
+    trajectory = trace_potentials(program, PotentialSpec.plain(16))
     assert trajectory.initial_value == 0.0
     assert trajectory.final_value == pytest.approx(16 * 4.0, rel=1e-12)
     assert trajectory.telescoping_error() < 1e-9
@@ -345,9 +341,8 @@ def test_trace_telescoping_and_endpoint():
 
 def test_trace_reports_bounds_only_for_single_slice_specs():
     program = fast_wht_program(8)
-    plain, hat = trace_potentials(
-        program, [PotentialSpec.plain(8), hat_wht_spec(8)]
-    )
+    plain = trace_potentials(program, PotentialSpec.plain(8))
+    hat = trace_potentials(program, hat_wht_spec(8))
     rotation_records = [r for r in plain.records if isinstance(r.gate, Rotation)]
     assert all(r.bound is not None for r in rotation_records)
     assert all(r.bound is None for r in hat.records)
@@ -363,7 +358,7 @@ def test_hat_potential_is_exactly_zero_on_orthogonal_states(n):
 def test_hat_potential_stays_zero_along_rotation_only_programs():
     n = 16
     program = random_program(n, 300, 0, np.random.default_rng(43))
-    trajectory = trace_potentials(program, [hat_wht_spec(n)], recompute_every=64)[0]
+    trajectory = trace_potentials(program, hat_wht_spec(n), recompute_every=64)
     assert all(r.potential == 0.0 and r.delta == 0.0 for r in trajectory.records)
     state = run_program(program)
     assert k_slice_quasi_entropy(state.M, hat_wht_spec(n), minv_t=state.MinvT) == 0.0
@@ -374,13 +369,13 @@ def test_trace_kappa_column_matches_exhaustive_certifier():
     oracle = KappaCertifier(exhaustive=True)
     kappas = []
     run_program(program, observers=[oracle, lambda t, gate, state: kappas.append(oracle.kappa)])
-    records = trace_potentials(program, [PotentialSpec.plain(8)])[0].records
+    records = trace_potentials(program, PotentialSpec.plain(8)).records
     npt.assert_allclose([r.kappa for r in records], kappas, rtol=1e-9)
 
 
 def test_trace_kappa_column_tracks_scaling_gates():
     program = fast_wht_program(4)
-    trajectory = trace_potentials(program, [PotentialSpec.plain(4)])[0]
+    trajectory = trace_potentials(program, PotentialSpec.plain(4))
     assert all(r.kappa == pytest.approx(1.0, abs=1e-9) for r in trajectory.records)
 
 
