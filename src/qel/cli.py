@@ -2,7 +2,9 @@
 
 Exit status is 0 iff every assertion requested by the subcommand held,
 1 on an assertion or inequality failure, 2 on bad configuration.
-QEL_THREADS caps task parallelism over grid points.
+QEL_THREADS caps the threads of scaling-sweep (one task per n) and
+verify-lemma (worker_count() instance blocks per ell); verify-theorem2
+traces its programs serially.
 """
 
 import argparse
@@ -319,13 +321,18 @@ def cmd_verify_lemma(args):
         if ell < ELL_FLOOR:
             raise ValueError(f"--ell-grid entries must be >= {ELL_FLOOR}, got {ell}")
 
-    def campaign(ell):
-        return list(
-            run_campaign([ell], args.instances, C=args.c, seed=args.seed)
-        )
+    # worker_count() contiguous instance blocks per ell, ell-major, so the
+    # blocks of the largest ell overlap in numpy calls that release the GIL
+    width = min(worker_count(), args.instances)
+    cuts = [args.instances * k // width for k in range(width + 1)]
+    items = [(ell, range(a, b)) for ell in args.ell_grid for a, b in zip(cuts, cuts[1:])]
 
-    blocks = _pool_map(campaign, args.ell_grid)
-    rows = [row for block in blocks for row in block]
+    def campaign(item):
+        ell, indices = item
+        return list(run_campaign([ell], indices, C=args.c, seed=args.seed))
+
+    rows = [row for part in _pool_map(campaign, items) for row in part]
+    blocks = [rows[j:j + args.instances] for j in range(0, len(rows), args.instances)]
     _write_table(args.out, LEMMA_COLUMNS, rows)
 
     failures = []
@@ -394,7 +401,8 @@ def cmd_verify_theorem2(args):
                 violations.append((index, rec.t))
         return rows, violations, program, A, B
 
-    results = _pool_map(one_program, range(args.programs))
+    # serial: per-gate tracing holds the GIL, so a pool only adds handoffs
+    results = [one_program(index) for index in range(args.programs)]
     rows = [row for rows_i, _, _, _, _ in results for row in rows_i]
     _write_table(args.out, THEOREM2_COLUMNS, rows)
 

@@ -184,11 +184,14 @@ def run_campaign(ells, instances, C, seed):
 
     Instance seeds are drawn deterministically from the campaign seed; the
     1-norm target varies per instance.  Row order is ell-major, then
-    instance index.
+    instance index.  `instances` is a count or a range of instance
+    indices; the seed draw is prefix-stable, so range(a, b) yields exactly
+    rows a..b-1 of every ell's full campaign.
     """
+    block = instances if isinstance(instances, range) else range(instances)
     for ell in ells:
         seeds = np.random.SeedSequence(entropy=(int(seed), int(ell))).generate_state(
-            instances, dtype=np.uint64)
+            block.stop, dtype=np.uint64)[block.start:block.stop:block.step]
         for inst_seed in seeds:
             inst_seed = int(inst_seed)
             inst = campaign_instance(ell, C, inst_seed)

@@ -341,7 +341,8 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     isometries).  With `check_bounds`, a record that `exceeds_bound`
     raises RuntimeError.  The tracker is resynced every `recompute_every`
     steps (0: never) and at the endpoint, whose from-scratch value is
-    `direct_final`.
+    `direct_final`; a periodic resync at the last step serves as the
+    endpoint's.
     """
     tracker = PotentialTracker(spec, TrackedState.identity(program.n))
     trajectory = Trajectory(spec.label, tracker.value)
@@ -363,7 +364,11 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
         trajectory.records.append(record)
 
     final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
-    trajectory.direct_final = tracker.resync(final)
+    m = len(program)
+    if m and recompute_every and m % recompute_every == 0:
+        trajectory.direct_final = tracker.value  # adopted by the resync at t = m
+    else:
+        trajectory.direct_final = tracker.resync(final)
     return trajectory
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +15,11 @@ import pytest
 import qel
 from qel import cli, lemma, potential
 from qel.cli import build_potential_spec, format_csv_row, main, worker_count
-from qel.gates import Rotation, load_program
+from qel.gates import Rotation, load_program, run_program
 from qel.hadamard import fast_wht_program, wht_matrix
 from qel.lemma import LemmaInstance, lemma_lhs, lemma_rhs
-from qel.potential import (PotentialSpec, load_matrices_text, trace_potentials,
-                           write_matrix_text)
+from qel.potential import (PotentialSpec, k_slice_quasi_entropy, load_matrices_text,
+                           trace_potentials, write_matrix_text)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_WHT = [2, 4]
@@ -120,6 +121,24 @@ def test_run_wht_names_the_step_where_the_tracker_desynchronized(
     assert code == 1
     assert f"qel: FAIL: step {step}: tracker desynchronized" in err
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("every, steps", [("8", [8, 16, 24]), ("5", [5, 10, 15, 20, 24])])
+def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys, monkeypatch):
+    # a periodic resync at the last step (24) doubles as the endpoint check
+    seen = []
+    real = potential.PotentialTracker.resync
+    monkeypatch.setattr(potential.PotentialTracker, "resync",
+                        lambda self, state: seen.append(state.t) or real(self, state))
+    code, stdout, _ = run_cli(["run-wht", "--n", "8", "--potential", "precond-id-f",
+                               "--recompute-every", every, "--out", os.devnull], capsys)
+    assert code == 0
+    assert seen == steps
+    direct = float(re.search(r"direct=(\S+)", stdout)[1])
+    final = run_program(fast_wht_program(8))
+    expected = k_slice_quasi_entropy(final.M, build_potential_spec("precond-id-f", 8),
+                                     minv_t=final.MinvT)
+    assert abs(direct - expected) <= potential.DESYNC_TOL
 
 
 @pytest.mark.parametrize("argv", [
@@ -287,6 +306,20 @@ def test_verify_lemma_csv_and_exit(tmp_path, capsys):
     assert "verify-lemma ell=64" in stdout
 
 
+def assert_archives_rebuild(rows, directory):
+    for row in rows:
+        path = directory / f"lemma-violation-ell{row['ell']}-seed{row['seed']}.txt"
+        vectors = {}
+        for line in path.read_text().splitlines():
+            if not line.startswith("#"):
+                name, *values = line.split()
+                vectors[name] = np.array([float(v) for v in values])
+        inst = LemmaInstance(int(row["ell"]), vectors["x"], vectors["y"], float(row["C"]))
+        assert inst.norm1() == float(row["norm1"])
+        assert lemma_lhs(inst) == float(row["lhs"])
+        assert lemma_rhs(inst) == float(row["rhs"])
+
+
 def test_verify_lemma_archives_rebuild_the_failing_rows(tmp_path, capsys, monkeypatch):
     real = lemma.check_lemma
     # every row counts as failing, so the first four rows are archived
@@ -300,17 +333,45 @@ def test_verify_lemma_archives_rebuild_the_failing_rows(tmp_path, capsys, monkey
         capsys,
     )
     assert code == 1
-    for row in list(csv.DictReader(out.open()))[:4]:
-        path = tmp_path / f"lemma-violation-ell{row['ell']}-seed{row['seed']}.txt"
-        vectors = {}
-        for line in path.read_text().splitlines():
-            if not line.startswith("#"):
-                name, *values = line.split()
-                vectors[name] = np.array([float(v) for v in values])
-        inst = LemmaInstance(int(row["ell"]), vectors["x"], vectors["y"], float(row["C"]))
-        assert inst.norm1() == float(row["norm1"])
-        assert lemma_lhs(inst) == float(row["lhs"])
-        assert lemma_rhs(inst) == float(row["rhs"])
+    assert_archives_rebuild(list(csv.DictReader(out.open()))[:4], tmp_path)
+
+
+def test_verify_lemma_archives_rebuild_rows_from_every_block(tmp_path, capsys, monkeypatch):
+    # 3 threads cut 7 instances into blocks 0-1, 2-3 and 4-6; the failing
+    # rows sit in different blocks of both ells
+    argv = ["verify-lemma", "--ell-grid", "64,256", "--instances", "7", "--seed", "3",
+            "--out", "lemma.csv"]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, capsys)[0] == 0
+    rows = list(csv.DictReader(open("lemma.csv")))
+    failing = [rows[1], rows[5], rows[7 + 3], rows[7 + 6]]
+    keys = {(int(row["ell"]), float(row["norm1"])) for row in failing}
+    real = lemma.check_lemma
+    monkeypatch.setattr(
+        lemma, "check_lemma",
+        lambda inst: dataclasses.replace(real(inst), holds=(inst.ell, inst.norm1()) not in keys))
+    monkeypatch.setenv("QEL_THREADS", "3")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.count("FAIL: archived counterexample") == 4
+    assert sorted(p.name for p in tmp_path.glob("lemma-violation-*")) == sorted(
+        f"lemma-violation-ell{row['ell']}-seed{row['seed']}.txt" for row in failing)
+    assert_archives_rebuild(failing, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", "--ell-grid", "64,256", "--instances", "7"],
+    ["verify-theorem2", "--n", "16", "--programs", "3", "--gates", "150"],
+], ids=lambda argv: argv[0])
+def test_campaign_output_does_not_depend_on_the_thread_count(argv, tmp_path, capsys, monkeypatch):
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QEL_THREADS", threads)
+        out = tmp_path / f"threads{threads}.csv"
+        code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert code == 0
+        outputs.add((out.read_bytes(), stdout, err))
+    assert len(outputs) == 1
 
 
 def test_verify_lemma_rejects_large_interference(capsys):

@@ -93,6 +93,21 @@ def test_inverse_transpose_stays_synchronized_along_random_program():
     assert inverse_drift(state) < DRIFT_ATOL
 
 
+@pytest.mark.parametrize("n", [1, 2, 64, 256])
+def test_inverse_drift_matches_the_identity_subtraction_bitwise(n):
+    rng = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    G = rng.standard_normal((n, n)) + n * np.eye(n)
+    states = [TrackedState(Q, Q.copy()),                      # orthogonal
+              TrackedState(G, np.linalg.inv(G).T),            # non-orthogonal
+              TrackedState(G, np.linalg.inv(G).T + 1e-9 * Q)]  # drifted inverse
+    for state in states:
+        M, MinvT = state.M.copy(), state.MinvT.copy()
+        expected = float(np.max(np.abs(M.T @ MinvT - np.eye(n))))
+        assert inverse_drift(state).hex() == expected.hex()
+        assert np.array_equal(state.M, M) and np.array_equal(state.MinvT, MinvT)
+
+
 def test_run_program_observer_sees_every_gate():
     program = fast_wht_program(8)
     seen = []

@@ -116,6 +116,15 @@ def test_campaign_rows_rebuild_bitwise_from_their_seeds():
         assert (inst.norm1(), lemma_lhs(inst), lemma_rhs(inst)) == row[3:6]
 
 
+@pytest.mark.parametrize("ell", [64, 1024])
+def test_campaign_blocks_are_slices_of_the_full_campaign(ell):
+    full = list(run_campaign([ell], 7, C=0.125, seed=20250819))
+    for a in range(8):
+        for b in range(a, 8):
+            block = list(run_campaign([ell], range(a, b), C=0.125, seed=20250819))
+            assert block == full[a:b], (a, b)
+
+
 def test_campaign_zero_interference():
     rows = list(run_campaign([64], 10, C=0.0, seed=9))
     assert all(row[7] for row in rows)

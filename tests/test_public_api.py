@@ -73,3 +73,28 @@ def test_benchmark_tracer_wraps_every_layer_and_restores_it(capsys):
     assert after.keys() == before.keys()
     for key, original in before.items():
         assert after[key] is original, key
+
+
+def test_benchmark_tracer_sees_the_campaign_schedule(capsys, monkeypatch):
+    # verify-lemma pools worker_count() instance blocks per ell and
+    # verify-theorem2 runs serially, so only the lemma opens pool spans
+    tracing = load_tracing()
+    before = layer_bindings(tracing)
+    monkeypatch.setenv("QEL_THREADS", "2")
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert cli.main(["verify-lemma", "--ell-grid", "64,256", "--instances", "5",
+                         "--out", os.devnull]) == 0
+        pool_items = [s for s in tracer.spans if s.name == tracing.POOL_ITEM]
+        assert len(pool_items) == 4
+        assert len(tracer.item_seconds["lemma.run_campaign"]) == 10
+        mark = len(tracer.spans)
+        assert cli.main(["verify-theorem2", "--n", "8", "--programs", "2", "--gates", "20",
+                         "--out", os.devnull]) == 0
+        theorem2 = [s.name for s in tracer.spans[mark:]]
+        assert theorem2.count("gates.random_program") == 2
+        assert tracing.POOL_ITEM not in theorem2
+    capsys.readouterr()
+    after = layer_bindings(tracing)
+    assert after.keys() == before.keys()
+    for key, original in before.items():
+        assert after[key] is original, key
