@@ -193,7 +193,6 @@ def _trace(args, program):
 
 
 def cmd_run_wht(args):
-    _log2_int(args.n)
     program = fast_wht_program(args.n)
     trajectory = _trace(args, program)
     print(
@@ -353,8 +352,8 @@ def cmd_verify_lemma(args):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"# ell={ell} C={args.c!r} seed={seed} norm1={row[3]!r}\n")
             fh.write(f"# lhs={row[4]!r} rhs={row[5]!r} margin={row[6]!r}\n")
-            for name, vec in (("x", inst.x), ("y", inst.y)):
-                fh.write(f"{name} " + " ".join(repr(float(v)) for v in vec) + "\n")
+            write_matrix_text(fh, inst.x[np.newaxis])
+            write_matrix_text(fh, inst.y[np.newaxis])
         print(f"FAIL: archived counterexample to {path}", file=sys.stderr)
     return 1 if failures else 0
 

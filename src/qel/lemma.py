@@ -169,7 +169,6 @@ def check_lemma(instance):
     Also reports the big/small split by |y_i| >= x_i/2 and whether the
     small-side entries stay below 1/e (reported, never enforced).
     """
-    instance.validate()
     lhs = lemma_lhs(instance)
     rhs = lemma_rhs(instance)
     big = np.abs(instance.y) >= instance.x / 2.0

@@ -14,10 +14,10 @@ slot means the identity, which skips a product).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products.  trace_potentials resyncs the tracker with a
-from-scratch evaluation every `recompute_every` gates and at the endpoint;
-disagreement beyond DESYNC_TOL means the caches lost sync with the state
-and raises.
+gate from cached products.  trace_potentials resyncs the tracker every
+`recompute_every` gates and at the endpoint.  A resync raises on inverse
+drift beyond DRIFT_TOL first (a from-scratch value on a wrong inverse
+means nothing), then on a from-scratch value off by more than DESYNC_TOL.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import (KappaCertifier, Rotation, TrackedState, rotate_rows,
-                    run_program)
+from .gates import (KappaCertifier, Rotation, TrackedState, inverse_drift,
+                    rotate_rows, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
+DRIFT_TOL = 1e-8   # max entry of M^T @ MinvT - Id at a resync
 DESYNC_TOL = 1e-6  # from-scratch evaluation vs the tracker's running value
 RECOMPUTE_EVERY = 1024
 
@@ -274,9 +275,14 @@ class PotentialTracker:
     def resync(self, state):
         """Evaluate the potential of `state` from scratch and return it.
 
-        Raises RuntimeError if it differs from the running value by more
-        than DESYNC_TOL; otherwise adopts it and caches rebuilt from `state`.
+        Raises RuntimeError if the inverse of `state` drifted by more than
+        DRIFT_TOL or the value differs from the running one by more than
+        DESYNC_TOL; otherwise adopts it and caches rebuilt from `state`.
         """
+        drift = inverse_drift(state)
+        if drift > DRIFT_TOL:
+            raise RuntimeError(
+                f"step {state.t}: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
         products = _slice_products(state.M, state.MinvT, self.spec)
         direct = _value(products)
         if abs(direct - self.value) > DESYNC_TOL:
@@ -339,10 +345,10 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     slice specs; 0.0 on constant gates, None for k >= 2), and kappa (from
     a KappaCertifier: recomputed after scaling gates, carried across
     isometries).  With `check_bounds`, a record that `exceeds_bound`
-    raises RuntimeError.  The tracker is resynced every `recompute_every`
-    steps (0: never) and at the endpoint, whose from-scratch value is
-    `direct_final`; a periodic resync at the last step serves as the
-    endpoint's.
+    raises RuntimeError.  The tracker is resynced (inverse drift, then
+    from-scratch value) every `recompute_every` steps (0: never) and at
+    the endpoint, whose from-scratch value is `direct_final`; a periodic
+    resync at the last step serves as the endpoint's.
     """
     tracker = PotentialTracker(spec, TrackedState.identity(program.n))
     trajectory = Trajectory(spec.label, tracker.value)

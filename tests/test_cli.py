@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qel
-from qel import cli, lemma, potential
+from qel import cli, gates, lemma, potential
 from qel.cli import build_potential_spec, format_csv_row, main, worker_count
 from qel.gates import Rotation, load_program, run_program
 from qel.hadamard import fast_wht_program, wht_matrix
@@ -123,17 +123,28 @@ def test_run_wht_names_the_step_where_the_tracker_desynchronized(
     assert not (tmp_path / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("every, steps", [("8", [8, 16, 24]), ("5", [5, 10, 15, 20, 24])])
+@pytest.mark.parametrize("every, steps", [("8", [8, 16, 24]), ("5", [5, 10, 15, 20, 24]),
+                                          ("1024", [24])])
 def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys, monkeypatch):
-    # a periodic resync at the last step (24) doubles as the endpoint check
-    seen = []
+    # a periodic resync at the last step (24) doubles as the endpoint check;
+    # each resync, and nothing else, checks the tracked inverse
+    seen, drift_steps = [], []
     real = potential.PotentialTracker.resync
     monkeypatch.setattr(potential.PotentialTracker, "resync",
                         lambda self, state: seen.append(state.t) or real(self, state))
+    real_drift = gates.inverse_drift
+
+    def spy(state):
+        drift_steps.append(state.t)
+        return real_drift(state)
+
+    monkeypatch.setattr(gates, "inverse_drift", spy)
+    monkeypatch.setattr(potential, "inverse_drift", spy, raising=False)
     code, stdout, _ = run_cli(["run-wht", "--n", "8", "--potential", "precond-id-f",
                                "--recompute-every", every, "--out", os.devnull], capsys)
     assert code == 0
     assert seen == steps
+    assert drift_steps == steps
     direct = float(re.search(r"direct=(\S+)", stdout)[1])
     final = run_program(fast_wht_program(8))
     expected = k_slice_quasi_entropy(final.M, build_potential_spec("precond-id-f", 8),
@@ -309,12 +320,8 @@ def test_verify_lemma_csv_and_exit(tmp_path, capsys):
 def assert_archives_rebuild(rows, directory):
     for row in rows:
         path = directory / f"lemma-violation-ell{row['ell']}-seed{row['seed']}.txt"
-        vectors = {}
-        for line in path.read_text().splitlines():
-            if not line.startswith("#"):
-                name, *values = line.split()
-                vectors[name] = np.array([float(v) for v in values])
-        inst = LemmaInstance(int(row["ell"]), vectors["x"], vectors["y"], float(row["C"]))
+        x, y = load_matrices_text(path)  # 1-by-ell blocks
+        inst = LemmaInstance(int(row["ell"]), x[0], y[0], float(row["C"]))
         assert inst.norm1() == float(row["norm1"])
         assert lemma_lhs(inst) == float(row["lhs"])
         assert lemma_rhs(inst) == float(row["rhs"])

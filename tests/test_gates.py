@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qel import gates
+from qel import gates, potential
 from qel.gates import (
     Constant,
     GateProgram,
@@ -26,6 +26,7 @@ from qel.gates import (
     verify_well_conditioned,
 )
 from qel.hadamard import fast_wht_program, wht_matrix
+from qel.potential import PotentialSpec, trace_potentials
 
 ATOL = 1e-12
 DRIFT_ATOL = 1e-10
@@ -38,29 +39,40 @@ def rotation_block(theta):
 
 def test_rotation_validation():
     Rotation(1, 2, 0.5).validate(4)
-    with pytest.raises(ValueError):
-        Rotation(0, 2, 0.5).validate(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range for n=4"):
         Rotation(1, 5, 0.5).validate(4)
-    with pytest.raises(ValueError):
-        Rotation(3, 3, 0.5).validate(4)
-    with pytest.raises(ValueError):
-        Rotation(1, 2, math.inf).validate(4)
+    # the other checks run once, when the gate is built
+    for args in [(0, 2, 0.5), (3, 3, 0.5), (1, 2, math.inf)]:
+        with pytest.raises(ValueError):
+            Rotation(*args)
 
 
 def test_constant_validation():
     Constant(4, -2.0).validate(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range for n=4"):
         Constant(5, 1.0).validate(4)
-    with pytest.raises(ValueError):
-        Constant(1, 0.0).validate(4)
-    with pytest.raises(ValueError):
-        Constant(1, math.nan).validate(4)
+    for args in [(0, 2.0), (1, 0.0), (1, math.nan)]:
+        with pytest.raises(ValueError):
+            Constant(*args)
 
 
 def test_program_validation_reports_gate_index():
     with pytest.raises(ValueError, match="gate 2"):
         GateProgram(4, [Rotation(1, 2, 0.1), Constant(9, 1.0)])
+
+
+@pytest.mark.parametrize("gate", [Rotation(1, 9, 0.5), Rotation(9, 1, 0.5), Constant(9, 2.0)])
+def test_apply_gate_beyond_n_raises_before_writing(gate):
+    # apply_gate does not validate; numpy's index check must fire before
+    # M or MinvT is written
+    rng = np.random.default_rng(10)
+    M0 = rng.standard_normal((4, 4)) + 3 * np.eye(4)
+    state = TrackedState(M0.copy(), np.linalg.inv(M0).T.copy(), 0)
+    MinvT0 = state.MinvT.copy()
+    with pytest.raises(IndexError):
+        apply_gate(state, gate)
+    assert np.array_equal(state.M, M0) and np.array_equal(state.MinvT, MinvT0)
+    assert state.t == 0
 
 
 def test_apply_rotation_matches_left_multiplication():
@@ -115,12 +127,25 @@ def test_run_program_observer_sees_every_gate():
     assert seen == list(range(1, len(program) + 1))
 
 
+def test_run_program_only_applies_gates(monkeypatch):
+    # longer than 1024 gates, so a periodic inverse check in the loop would fire
+    program = random_program(8, 1100, 10, np.random.default_rng(19))
+    calls = []
+    monkeypatch.setattr(Rotation, "validate", lambda self, n: calls.append("validate"))
+    monkeypatch.setattr(Constant, "validate", lambda self, n: calls.append("validate"))
+    monkeypatch.setattr(gates, "inverse_drift", lambda state: calls.append("drift") or 0.0)
+    run_program(program)
+    verify_well_conditioned(program, kappa_max=1e6)
+    assert calls == []
+
+
 def test_drift_check_raises_on_impossible_tolerance(monkeypatch):
+    # the tracked inverse is checked at the trace's checkpoints
     rng = np.random.default_rng(14)
     program = random_program(8, 64, 8, rng)
-    monkeypatch.setattr(gates, "DRIFT_TOL", 1e-18)
-    with pytest.raises(RuntimeError, match="drift"):
-        run_program(program, drift_check_every=16)
+    monkeypatch.setattr(potential, "DRIFT_TOL", 1e-18)
+    with pytest.raises(RuntimeError, match="step 16: inverse-transpose drift"):
+        trace_potentials(program, PotentialSpec.plain(8), recompute_every=16)
 
 
 def test_program_matrix_realizes_walsh_hadamard():
@@ -140,7 +165,9 @@ def test_condition_number_exact_cases():
 
 def test_verify_well_conditioned_isometry_program():
     rng = np.random.default_rng(15)
-    program = random_program(12, 80, 8, rng, log2_scale=0.0)
+    drawn = random_program(12, 80, 8, rng).gates
+    program = GateProgram(12, [Constant(g.i, math.copysign(1.0, g.c))  # sign flips only
+                               if isinstance(g, Constant) else g for g in drawn])
     report = verify_well_conditioned(program, kappa_max=1.0 + 1e-9)
     assert report.passed
     assert report.max_kappa == pytest.approx(1.0, abs=1e-9)
@@ -156,7 +183,7 @@ def test_verify_well_conditioned_flags_large_scaling():
 
 def test_exhaustive_and_sampled_conditioning_agree():
     rng = np.random.default_rng(16)
-    program = random_program(8, 60, 12, rng, log2_scale=1.0)
+    program = random_program(8, 60, 12, rng)
     fast = verify_well_conditioned(program, kappa_max=1e6)
     slow = verify_well_conditioned(program, kappa_max=1e6, exhaustive=True)
     assert fast.max_kappa == pytest.approx(slow.max_kappa, rel=1e-9)
@@ -199,6 +226,16 @@ def test_program_text_header_and_comments():
     program = program_from_text(text)
     assert program.n == 4
     assert program.gates == [Rotation(1, 2, 0.5), Constant(3, -1.0)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 4 m 1\nR 0 2 0.5\n", "line 2: rotation indices"),
+    ("n 4 m 1\nC 1 0.0\n", "line 2: constant gate needs"),
+    ("# header next\nn x m 1\n", "line 2: invalid literal"),
+])
+def test_program_text_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        program_from_text(text)
 
 
 def test_program_text_count_mismatch_rejected():

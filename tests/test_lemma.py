@@ -125,6 +125,14 @@ def test_campaign_blocks_are_slices_of_the_full_campaign(ell):
             assert block == full[a:b], (a, b)
 
 
+def test_campaign_validates_each_instance_once(monkeypatch):
+    calls = []
+    real = LemmaInstance.validate
+    monkeypatch.setattr(LemmaInstance, "validate", lambda self: calls.append(1) or real(self))
+    rows = list(run_campaign([64], 7, C=0.125, seed=20250819))
+    assert len(rows) == 7 and len(calls) == 7
+
+
 def test_campaign_zero_interference():
     rows = list(run_campaign([64], 10, C=0.0, seed=9))
     assert all(row[7] for row in rows)
