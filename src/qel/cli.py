@@ -2,9 +2,11 @@
 
 Exit status is 0 iff every assertion requested by the subcommand held,
 1 on an assertion or inequality failure, 2 on bad configuration.
-QEL_THREADS caps the threads of scaling-sweep (one task per n) and
-verify-lemma (worker_count() instance blocks per ell); verify-theorem2
-traces its programs serially.
+QEL_THREADS caps the threads of verify-lemma (worker_count() instance
+blocks per ell) only.  verify-theorem2 traces its programs serially, and
+scaling-sweep evaluates its grid serially with the O(1) closed forms of
+perturb.perturbation_potentials, cross-checked against dense n x n products
+for n <= CROSS_CHECK_MAX_N.
 """
 
 import argparse
@@ -19,10 +21,11 @@ from .gates import Rotation, program_to_text, random_program
 from .hadamard import _log2_int, fast_wht_program, wht_matrix
 from .lemma import C_MAX, ELL_FLOOR, campaign_instance, run_campaign
 from .perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, _check_eps,
-                      synth_perturbation)
+                      perturbation_potentials, synth_perturbation)
 from .potential import (
     RECOMPUTE_EVERY,
     PotentialSpec,
+    entropy_sum,
     hat_wht_spec,
     k_slice_quasi_entropy,
     load_matrices_text,
@@ -239,21 +242,89 @@ def cmd_run_perturbation(args):
     return 0
 
 
-def _sweep_point(n, eps_grid):
-    """(CSV rows, sign-failure messages) of one n over the eps grid."""
+# Cross-check of the closed forms: below this n the dense evaluator is cheap.
+CROSS_CHECK_MAX_N = 256
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _dense_evaluator(n):
+    """eps -> the three potentials of Id + eps*F by dense n x n products."""
     F = wht_matrix(n)
     eye = np.eye(n)
-    hat_spec = hat_wht_spec(n)
-    precond_spec = PotentialSpec(n, [(None, F)], label="precond-id-f")
-    plain_spec = PotentialSpec.plain(n)
+    specs = (PotentialSpec.plain(n), PotentialSpec(n, [(None, F)], label="precond-id-f"),
+             hat_wht_spec(n))
+
+    def evaluate(eps):
+        M = eye + eps * F
+        MinvT = (eye - eps * F) / (1.0 - eps * eps)
+        return [k_slice_quasi_entropy(M, spec, minv_t=MinvT) for spec in specs]
+    return evaluate
+
+
+def _entropy_error(x, e):
+    """sup |L(y) - L(x)| over |y - x| <= e, for L(x) = x log2|x| and e < 0.1."""
+    a = abs(x)
+    if a > e:
+        # |L'(t)| = |log2|t| + 1/ln 2| on [a - e, a + e]
+        return e * (max(-math.log2(a - e), math.log2(a + e)) + 1.0 / math.log(2.0))
+    # t|log2 t| increases on (0, exp(-1)), so |L(y)| and |L(x)| are at most h|log2 h|
+    h = a + e
+    return 2.0 * h * abs(math.log2(h))
+
+
+def _dense_error_bounds(n, eps):
+    """Bounds on |dense - exact| for the three potentials of Id + eps*F.
+
+    An entry of a coupled matrix is x = sum_p Lp * Rp.  Forming it costs at
+    most gamma = (n + 8) u relative to s = sum_p |Lp| |Rp|, with a product
+    factor MF or M^-T F replaced by its sum of absolute terms: one length-n
+    dot product, plus the few roundings of M, M^-T, the slice product and
+    the slice sum.  Per entry class (count c, value x) that moves sum L by
+    at most c * _entropy_error(x, gamma s).  Summing the n^2 terms L(x) adds
+    at most (ceil(log2 n^2) + 32) u sum c|L(x)|: numpy's pairwise sum costs
+    ceil(log2 n^2) + 11 roundings per term (128-term blocks over eight
+    accumulators), log2 and the product a few more, and the closed forms
+    stay within 8 u of the same total.  |M| and den |M^-T| are bounded by
+    1 + eps r on the diagonal and eps r off it (r = n^-1/2, den = 1 - eps^2).
+    """
+    r = n ** -0.5
+    den = 1.0 - eps * eps
+    delta = eps * (1.0 - 1.0 / n) / den
+    gamma = (n + 8) * UNIT_ROUNDOFF
+    diag, off = 1.0 + eps * r, eps * r
+    g = r * (diag + (n - 1) * off)  # bounds sum_k |M_ik| |F_kj| and den sum_k |M^-T_ik| |F_kj|
+    pairs = n * (n - 1)
+    classes = (
+        ((n, 1.0 + eps * eps * (1.0 - 1.0 / n) / den, diag * diag / den),
+         (pairs, -eps * eps / (n * den), off * off / den)),
+        ((n / 2, r - delta, diag * g / den), (n / 2, -r - delta, diag * g / den),
+         (pairs, eps / (n * den), off * g / den)),
+        ((n, -2.0 * delta, 2.0 * diag * g / den),
+         (pairs, 2.0 * eps / (n * den), 2.0 * off * g / den)),
+    )
+    summation = (math.ceil(math.log2(n * n)) + 32) * UNIT_ROUNDOFF
+    return [sum(c * (_entropy_error(x, gamma * s) + summation * abs(entropy_sum([x])))
+                for c, x, s in family)
+            for family in classes]
+
+
+def _sweep_point(n, eps_grid):
+    """(CSV rows, failure messages) of one n over the eps grid, in grid order."""
+    dense = _dense_evaluator(n) if n <= CROSS_CHECK_MAX_N else None
     log2n = math.log2(n)
     rows, failures = [], []
     for eps in eps_grid:
-        M = eye + eps * F
-        MinvT = (eye - eps * F) / (1.0 - eps * eps)
-        phi_plain = k_slice_quasi_entropy(M, plain_spec, minv_t=MinvT)
-        phi_precond = k_slice_quasi_entropy(M, precond_spec, minv_t=MinvT)
-        phi_hat = k_slice_quasi_entropy(M, hat_spec, minv_t=MinvT)
+        phis = perturbation_potentials(n, eps)
+        if dense is not None:
+            checked = zip(("phi_plain", "phi_precond_id_f", "phi_hat"), phis, dense(eps),
+                          _dense_error_bounds(n, eps))
+            for name, closed, value, bound in checked:
+                if not abs(value - closed) <= bound:
+                    failures.append(
+                        f"{name} closed form {closed!r} is off the dense evaluator's "
+                        f"{value!r} by more than its error bound {bound!r} "
+                        f"at n={n} eps={eps!r}")
+        phi_plain, phi_precond, phi_hat = phis
         denom_plain = eps * eps * n * log2n
         denom_first = eps * n * log2n
         rows.append(
@@ -285,7 +356,10 @@ def cmd_scaling_sweep(args):
     n_grid = args.n_grid
     eps_grid = args.eps_grid
     for n in n_grid:
-        _log2_int(n)
+        if _log2_int(n) < 2:
+            raise ValueError(
+                f"scaling-sweep needs n >= 4, got {n}: at n = 2 the hat potential "
+                "of Id + eps*F is identically 0, so its sign condition cannot hold")
     for eps in eps_grid:
         if _check_eps(eps) == 0.0:
             raise ValueError("scaling-sweep needs eps > 0: the ratios divide by eps")
@@ -293,9 +367,9 @@ def cmd_scaling_sweep(args):
         for eps in eps_grid:
             _warn_asymptotic_regime(n, eps)
 
-    blocks = _pool_map(lambda n: _sweep_point(n, eps_grid), n_grid)
+    blocks = [_sweep_point(n, eps_grid) for n in n_grid]
     rows = [row for block, _ in blocks for row in block]
-    sign_failures = [message for _, failures in blocks for message in failures]
+    failures = [message for _, messages in blocks for message in messages]
     _write_table(args.out, SWEEP_COLUMNS, rows)
 
     for name, idx in (("plain", 4), ("precond-id-f", 7), ("hat-pq", 10)):
@@ -305,9 +379,9 @@ def cmd_scaling_sweep(args):
             f"[{min(ratios)!r}, {max(ratios)!r}] "
             f"spread={max(ratios) / min(ratios)!r}"
         )
-    for message in sign_failures:
+    for message in failures:
         print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if sign_failures else 0
+    return 1 if failures else 0
 
 
 def cmd_verify_lemma(args):

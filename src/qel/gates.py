@@ -93,16 +93,18 @@ class Constant:
 Gate = Rotation | Constant
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateProgram:
-    """A fixed dimension n plus an ordered list of gates."""
+    """A fixed dimension n plus an ordered tuple of gates, checked against n
+    once, when built; frozen, so no gate joins later unchecked."""
 
     n: int
-    gates: list
+    gates: tuple
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "gates", tuple(self.gates))
         self.validate()
 
     def validate(self):

@@ -37,16 +37,21 @@ SLACK = 1e-9  # relative slack allowed when validating instance inequalities
 HOLDS_TOL = 1e-9  # absolute slack on lhs >= rhs
 
 
-@dataclass
+@dataclass(frozen=True)
 class LemmaInstance:
+    """One admissible instance, validated when built.  Frozen, with x and y
+    read-only copies, so the values checked are the values evaluated."""
+
     ell: int
     x: np.ndarray
     y: np.ndarray
     C: float
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        for name in ("x", "y"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.x.shape != (self.ell,) or self.y.shape != (self.ell,):
             raise ValueError(f"x and y must have length ell={self.ell}")
         self.validate()

@@ -28,6 +28,7 @@ import numpy as np
 from .gates import (Constant, GateProgram, Rotation, program_from_text,
                     program_to_text, rotate_rows, verify_well_conditioned)
 from .hadamard import _bit_parity, _log2_int, kron_rotation_layer, wht_matrix
+from .potential import entropy_sum
 
 __all__ = [
     "ROUTE_APPENDIX_B",
@@ -38,6 +39,7 @@ __all__ = [
     "exact_inverse_perturbation",
     "inverse_residual",
     "inverse_residual_norm",
+    "perturbation_potentials",
     "wht_eigenbasis",
     "givens_decompose",
     "synth_perturbation",
@@ -84,6 +86,48 @@ def inverse_residual_norm(eps):
     """Spectral norm of the residual Z: eps^2 / (1 - eps)."""
     eps = _check_eps(eps)
     return eps * eps / (1.0 - eps)
+
+
+def perturbation_potentials(n, eps):
+    """(plain, precond-id-f, hat) potentials of Id + eps*F in O(1) flops.
+
+    F is symmetric with F @ F = Id and entries +-r (r = n^-1/2, half the
+    diagonal +r), so M^-T = (Id - eps*F) / den with den = 1 - eps^2, and
+    each coupled matrix has a few entry classes.  With
+    delta = eps (1 - 1/n) / den and n(n-1) off-diagonal entries:
+
+      plain:        diagonal 1 + eps^2 (1 - 1/n) / den, off -eps^2 / (n den)
+      precond-id-f: diagonal r - delta and -r - delta (n/2 each),
+                    off eps / (n den)
+      hat:          diagonal -2 delta, off 2 eps / (n den)
+
+    The plain diagonal sits near 1, so its term is (1 + dm1) log1p(dm1)
+    with dm1 = eps^2 (1 - 1/n) / den.  The precond-id-f diagonal pair sums
+    to -2r atanh(min(r, delta) / max(r, delta)) / ln 2 - delta log2|r^2 - delta^2|.
+    The hat diagonal is -(n-1) times the off-diagonal value, so the hat
+    classes sum to exactly 2 (n-1) eps log2(n-1) / den, which is 0 at n = 2.
+    """
+    _log2_int(n)
+    eps = _check_eps(eps)
+    nf = float(n)
+    off = nf * (nf - 1.0)
+    den = 1.0 - eps * eps
+    r = nf ** -0.5
+
+    dm1 = eps * eps * (1.0 - 1.0 / nf) / den
+    plain = -(nf * (1.0 + dm1) * math.log1p(dm1) / math.log(2.0)
+              + off * entropy_sum([-eps * eps / (nf * den)]))
+
+    delta = eps * (1.0 - 1.0 / nf) / den
+    if delta == r:  # the r - delta class is exactly 0
+        pair = entropy_sum([-2.0 * r])
+    else:
+        pair = (-2.0 * r * math.atanh(min(r, delta) / max(r, delta)) / math.log(2.0)
+                - delta * (math.log2(abs(r - delta)) + math.log2(r + delta)))
+    precond = -(nf / 2.0 * pair + off * entropy_sum([eps / (nf * den)]))
+
+    hat = 2.0 * (nf - 1.0) * eps * math.log2(nf - 1.0) / den
+    return plain + 0.0, precond + 0.0, hat + 0.0
 
 
 def wht_eigenbasis(n):

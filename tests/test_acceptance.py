@@ -199,7 +199,6 @@ def sweep_rows(tmp_path_factory):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.slow
 def test_criterion_06_endpoint_values_and_scaling_bands(sweep_rows, report):
     hat_zero = all(
         k_slice_quasi_entropy(np.eye(n), hat_wht_spec(n)) == 0.0

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import qel
-from qel import cli, gates, lemma, potential
+from qel import cli, gates, hadamard, lemma, perturb, potential
 from qel.cli import build_potential_spec, format_csv_row, main, worker_count
 from qel.gates import Rotation, load_program, run_program
 from qel.hadamard import fast_wht_program, wht_matrix
@@ -261,11 +262,8 @@ def test_scaling_sweep_deterministic_output(tmp_path, capsys):
 
 def test_scaling_sweep_failures_print_in_grid_order(capsys, monkeypatch):
     # plain potentials come out positive and the others negative, so every
-    # sign condition that applies fails
-    monkeypatch.setattr(
-        cli, "k_slice_quasi_entropy",
-        lambda M, spec, minv_t: 1.0 if spec.is_plain else -1.0)
-    monkeypatch.setenv("QEL_THREADS", "4")
+    # sign condition that applies fails, and every cross-check (n <= 256)
+    monkeypatch.setattr(cli, "perturbation_potentials", lambda n, eps: (1.0, -1.0, -1.0))
     code, _, err = run_cli(
         ["scaling-sweep", "--n-grid", "64 128 256 512", "--eps-grid", "0.25 0.125",
          "--out", os.devnull],
@@ -274,11 +272,83 @@ def test_scaling_sweep_failures_print_in_grid_order(capsys, monkeypatch):
     assert code == 1
     expected = []
     for n in (64, 128, 256, 512):
-        expected += [f"FAIL: phi_plain >= 0 at n={n} eps=0.25",
-                     f"FAIL: phi_plain >= 0 at n={n} eps=0.125",
-                     f"FAIL: phi_precond_id_f <= 0 at n={n} eps=0.125",
-                     f"FAIL: phi_hat <= 0 at n={n} eps=0.125"]
-    assert [line for line in err.splitlines() if line.startswith("FAIL")] == expected
+        for eps in ("0.25", "0.125"):
+            if n <= 256:
+                expected += [
+                    re.escape(f"FAIL: {name} closed form {closed} is off the dense "
+                              "evaluator's ") + r"\S+" + re.escape(" by more than its error bound ")
+                    + r"\S+" + re.escape(f" at n={n} eps={eps}")
+                    for name, closed in (("phi_plain", "1.0"), ("phi_precond_id_f", "-1.0"),
+                                         ("phi_hat", "-1.0"))]
+            expected.append(re.escape(f"FAIL: phi_plain >= 0 at n={n} eps={eps}"))
+            if eps == "0.125":
+                expected += [re.escape(f"FAIL: phi_precond_id_f <= 0 at n={n} eps={eps}"),
+                             re.escape(f"FAIL: phi_hat <= 0 at n={n} eps={eps}")]
+    lines = [line for line in err.splitlines() if line.startswith("FAIL")]
+    assert len(lines) == len(expected)
+    for line, pattern in zip(lines, expected):
+        assert re.fullmatch(pattern, line), (line, pattern)
+
+
+def test_scaling_sweep_cross_check_names_the_point_off_the_dense_evaluator(
+        capsys, monkeypatch):
+    exact = cli.perturbation_potentials
+
+    def perturbed(n, eps):
+        plain, precond, hat = exact(n, eps)
+        return (plain * (1.0 + 1e-8) if eps == 2.0 ** -5 else plain), precond, hat
+
+    monkeypatch.setattr(cli, "perturbation_potentials", perturbed)
+    code, _, err = run_cli(["scaling-sweep", "--n-grid", "64", "--out", os.devnull], capsys)
+    assert code == 1
+    fails = [line for line in err.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL: phi_plain closed form ")
+    assert fails[0].endswith(" at n=64 eps=0.03125")
+
+
+def test_scaling_sweep_is_exact_where_dense_products_lose_every_digit(tmp_path, capsys):
+    # at eps = 2^-30, 1 + eps^2 rounds to 1, so the dense plain value is noise
+    # (-3.6065e-15); this is the entry classes summed in 50-digit decimals
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(["scaling-sweep", "--n-grid", "64", "--eps-grid",
+                          "9.313225746154785e-10", "--out", str(out)], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(out.open())
+    assert float(row["phi_plain"]) == pytest.approx(-3.685324430673102e-15, rel=1e-14, abs=0.0)
+
+
+def test_scaling_sweep_reaches_n_2_40_without_dense_products(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = hadamard.wht_matrix
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (hadamard, cli, perturb, potential):
+        monkeypatch.setattr(module, "wht_matrix", spy)
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run_cli(
+        ["scaling-sweep", "--n-grid", "1099511627776", "--eps-grid", "9.313225746154785e-10",
+         "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    assert calls == []
+    (row,) = csv.DictReader(out.open())
+    for key in ("ratio_plain", "ratio_precond_id_f", "ratio_hat"):
+        assert math.isfinite(float(row[key])) and float(row[key]) > 0.0
+    assert "scaling-sweep hat-pq: ratio range" in stdout
+
+
+@pytest.mark.parametrize("eps", ["0.125", "0.0625", "0.03125"])
+def test_scaling_sweep_rejects_n_below_4(eps, capsys):
+    # the hat potential is identically 0 at n = 2, so its sign (and the hat
+    # spread) would be roundoff at every eps; each must be refused alike
+    code, stdout, err = run_cli(["scaling-sweep", "--n-grid", "2", "--eps-grid", eps], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "needs n >= 4" in err and "identically 0" in err
+    assert "Traceback" not in err
 
 
 def test_thread_cap_does_not_change_results(tmp_path, capsys, monkeypatch):
@@ -296,7 +366,7 @@ def test_thread_cap_does_not_change_results(tmp_path, capsys, monkeypatch):
 def test_invalid_thread_cap_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("QEL_THREADS", "many")
     code, _, err = run_cli(
-        ["scaling-sweep", "--n-grid", "64", "--eps-grid", "0.125"], capsys
+        ["verify-lemma", "--ell-grid", "64", "--instances", "1"], capsys
     )
     assert code == 2
     assert "QEL_THREADS" in err

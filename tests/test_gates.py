@@ -1,5 +1,6 @@
 """Gate model tests: validation, joint state evolution, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_program_text_header_and_comments():
     text = "# produced by hand\nn 4 m 2\nR 1 2 0.5\nC 3 -1.0\n"
     program = program_from_text(text)
     assert program.n == 4
-    assert program.gates == [Rotation(1, 2, 0.5), Constant(3, -1.0)]
+    assert program.gates == (Rotation(1, 2, 0.5), Constant(3, -1.0))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -236,6 +237,16 @@ def test_program_text_header_and_comments():
 def test_program_text_errors_name_their_line(text, message):
     with pytest.raises(ValueError, match=message):
         program_from_text(text)
+
+
+def test_program_refuses_gates_added_after_construction():
+    program = GateProgram(4, [Rotation(1, 2, 0.5)])
+    with pytest.raises(AttributeError):
+        program.gates.append(Rotation(1, 9, 0.3))  # would skip the range check
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.gates = [Rotation(1, 9, 0.3)]
+    assert program.gates == (Rotation(1, 2, 0.5),)
+    run_program(program)
 
 
 def test_program_text_count_mismatch_rejected():

@@ -1,5 +1,6 @@
 """Clustered-mass entropy inequality tests: instances, sampling, campaigns."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,21 @@ def test_instance_validation():
     y = np.full(ell, 0.5 / ell)  # interference 1-norm equals ||x||_1
     with pytest.raises(ValueError, match="exceeds C"):
         LemmaInstance(ell, x, y, 0.125)
+
+
+def test_instance_is_frozen_with_read_only_copies():
+    x = np.full(64, 0.5 / 64)
+    inst = LemmaInstance(64, x, np.zeros(64), 0.0)
+    x[0] = -1.0  # the caller's array is not the instance's
+    assert inst.x[0] == 0.5 / 64
+    inst = sample_instance(64, 0.125, 0.5, 3)
+    before = check_lemma(inst)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.x = -inst.x
+    for values in (inst.x, inst.y):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = -1.0
+    assert check_lemma(inst) == before
 
 
 @pytest.mark.parametrize("ell", [64, 1024])

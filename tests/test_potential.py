@@ -6,7 +6,9 @@ closed forms are re-derived here (independently of the library internals)
 and frozen as the oracle for the generic evaluators.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +24,7 @@ from qel.gates import (
     run_program,
 )
 from qel.hadamard import fast_wht_program, wht_matrix
+from qel.perturb import perturbation_potentials
 from qel.potential import (
     PotentialSpec,
     PotentialTracker,
@@ -216,6 +219,47 @@ def test_perturbation_closed_forms(n, eps):
     assert k_slice_quasi_entropy(M, hat_wht_spec(n), minv_t=MinvT) == pytest.approx(
         closed_form_hat(n, eps), rel=ORACLE_RTOL
     )
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(2, 11)])
+def test_perturbation_potentials_match_closed_form_oracle(n):
+    # below eps = 2^-10 the naive oracle forms lose digits (plain: 2e-2 at 2^-30)
+    for eps in (2.0 ** -j for j in range(2, 11)):
+        plain, precond, hat = perturbation_potentials(n, eps)
+        assert plain == pytest.approx(closed_form_plain(n, eps), rel=ORACLE_RTOL, abs=0.0)
+        assert precond == pytest.approx(closed_form_precond_id_f(n, eps),
+                                        rel=ORACLE_RTOL, abs=0.0)
+        assert hat == pytest.approx(closed_form_hat(n, eps), rel=ORACLE_RTOL, abs=0.0)
+
+
+def decimal_potentials(n, eps):
+    """The entry classes of Id + eps*F summed in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def L(x):
+            return Decimal(0) if x == 0 else x * abs(x).ln() / ln2
+
+        n, eps = Decimal(n), Decimal(eps)
+        den = 1 - eps * eps
+        r = 1 / n.sqrt()
+        delta = eps * (1 - 1 / n) / den
+        off = n * (n - 1)
+        plain = -(n * L(1 + eps * eps * (1 - 1 / n) / den) + off * L(-eps * eps / (n * den)))
+        precond = -(n / 2 * (L(r - delta) + L(-r - delta)) + off * L(eps / (n * den)))
+        hat = -(n * L(-2 * delta) + off * L(2 * eps / (n * den)))
+        return plain, precond, hat
+
+
+@pytest.mark.parametrize("n, eps", [
+    (4, 2.0 ** -30), (4, 0.49), (64, 0.125), (64, 2.0 ** -30), (2 ** 20, 2.0 ** -10),
+    (2 ** 31, 0.3 * 2.0 ** -16), (2 ** 40, 2.0 ** -2), (2 ** 40, 2.0 ** -20), (2 ** 40, 2.0 ** -30),
+])
+def test_perturbation_potentials_match_decimal_reference(n, eps):
+    # (64, 1/8), (2^20, 2^-10) and (2^40, 2^-20) put the r - delta class exactly at 0
+    for got, want in zip(perturbation_potentials(n, eps), decimal_potentials(n, eps)):
+        assert abs((Decimal(got) - want) / want) <= Decimal("1e-14")
 
 
 def test_supplied_inverse_matches_computed_inverse():
