@@ -3,10 +3,11 @@
 Exit status is 0 iff every assertion requested by the subcommand held,
 1 on an assertion or inequality failure, 2 on bad configuration.
 QEL_THREADS caps the threads of verify-lemma (worker_count() instance
-blocks per ell) only.  verify-theorem2 traces its programs serially, and
-scaling-sweep evaluates its grid serially with the O(1) closed forms of
-perturb.perturbation_potentials, cross-checked against dense n x n products
-for n <= CROSS_CHECK_MAX_N.
+blocks per ell) only.  verify-theorem2 traces its programs in a plain loop,
+and scaling-sweep walks its grid in one: perturb.perturbation_potentials
+gives each point's values, and perturb.dense_cross_check checks them
+against dense n x n products for small n.  The CLI formats and reports;
+the mathematics of Id + eps*F lives in perturb.
 """
 
 import argparse
@@ -17,17 +18,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .gates import Rotation, program_to_text, random_program
+from .gates import Rotation, random_program, save_program
 from .hadamard import _log2_int, fast_wht_program, wht_matrix
 from .lemma import C_MAX, ELL_FLOOR, campaign_instance, run_campaign
 from .perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, _check_eps,
-                      perturbation_potentials, synth_perturbation)
+                      dense_cross_check, perturbation_potentials, synth_perturbation)
 from .potential import (
     RECOMPUTE_EVERY,
     PotentialSpec,
-    entropy_sum,
     hat_wht_spec,
-    k_slice_quasi_entropy,
     load_matrices_text,
     trace_potentials,
     write_matrix_text,
@@ -242,116 +241,6 @@ def cmd_run_perturbation(args):
     return 0
 
 
-# Cross-check of the closed forms: below this n the dense evaluator is cheap.
-CROSS_CHECK_MAX_N = 256
-UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _dense_evaluator(n):
-    """eps -> the three potentials of Id + eps*F by dense n x n products."""
-    F = wht_matrix(n)
-    eye = np.eye(n)
-    specs = (PotentialSpec.plain(n), PotentialSpec(n, [(None, F)], label="precond-id-f"),
-             hat_wht_spec(n))
-
-    def evaluate(eps):
-        M = eye + eps * F
-        MinvT = (eye - eps * F) / (1.0 - eps * eps)
-        return [k_slice_quasi_entropy(M, spec, minv_t=MinvT) for spec in specs]
-    return evaluate
-
-
-def _entropy_error(x, e):
-    """sup |L(y) - L(x)| over |y - x| <= e, for L(x) = x log2|x| and e < 0.1."""
-    a = abs(x)
-    if a > e:
-        # |L'(t)| = |log2|t| + 1/ln 2| on [a - e, a + e]
-        return e * (max(-math.log2(a - e), math.log2(a + e)) + 1.0 / math.log(2.0))
-    # t|log2 t| increases on (0, exp(-1)), so |L(y)| and |L(x)| are at most h|log2 h|
-    h = a + e
-    return 2.0 * h * abs(math.log2(h))
-
-
-def _dense_error_bounds(n, eps):
-    """Bounds on |dense - exact| for the three potentials of Id + eps*F.
-
-    An entry of a coupled matrix is x = sum_p Lp * Rp.  Forming it costs at
-    most gamma = (n + 8) u relative to s = sum_p |Lp| |Rp|, with a product
-    factor MF or M^-T F replaced by its sum of absolute terms: one length-n
-    dot product, plus the few roundings of M, M^-T, the slice product and
-    the slice sum.  Per entry class (count c, value x) that moves sum L by
-    at most c * _entropy_error(x, gamma s).  Summing the n^2 terms L(x) adds
-    at most (ceil(log2 n^2) + 32) u sum c|L(x)|: numpy's pairwise sum costs
-    ceil(log2 n^2) + 11 roundings per term (128-term blocks over eight
-    accumulators), log2 and the product a few more, and the closed forms
-    stay within 8 u of the same total.  |M| and den |M^-T| are bounded by
-    1 + eps r on the diagonal and eps r off it (r = n^-1/2, den = 1 - eps^2).
-    """
-    r = n ** -0.5
-    den = 1.0 - eps * eps
-    delta = eps * (1.0 - 1.0 / n) / den
-    gamma = (n + 8) * UNIT_ROUNDOFF
-    diag, off = 1.0 + eps * r, eps * r
-    g = r * (diag + (n - 1) * off)  # bounds sum_k |M_ik| |F_kj| and den sum_k |M^-T_ik| |F_kj|
-    pairs = n * (n - 1)
-    classes = (
-        ((n, 1.0 + eps * eps * (1.0 - 1.0 / n) / den, diag * diag / den),
-         (pairs, -eps * eps / (n * den), off * off / den)),
-        ((n / 2, r - delta, diag * g / den), (n / 2, -r - delta, diag * g / den),
-         (pairs, eps / (n * den), off * g / den)),
-        ((n, -2.0 * delta, 2.0 * diag * g / den),
-         (pairs, 2.0 * eps / (n * den), 2.0 * off * g / den)),
-    )
-    summation = (math.ceil(math.log2(n * n)) + 32) * UNIT_ROUNDOFF
-    return [sum(c * (_entropy_error(x, gamma * s) + summation * abs(entropy_sum([x])))
-                for c, x, s in family)
-            for family in classes]
-
-
-def _sweep_point(n, eps_grid):
-    """(CSV rows, failure messages) of one n over the eps grid, in grid order."""
-    dense = _dense_evaluator(n) if n <= CROSS_CHECK_MAX_N else None
-    log2n = math.log2(n)
-    rows, failures = [], []
-    for eps in eps_grid:
-        phis = perturbation_potentials(n, eps)
-        if dense is not None:
-            checked = zip(("phi_plain", "phi_precond_id_f", "phi_hat"), phis, dense(eps),
-                          _dense_error_bounds(n, eps))
-            for name, closed, value, bound in checked:
-                if not abs(value - closed) <= bound:
-                    failures.append(
-                        f"{name} closed form {closed!r} is off the dense evaluator's "
-                        f"{value!r} by more than its error bound {bound!r} "
-                        f"at n={n} eps={eps!r}")
-        phi_plain, phi_precond, phi_hat = phis
-        denom_plain = eps * eps * n * log2n
-        denom_first = eps * n * log2n
-        rows.append(
-            (
-                n,
-                eps,
-                phi_plain,
-                denom_plain,
-                abs(phi_plain) / denom_plain,
-                phi_precond,
-                denom_first,
-                phi_precond / denom_first,
-                phi_hat,
-                denom_first,
-                phi_hat / denom_first,
-            )
-        )
-        if phi_plain >= 0.0:
-            failures.append(f"phi_plain >= 0 at n={n} eps={eps!r}")
-        if eps <= SIGN_EPS_CAP + 1e-12:
-            if phi_precond <= 0.0:
-                failures.append(f"phi_precond_id_f <= 0 at n={n} eps={eps!r}")
-            if phi_hat <= 0.0:
-                failures.append(f"phi_hat <= 0 at n={n} eps={eps!r}")
-    return rows, failures
-
-
 def cmd_scaling_sweep(args):
     n_grid = args.n_grid
     eps_grid = args.eps_grid
@@ -367,9 +256,27 @@ def cmd_scaling_sweep(args):
         for eps in eps_grid:
             _warn_asymptotic_regime(n, eps)
 
-    blocks = [_sweep_point(n, eps_grid) for n in n_grid]
-    rows = [row for block, _ in blocks for row in block]
-    failures = [message for _, messages in blocks for message in messages]
+    rows, failures = [], []
+    for n in n_grid:
+        cross_check = dense_cross_check(n)
+        log2n = math.log2(n)
+        for eps in eps_grid:
+            phis = perturbation_potentials(n, eps)
+            failures += cross_check(eps, phis)
+            phi_plain, phi_precond, phi_hat = phis
+            denom_plain = eps * eps * n * log2n
+            denom_first = eps * n * log2n
+            rows.append((n, eps,
+                         phi_plain, denom_plain, abs(phi_plain) / denom_plain,
+                         phi_precond, denom_first, phi_precond / denom_first,
+                         phi_hat, denom_first, phi_hat / denom_first))
+            if phi_plain >= 0.0:
+                failures.append(f"phi_plain >= 0 at n={n} eps={eps!r}")
+            if eps <= SIGN_EPS_CAP + 1e-12:
+                if phi_precond <= 0.0:
+                    failures.append(f"phi_precond_id_f <= 0 at n={n} eps={eps!r}")
+                if phi_hat <= 0.0:
+                    failures.append(f"phi_hat <= 0 at n={n} eps={eps!r}")
     _write_table(args.out, SWEEP_COLUMNS, rows)
 
     for name, idx in (("plain", 4), ("precond-id-f", 7), ("hat-pq", 10)):
@@ -446,37 +353,27 @@ def cmd_verify_theorem2(args):
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.programs)
     share, extra = divmod(args.gates, args.programs)
-
-    def one_program(index):
-        rng = np.random.default_rng(seeds[index])
+    # serial: per-gate tracing holds the GIL, so a pool only adds handoffs
+    rows, broken = [], []
+    for index, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         A = _random_preconditioner(args.n, rng)
         B = _random_preconditioner(args.n, rng)
-        spec = PotentialSpec.preconditioned(A, B)
         rotations = share + (index < extra)
         program = random_program(args.n, rotations, max(1, rotations // 10), rng)
-        trajectory = trace_potentials(
-            program,
-            spec,
-            recompute_every=args.recompute_every,
-            check_bounds=False,
-            track_kappa=False,
-        )
-        rows = []
-        violations = []
+        trajectory = trace_potentials(program, PotentialSpec.preconditioned(A, B),
+                                      recompute_every=args.recompute_every,
+                                      check_bounds=False, track_kappa=False)
+        steps = []
         for rec in trajectory.records:
             if not isinstance(rec.gate, Rotation):
                 continue
             ratio = abs(rec.delta) / rec.bound if rec.bound > 1e-300 else 0.0
-            rows.append(
-                (index, rec.t, rec.gate.i, rec.gate.iprime, rec.delta, rec.bound, ratio)
-            )
+            rows.append((index, rec.t, rec.gate.i, rec.gate.iprime, rec.delta, rec.bound, ratio))
             if rec.exceeds_bound:
-                violations.append((index, rec.t))
-        return rows, violations, program, A, B
-
-    # serial: per-gate tracing holds the GIL, so a pool only adds handoffs
-    results = [one_program(index) for index in range(args.programs)]
-    rows = [row for rows_i, _, _, _, _ in results for row in rows_i]
+                steps.append(rec.t)
+        if steps:
+            broken.append((index, steps, program, A, B))
     _write_table(args.out, THEOREM2_COLUMNS, rows)
 
     ratios = np.array([row[6] for row in rows])
@@ -489,24 +386,18 @@ def cmd_verify_theorem2(args):
     for lo, hi, count in zip(edges[:-1], edges[1:], counts):
         print(f"  ratio [{lo:.1f}, {hi:.1f}]: {int(count)}")
 
-    violation_total = 0
-    for index, (rows_i, violations, program, A, B) in enumerate(results):
-        if not violations:
-            continue
-        violation_total += len(violations)
+    for index, steps, program, A, B in broken:
         stem = f"theorem2-violation-program{index}"
-        with open(f"{stem}.gates", "w", encoding="ascii") as fh:
-            fh.write(program_to_text(program))
+        save_program(program, f"{stem}.gates")
         with open(f"{stem}.mats", "w", encoding="ascii") as fh:
             write_matrix_text(fh, A)
             write_matrix_text(fh, B)
-        steps = sorted(t for _, t in violations)
         print(
             f"FAIL: program {index} broke the rotation bound at steps {steps}; "
             f"archived {stem}.gates and {stem}.mats",
             file=sys.stderr,
         )
-    return 1 if violation_total else 0
+    return 1 if broken else 0
 
 
 def _add_recompute_flag(parser):

@@ -18,6 +18,11 @@ n log2 n rotations + n constants).
 
 Plans serialize as the program text format preceded by a metadata line:
 # route=<AppendixB|FastKronecker> n=<n> eps=<eps> kappa=<certificate>
+
+The module also owns the values of Id + eps*F: perturbation_potentials
+gives its three potentials in O(1) from their entry classes, and
+dense_cross_check compares them with dense n x n products for
+n <= CROSS_CHECK_MAX_N under a derived rounding bound.
 """
 
 import math
@@ -28,7 +33,8 @@ import numpy as np
 from .gates import (Constant, GateProgram, Rotation, program_from_text,
                     program_to_text, rotate_rows, verify_well_conditioned)
 from .hadamard import _bit_parity, _log2_int, kron_rotation_layer, wht_matrix
-from .potential import entropy_sum
+from .potential import (PotentialSpec, entropy_sum, hat_wht_spec,
+                        k_slice_quasi_entropy)
 
 __all__ = [
     "ROUTE_APPENDIX_B",
@@ -40,6 +46,7 @@ __all__ = [
     "inverse_residual",
     "inverse_residual_norm",
     "perturbation_potentials",
+    "dense_cross_check",
     "wht_eigenbasis",
     "givens_decompose",
     "synth_perturbation",
@@ -54,6 +61,10 @@ ROUTES = (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER)
 KAPPA_CERT_TOL = 1e-9
 ORTHO_TOL = 1e-9  # givens_decompose input check; its sign residue may be n times this
 REALIZED_TOL_PER_N = 1e-9  # Frobenius budget is this times n
+
+# Cross-check of the closed forms: below this n the dense evaluator is cheap.
+CROSS_CHECK_MAX_N = 256
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _check_eps(eps):
@@ -130,6 +141,88 @@ def perturbation_potentials(n, eps):
     return plain + 0.0, precond + 0.0, hat + 0.0
 
 
+def _entropy_error(x, e):
+    """sup |L(y) - L(x)| over |y - x| <= e, for L(x) = x log2|x| and e < 0.1."""
+    a = abs(x)
+    if a > e:
+        # |L'(t)| = |log2|t| + 1/ln 2| on [a - e, a + e]
+        return e * (max(-math.log2(a - e), math.log2(a + e)) + 1.0 / math.log(2.0))
+    # t|log2 t| increases on (0, exp(-1)), so |L(y)| and |L(x)| are at most h|log2 h|
+    h = a + e
+    return 2.0 * h * abs(math.log2(h))
+
+
+def _dense_error_bounds(n, eps):
+    """Bounds on |dense - exact| for the three potentials of Id + eps*F.
+
+    An entry of a coupled matrix is x = sum_p Lp * Rp.  Forming it costs at
+    most gamma = (n + 8) u relative to s = sum_p |Lp| |Rp|, with a product
+    factor MF or M^-T F replaced by its sum of absolute terms: one length-n
+    dot product, plus the few roundings of M, M^-T, the slice product and
+    the slice sum.  Per entry class (count c, value x) that moves sum L by
+    at most c * _entropy_error(x, gamma s).  Summing the n^2 terms L(x) adds
+    at most (ceil(log2 n^2) + 32) u sum c|L(x)|: numpy's pairwise sum costs
+    ceil(log2 n^2) + 11 roundings per term (128-term blocks over eight
+    accumulators), log2 and the product a few more, and the closed forms
+    stay within 8 u of the same total.  |M| and den |M^-T| are bounded by
+    1 + eps r on the diagonal and eps r off it (r = n^-1/2, den = 1 - eps^2).
+    The entry classes are those of perturbation_potentials.
+    """
+    r = n ** -0.5
+    den = 1.0 - eps * eps
+    delta = eps * (1.0 - 1.0 / n) / den
+    gamma = (n + 8) * UNIT_ROUNDOFF
+    diag, off = 1.0 + eps * r, eps * r
+    g = r * (diag + (n - 1) * off)  # bounds sum_k |M_ik| |F_kj| and den sum_k |M^-T_ik| |F_kj|
+    pairs = n * (n - 1)
+    classes = (
+        ((n, 1.0 + eps * eps * (1.0 - 1.0 / n) / den, diag * diag / den),
+         (pairs, -eps * eps / (n * den), off * off / den)),
+        ((n / 2, r - delta, diag * g / den), (n / 2, -r - delta, diag * g / den),
+         (pairs, eps / (n * den), off * g / den)),
+        ((n, -2.0 * delta, 2.0 * diag * g / den),
+         (pairs, 2.0 * eps / (n * den), 2.0 * off * g / den)),
+    )
+    summation = (math.ceil(math.log2(n * n)) + 32) * UNIT_ROUNDOFF
+    return [sum(c * (_entropy_error(x, gamma * s) + summation * abs(entropy_sum([x])))
+                for c, x, s in family)
+            for family in classes]
+
+
+def dense_cross_check(n):
+    """check(eps, phis) -> failure messages for closed-form potentials of Id + eps*F.
+
+    `phis` is (plain, precond-id-f, hat) as perturbation_potentials returns
+    them.  For n <= CROSS_CHECK_MAX_N, check evaluates the three potentials
+    by dense n x n products (F and Id built once per n) and names each one
+    off its dense value by more than _dense_error_bounds; for larger n it
+    builds nothing and returns no messages.
+    """
+    if n > CROSS_CHECK_MAX_N:
+        return lambda eps, phis: []
+    F = wht_matrix(n)
+    eye = np.eye(n)
+    specs = (PotentialSpec.plain(n), PotentialSpec(n, [(None, F)], label="precond-id-f"),
+             hat_wht_spec(n))
+
+    def check(eps, phis):
+        M = eye + eps * F
+        MinvT = (eye - eps * F) / (1.0 - eps * eps)
+        dense = [k_slice_quasi_entropy(M, spec, minv_t=MinvT) for spec in specs]
+        return [f"{name} closed form {closed!r} is off the dense evaluator's "
+                f"{value!r} by more than its error bound {bound!r} at n={n} eps={eps!r}"
+                for name, closed, value, bound
+                in zip(("phi_plain", "phi_precond_id_f", "phi_hat"), phis, dense,
+                       _dense_error_bounds(n, eps))
+                if not abs(value - closed) <= bound]
+    return check
+
+
+def _eigen_signs(n):
+    """d(i) = (-1)^popcount(i-1), the eigenvalues of F in the basis W."""
+    return 1.0 - 2.0 * _bit_parity(np.arange(n))
+
+
 def wht_eigenbasis(n):
     """(W, d) with F = W diag(d) W^T: W the Kronecker power of the pi/8
     rotation [[cos, -sin], [sin, cos]], d(i) = (-1)^popcount(i-1)."""
@@ -139,7 +232,7 @@ def wht_eigenbasis(n):
     W = np.eye(1)
     for _ in range(k):
         W = np.kron(W, W2)
-    return W, 1.0 - 2.0 * _bit_parity(np.arange(n))
+    return W, _eigen_signs(n)
 
 
 def givens_decompose(orth):
@@ -220,7 +313,7 @@ def synth_perturbation(n, eps, route=ROUTE_FAST_KRONECKER):
     """
     eps = _check_eps(eps)
     wt_gates, w_gates = _basis_gates(n, route)
-    _, d = wht_eigenbasis(n)
+    d = _eigen_signs(n)
     constants = [Constant(i + 1, 1.0 + eps * float(d[i])) for i in range(n)]
     program = GateProgram(n, [*wt_gates, *constants, *w_gates])
 

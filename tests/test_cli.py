@@ -352,14 +352,15 @@ def test_scaling_sweep_rejects_n_below_4(eps, capsys):
 
 
 def test_thread_cap_does_not_change_results(tmp_path, capsys, monkeypatch):
+    # verify-lemma is the one subcommand that pools: 3 threads cut each ell's
+    # 5 instances into three blocks
+    argv = ["verify-lemma", "--ell-grid", "64 128", "--instances", "5", "--seed", "11"]
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     monkeypatch.setenv("QEL_THREADS", "1")
-    run_cli(["scaling-sweep", "--n-grid", "64 128", "--eps-grid", "0.125",
-             "--out", str(serial)], capsys)
+    assert run_cli([*argv, "--out", str(serial)], capsys)[0] == 0
     monkeypatch.setenv("QEL_THREADS", "3")
     assert worker_count() == 3
-    run_cli(["scaling-sweep", "--n-grid", "64 128", "--eps-grid", "0.125",
-             "--out", str(pooled)], capsys)
+    assert run_cli([*argv, "--out", str(pooled)], capsys)[0] == 0
     assert serial.read_bytes() == pooled.read_bytes()
 
 

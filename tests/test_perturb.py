@@ -6,17 +6,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qel import perturb
 from qel.gates import Constant, Rotation, program_matrix
 from qel.hadamard import wht_matrix
 from qel.perturb import (
     ROUTE_APPENDIX_B,
     ROUTE_FAST_KRONECKER,
+    dense_cross_check,
     exact_inverse_perturbation,
     givens_decompose,
     inverse_residual,
     inverse_residual_norm,
     load_plan,
     perturbation_matrix,
+    perturbation_potentials,
     save_plan,
     synth_perturbation,
     wht_eigenbasis,
@@ -169,3 +172,28 @@ def test_perturbation_steps_have_small_rotations():
     plan = synth_perturbation(16, 0.125, ROUTE_FAST_KRONECKER)
     thetas = {abs(g.theta) for g in plan.program.gates if isinstance(g, Rotation)}
     assert thetas == {math.pi / 8}
+
+
+@pytest.mark.parametrize("route, builds", [(ROUTE_FAST_KRONECKER, 0), (ROUTE_APPENDIX_B, 1)])
+def test_synthesis_builds_the_dense_eigenbasis_only_for_givens(route, builds, monkeypatch):
+    # the fast route needs only the eigenvalue signs; Appendix-B factors W once
+    calls = []
+    real = perturb.wht_eigenbasis
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(perturb, "wht_eigenbasis", spy)
+    synth_perturbation(8, 0.125, route)
+    assert calls == [8] * builds
+
+
+def test_dense_cross_check_names_the_one_value_off():
+    eps = 2.0 ** -5
+    plain, precond, hat = perturbation_potentials(64, eps)
+    messages = dense_cross_check(64)(eps, (plain * (1.0 + 1e-8), precond, hat))
+    assert len(messages) == 1
+    assert messages[0].startswith(f"phi_plain closed form {plain * (1.0 + 1e-8)!r} ")
+    assert messages[0].endswith(" at n=64 eps=0.03125")
+

@@ -1,6 +1,7 @@
 """Public names: the package re-exports, and the functions the benchmark
 tracer (perfbench/tracing.py) wraps by name."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,29 @@ from qel import cli, gates, hadamard, lemma, perturb, potential
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = (gates, hadamard, lemma, perturb, potential)
+PACKAGE = Path(qel.__file__).resolve().parent
+
+# Every parameter with a default, as (module, function, parameter).  A new
+# knob is a visible edit to this list.
+KEYWORD_DEFAULTS = [
+    ("cli", "build_potential_spec", "slices_path"),
+    ("cli", "main", "argv"),
+    ("gates", "run_program", "observers"),
+    ("gates", "verify_well_conditioned", "exhaustive"),
+    ("gates", "KappaCertifier.__init__", "final_step"),
+    ("gates", "KappaCertifier.__init__", "exhaustive"),
+    ("perturb", "synth_perturbation", "route"),
+    ("potential", "_as_square", "name"),
+    ("potential", "_slice_products", "copy"),
+    ("potential", "_coupled", "rows"),
+    ("potential", "k_slice_quasi_entropy", "minv_t"),
+    ("potential", "quasi_entropy", "minv_t"),
+    ("potential", "preconditioned_quasi_entropy", "minv_t"),
+    ("potential", "hat_quasi_entropy", "minv_t"),
+    ("potential", "trace_potentials", "recompute_every"),
+    ("potential", "trace_potentials", "check_bounds"),
+    ("potential", "trace_potentials", "track_kappa"),
+]
 
 
 def test_package_exports_the_union_of_the_module_lists():
@@ -32,6 +56,35 @@ def test_module_lists_every_public_function_and_class_it_defines(module):
                and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__}
     assert defined <= set(module.__all__)
+
+
+def keyword_defaults(path):
+    """(module, qualified function name, parameter) for each default in one file."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = scope + getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                named = positional[len(positional) - len(args.defaults):]
+                named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+                found.extend((path.stem, name, arg.arg) for arg in named)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + child.name + ".")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_keyword_defaults_are_the_listed_ones():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in keyword_defaults(path)]
+    assert sorted(found) == sorted(KEYWORD_DEFAULTS)
 
 
 def load_tracing():
