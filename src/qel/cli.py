@@ -19,15 +19,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .gates import Rotation, random_program, save_program
-from .hadamard import _log2_int, fast_wht_program, wht_matrix
+from .hadamard import _log2_int, fast_wht_program
 from .lemma import C_MAX, ELL_FLOOR, campaign_instance, run_campaign
 from .perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, _check_eps,
                       dense_cross_check, perturbation_potentials, synth_perturbation)
 from .potential import (
+    NAMED_POTENTIALS,
     RECOMPUTE_EVERY,
     PotentialSpec,
-    hat_wht_spec,
     load_matrices_text,
+    named_spec,
     trace_potentials,
     write_matrix_text,
 )
@@ -146,26 +147,20 @@ def _warn_asymptotic_regime(n, eps):
         )
 
 
-def build_potential_spec(kind, n, slices_path=None):
-    """Resolve a --potential flag value into a PotentialSpec."""
-    if kind == "plain":
-        return PotentialSpec.plain(n)
-    if kind == "precond-id-f":
-        return PotentialSpec(n, [(None, wht_matrix(n))], label="precond-id-f")
-    if kind == "hat-pq":
-        return hat_wht_spec(n)
-    if kind == "k-slice":
-        if slices_path is None:
-            raise ValueError("--potential k-slice requires --slices <file>")
-        mats = load_matrices_text(slices_path)
-        if not mats or len(mats) % 2 != 0:
-            raise ValueError(
-                "slices file must hold an even, positive number of matrices "
-                "(A1, B1, A2, B2, ...)"
-            )
-        pairs = list(zip(mats[0::2], mats[1::2]))
-        return PotentialSpec(n, pairs, label="k-slice")
-    raise ValueError(f"unknown potential kind {kind!r}")
+def build_potential_spec(kind, n, slices_path):
+    """Resolve --potential: a named kind, or k-slice pairs from --slices."""
+    if kind != "k-slice":
+        return named_spec(kind, n)
+    if slices_path is None:
+        raise ValueError("--potential k-slice requires --slices <file>")
+    mats = load_matrices_text(slices_path)
+    if not mats or len(mats) % 2 != 0:
+        raise ValueError(
+            "slices file must hold an even, positive number of matrices "
+            "(A1, B1, A2, B2, ...)"
+        )
+    pairs = list(zip(mats[0::2], mats[1::2]))
+    return PotentialSpec(n, pairs, label="k-slice")
 
 
 def trajectory_rows(trajectory):
@@ -279,7 +274,7 @@ def cmd_scaling_sweep(args):
                     failures.append(f"phi_hat <= 0 at n={n} eps={eps!r}")
     _write_table(args.out, SWEEP_COLUMNS, rows)
 
-    for name, idx in (("plain", 4), ("precond-id-f", 7), ("hat-pq", 10)):
+    for name, idx in zip(NAMED_POTENTIALS, (4, 7, 10)):
         ratios = [row[idx] for row in rows]
         print(
             f"scaling-sweep {name}: ratio range "
@@ -413,7 +408,7 @@ def _add_recompute_flag(parser):
 def _add_trace_flags(parser):
     parser.add_argument(
         "--potential",
-        choices=("plain", "precond-id-f", "hat-pq", "k-slice"),
+        choices=(*NAMED_POTENTIALS, "k-slice"),
         default="plain",
         help="which quasi-entropy functional to trace",
     )

@@ -5,8 +5,10 @@ vector to the current register contents.  A rotation gate left-multiplies
 M by a plane rotation touching two rows; a constant gate rescales one row
 by a nonzero scalar.  The inverse-transpose of M is evolved jointly (the
 same rotation applies to it, a row scaling applies with 1/c), which keeps
-every step O(n) instead of the O(n^3) a re-inversion would cost.  Gates
-are validated once, when built, so run_program only applies gates.
+every step O(n) instead of the O(n^3) a re-inversion would cost.  That
+rule is written once, in _apply_to_pair, which apply_gate runs on (M, M^-T)
+and the potential tracker on each cached (M A_p, M^-T B_p).
+Gates are validated once, when built, so run_program only applies gates.
 
 Programs serialize to a plain text format: a header line ``n <dim> m
 <count>`` followed by one line per gate, ``R <i> <i'> <theta>`` or
@@ -151,24 +153,29 @@ def rotate_rows(X, i, ip, c, s):
     X[ip] = new_ip
 
 
-def apply_gate(state, gate):
-    """Apply one gate to the state in place; returns the same state.
+def _apply_to_pair(gate, X, Y):
+    """Apply one gate in place to a matrix X and its dual Y.
 
-    Rotations touch rows (i, iprime) of both M and MinvT identically
-    (plane rotations are orthogonal, so the inverse-transpose rotates the
-    same way).  A constant gate scales row i of M by c and row i of MinvT
-    by 1/c.  O(n) per call.  The gate is not validated here: a row beyond
-    n raises IndexError before either matrix is written.
+    A rotation turns rows (i, iprime) of both identically (plane rotations
+    are orthogonal, so the inverse-transpose rotates the same way); a
+    constant gate scales row i of X by c and row i of Y by 1/c.  O(n) per
+    call.  The gate is not validated here: a row beyond n raises
+    IndexError before either matrix is written.
     """
     if isinstance(gate, Rotation):
         i, ip = gate.i - 1, gate.iprime - 1
         c, s = math.cos(gate.theta), math.sin(gate.theta)
-        rotate_rows(state.M, i, ip, c, s)
-        rotate_rows(state.MinvT, i, ip, c, s)
+        rotate_rows(X, i, ip, c, s)
+        rotate_rows(Y, i, ip, c, s)
     else:
         i = gate.i - 1
-        state.M[i] *= gate.c
-        state.MinvT[i] *= 1.0 / gate.c
+        X[i] *= gate.c
+        Y[i] *= 1.0 / gate.c
+
+
+def apply_gate(state, gate):
+    """Apply one gate to (M, MinvT) in place; returns the same state."""
+    _apply_to_pair(gate, state.M, state.MinvT)
     state.t += 1
     return state
 

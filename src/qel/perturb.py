@@ -33,8 +33,8 @@ import numpy as np
 from .gates import (Constant, GateProgram, Rotation, program_from_text,
                     program_to_text, rotate_rows, verify_well_conditioned)
 from .hadamard import _bit_parity, _log2_int, kron_rotation_layer, wht_matrix
-from .potential import (PotentialSpec, entropy_sum, hat_wht_spec,
-                        k_slice_quasi_entropy)
+from .potential import (NAMED_POTENTIALS, entropy_sum, k_slice_quasi_entropy,
+                        named_spec)
 
 __all__ = [
     "ROUTE_APPENDIX_B",
@@ -194,16 +194,15 @@ def dense_cross_check(n):
 
     `phis` is (plain, precond-id-f, hat) as perturbation_potentials returns
     them.  For n <= CROSS_CHECK_MAX_N, check evaluates the three potentials
-    by dense n x n products (F and Id built once per n) and names each one
-    off its dense value by more than _dense_error_bounds; for larger n it
-    builds nothing and returns no messages.
+    by dense n x n products (the named specs, F and Id built once per n) and
+    names each one off its dense value by more than _dense_error_bounds; for
+    larger n it builds nothing and returns no messages.
     """
     if n > CROSS_CHECK_MAX_N:
         return lambda eps, phis: []
-    F = wht_matrix(n)
+    specs = [named_spec(kind, n) for kind in NAMED_POTENTIALS]
+    F = specs[1].slices[0][1]  # precond-id-f's B slot is the transform itself
     eye = np.eye(n)
-    specs = (PotentialSpec.plain(n), PotentialSpec(n, [(None, F)], label="precond-id-f"),
-             hat_wht_spec(n))
 
     def check(eps, phis):
         M = eye + eps * F
@@ -303,7 +302,7 @@ def _basis_gates(n, route):
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
-def synth_perturbation(n, eps, route=ROUTE_FAST_KRONECKER):
+def synth_perturbation(n, eps, route):
     """Emit and verify a program computing Id + eps*F.
 
     Gate order: the gates of W^T, then n constant gates 1 + eps*D(i,i),

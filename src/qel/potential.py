@@ -10,14 +10,17 @@ L(0) = 0.  For a nonsingular matrix M with inverse-transpose N:
 The hat potential takes n-by-2n preconditioners P, Q and couples column j
 with column j+n inside the kernel; it is exactly the k-slice potential of
 the two column blocks.  A PotentialSpec holds the slice pairs (None in a
-slot means the identity, which skips a product).
+slot means the identity, which skips a product); named_spec builds the
+kinds the CLI names (NAMED_POTENTIALS).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products.  trace_potentials resyncs the tracker every
-`recompute_every` gates and at the endpoint.  A resync raises on inverse
-drift beyond DRIFT_TOL first (a from-scratch value on a wrong inverse
-means nothing), then on a from-scratch value off by more than DESYNC_TOL.
+gate from cached products, which it moves with the engine's gate action
+(gates._apply_to_pair) and builds in one place (_value_and_caches).
+trace_potentials resyncs the tracker every `recompute_every` gates and at
+the endpoint.  A resync raises on inverse drift beyond DRIFT_TOL first (a
+from-scratch value on a wrong inverse means nothing), then on a
+from-scratch value off by more than DESYNC_TOL.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import (KappaCertifier, Rotation, TrackedState, inverse_drift,
-                    rotate_rows, run_program)
+from .gates import (KappaCertifier, Rotation, TrackedState, _apply_to_pair,
+                    inverse_drift, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -38,10 +41,9 @@ __all__ = [
     "TraceRecord",
     "Trajectory",
     "quasi_entropy",
-    "preconditioned_quasi_entropy",
     "hat_quasi_entropy",
     "k_slice_quasi_entropy",
-    "hat_wht_spec",
+    "named_spec",
     "rotation_delta_bound",
     "trace_potentials",
     "write_matrix_text",
@@ -54,6 +56,7 @@ BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
 DRIFT_TOL = 1e-8   # max entry of M^T @ MinvT - Id at a resync
 DESYNC_TOL = 1e-6  # from-scratch evaluation vs the tracker's running value
 RECOMPUTE_EVERY = 1024
+NAMED_POTENTIALS = ("plain", "precond-id-f", "hat-pq")  # the kinds named_spec builds
 
 
 def entropy_sum(values):
@@ -142,18 +145,22 @@ class PotentialSpec:
                        (P[:, n:].copy(), Q[:, n:].copy())], label="hat")
 
 
-def hat_wht_spec(n):
-    """The hat spec with P = [Id, -F], Q = [F, Id] (F = wht_matrix(n)),
-    stored as two identity-aware slices so M @ Id is never materialized."""
+def named_spec(kind, n):
+    """The spec of a named potential at size n, F = wht_matrix(n): plain;
+    precond-id-f, the pair (Id, F); hat-pq, P = [Id, -F], Q = [F, Id] as two
+    identity-aware slices so M @ Id is never materialized."""
+    if kind not in NAMED_POTENTIALS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    if kind == "plain":
+        return PotentialSpec.plain(n)
     F = wht_matrix(n)
-    return PotentialSpec(n, [(None, F), (-F, None)], label="hat-pq")
+    slices = [(None, F)] if kind == "precond-id-f" else [(None, F), (-F, None)]
+    return PotentialSpec(n, slices, label=kind)
 
 
-def _slice_products(M, N, spec, copy=False):
-    """[(M A_p, N B_p)]; an identity slot is M or N itself unless `copy`
-    (a tracker mutates its caches in place)."""
-    return [((M.copy() if copy else M) if A is None else M @ A,
-             (N.copy() if copy else N) if B is None else N @ B)
+def _slice_products(M, N, spec):
+    """[(M A_p, N B_p)]; an identity slot is M or N itself."""
+    return [(M if A is None else M @ A, N if B is None else N @ B)
             for A, B in spec.slices]
 
 
@@ -186,15 +193,6 @@ def quasi_entropy(M, minv_t=None):
     return k_slice_quasi_entropy(M, PotentialSpec.plain(M.shape[0]), minv_t)
 
 
-def preconditioned_quasi_entropy(M, A, B, minv_t=None):
-    """Phi_{A,B}(M); A or B may be None for the identity."""
-    M = _as_square(M)
-    n = M.shape[0]
-    spec = (PotentialSpec.plain(n) if A is None and B is None
-            else PotentialSpec.preconditioned(A, B))
-    return k_slice_quasi_entropy(M, spec, minv_t)
-
-
 def hat_quasi_entropy(M, P, Q, minv_t=None):
     """Hat potential over n-by-2n preconditioners; equals the k-slice
     potential of the two column blocks, exactly."""
@@ -222,6 +220,17 @@ def rotation_delta_bound(state, spec, i, iprime):
     return _rotation_bound(spec, products, slice(None))
 
 
+def _value_and_caches(state, spec):
+    """(potential, caches) of `state` for a tracker, which mutates its caches
+    in place: the identity slots are copied only after the value is taken, so
+    the copies are not live while entropy_sum runs."""
+    products = _slice_products(state.M, state.MinvT, spec)
+    value = _value(products)
+    return value, [(Lp.copy() if Lp is state.M else Lp,
+                    Rp.copy() if Rp is state.MinvT else Rp)
+                   for Lp, Rp in products]
+
+
 class PotentialTracker:
     """Incremental quasi-entropy along a gate program.
 
@@ -238,8 +247,7 @@ class PotentialTracker:
         if state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
-        self.products = _slice_products(state.M, state.MinvT, spec, copy=True)
-        self.value = _value(self.products)
+        self.value, self.products = _value_and_caches(state, spec)
 
     def rotation_bound(self, i, iprime):
         """rotation_delta_bound from the caches, O(n)."""
@@ -247,24 +255,15 @@ class PotentialTracker:
 
     def advance(self, gate):
         """Apply one gate to the caches; returns the potential change."""
-        rotation = isinstance(gate, Rotation)
-        i = gate.i - 1
-        if rotation:
-            ip = gate.iprime - 1
-            c, s = math.cos(gate.theta), math.sin(gate.theta)
-            rows = [i, ip]
+        if isinstance(gate, Rotation):
+            rows = [gate.i - 1, gate.iprime - 1]
         elif self.spec.is_plain:
             rows = None  # the scalings of row i cancel inside the kernel
         else:
-            rows = [i]
+            rows = [gate.i - 1]
         before = 0.0 if rows is None else entropy_sum(_coupled(self.products, rows))
         for Lp, Rp in self.products:
-            if rotation:
-                rotate_rows(Lp, i, ip, c, s)
-                rotate_rows(Rp, i, ip, c, s)
-            else:
-                Lp[i] *= gate.c
-                Rp[i] *= 1.0 / gate.c
+            _apply_to_pair(gate, Lp, Rp)
         if rows is None:
             delta = 0.0
         else:
@@ -283,17 +282,12 @@ class PotentialTracker:
         if drift > DRIFT_TOL:
             raise RuntimeError(
                 f"step {state.t}: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
-        products = _slice_products(state.M, state.MinvT, self.spec)
-        direct = _value(products)
+        direct, products = _value_and_caches(state, self.spec)
         if abs(direct - self.value) > DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
                 f"incremental {self.value!r} vs direct {direct!r}")
-        self.value = direct
-        # copy the identity slots only now, so they are not live while entropy_sum runs
-        self.products = [(Lp.copy() if Lp is state.M else Lp,
-                          Rp.copy() if Rp is state.MinvT else Rp)
-                         for Lp, Rp in products]
+        self.value, self.products = direct, products
         return direct
 
 
@@ -400,6 +394,8 @@ def _parse_matrix_blocks(tokens):
         if tokens[pos] != "n" or pos + 3 > len(tokens):
             raise ValueError("expected matrix header 'n <rows> <cols>'")
         rows, cols = int(tokens[pos + 1]), int(tokens[pos + 2])
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix header 'n {rows} {cols}' needs rows and cols >= 1")
         pos += 3
         count = rows * cols
         if pos + count > len(tokens):

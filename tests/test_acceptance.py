@@ -34,8 +34,8 @@ from qel.perturb import (
 )
 from qel.potential import (
     PotentialSpec,
-    hat_wht_spec,
     k_slice_quasi_entropy,
+    named_spec,
     quasi_entropy,
     rotation_delta_bound,
     trace_potentials,
@@ -201,7 +201,7 @@ def sweep_rows(tmp_path_factory):
 
 def test_criterion_06_endpoint_values_and_scaling_bands(sweep_rows, report):
     hat_zero = all(
-        k_slice_quasi_entropy(np.eye(n), hat_wht_spec(n)) == 0.0
+        k_slice_quasi_entropy(np.eye(n), named_spec("hat-pq", n)) == 0.0
         for n in (64, 256)
     )
     signs = all(
@@ -236,7 +236,7 @@ def test_criterion_07_per_step_hat_drift_stability(report):
     for n in (64, 128, 256, 512):
         plan = synth_perturbation(n, eps, ROUTE_FAST_KRONECKER)
         trajectory = trace_potentials(
-            plan.program, hat_wht_spec(n), track_kappa=False
+            plan.program, named_spec("hat-pq", n), track_kappa=False
         )
         ratios[n] = trajectory.max_abs_delta / denom
     spread = max(ratios.values()) / min(ratios.values())
@@ -261,7 +261,7 @@ def test_criterion_08_incremental_tracking_fidelity(report):
 
     plan = synth_perturbation(256, 2.0 ** -6, ROUTE_FAST_KRONECKER)
     trajectory = trace_potentials(
-        plan.program, hat_wht_spec(256), recompute_every=10 ** 9,
+        plan.program, named_spec("hat-pq", 256), recompute_every=10 ** 9,
         track_kappa=False,
     )
     checks.append(abs(trajectory.final_value - trajectory.direct_final))

@@ -1,5 +1,6 @@
 """Command-line driver tests: golden traces, determinism, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -19,8 +20,9 @@ from qel.cli import build_potential_spec, format_csv_row, main, worker_count
 from qel.gates import Rotation, load_program, run_program
 from qel.hadamard import fast_wht_program, wht_matrix
 from qel.lemma import LemmaInstance, lemma_lhs, lemma_rhs
-from qel.potential import (PotentialSpec, k_slice_quasi_entropy, load_matrices_text,
-                           trace_potentials, write_matrix_text)
+from qel.potential import (NAMED_POTENTIALS, PotentialSpec, k_slice_quasi_entropy,
+                           load_matrices_text, named_spec, trace_potentials,
+                           write_matrix_text)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_WHT = [2, 4]
@@ -148,7 +150,7 @@ def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys,
     assert drift_steps == steps
     direct = float(re.search(r"direct=(\S+)", stdout)[1])
     final = run_program(fast_wht_program(8))
-    expected = k_slice_quasi_entropy(final.M, build_potential_spec("precond-id-f", 8),
+    expected = k_slice_quasi_entropy(final.M, named_spec("precond-id-f", 8),
                                      minv_t=final.MinvT)
     assert abs(direct - expected) <= potential.DESYNC_TOL
 
@@ -326,7 +328,7 @@ def test_scaling_sweep_reaches_n_2_40_without_dense_products(tmp_path, capsys, m
         calls.append(n)
         return real(n)
 
-    for module in (hadamard, cli, perturb, potential):
+    for module in (hadamard, perturb, potential):
         monkeypatch.setattr(module, "wht_matrix", spy)
     out = tmp_path / "sweep.csv"
     code, stdout, err = run_cli(
@@ -588,10 +590,35 @@ def test_missing_slices_file_is_config_error(capsys):
 
 
 def test_build_potential_spec_labels():
-    assert build_potential_spec("plain", 4).label == "plain"
-    assert build_potential_spec("hat-pq", 4).label == "hat-pq"
+    assert build_potential_spec("plain", 4, None).label == "plain"
+    assert build_potential_spec("hat-pq", 4, None).label == "hat-pq"
+    for kind in NAMED_POTENTIALS:
+        assert build_potential_spec(kind, 4, None).label == kind
     with pytest.raises(ValueError):
-        build_potential_spec("mystery", 4)
+        build_potential_spec("mystery", 4, None)
+    for command in ("run-wht", "run-perturbation"):
+        assert potential_choices(command) == (*NAMED_POTENTIALS, "k-slice")
+
+
+def potential_choices(command):
+    """The --potential choices of one subcommand's parser."""
+    subparsers, = (action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    flag, = (action for action in subparsers.choices[command]._actions
+             if action.dest == "potential")
+    return tuple(flag.choices)
+
+
+@pytest.mark.parametrize("header", ["n 0 3", "n -1 2\n1.0 2.0"],
+                         ids=["zero-rows", "negative-rows"])
+def test_k_slice_file_with_a_non_positive_size_is_config_error(header, tmp_path, capsys):
+    slices = tmp_path / "slices.txt"
+    slices.write_text(header + "\n")
+    code, _, err = run_cli(["run-wht", "--n", "4", "--potential", "k-slice",
+                            "--slices", str(slices)], capsys)
+    assert code == 2
+    size = header.split("\n")[0]
+    assert f"matrix header '{size}' needs rows and cols >= 1" in err
 
 
 def test_format_csv_row_conventions():

@@ -16,6 +16,7 @@ import pytest
 
 from qel.gates import (
     Constant,
+    GateProgram,
     KappaCertifier,
     Rotation,
     TrackedState,
@@ -26,15 +27,15 @@ from qel.gates import (
 from qel.hadamard import fast_wht_program, wht_matrix
 from qel.perturb import perturbation_potentials
 from qel.potential import (
+    NAMED_POTENTIALS,
     PotentialSpec,
     PotentialTracker,
     entropy_sum,
     hat_quasi_entropy,
-    hat_wht_spec,
     k_slice_quasi_entropy,
     load_matrices_text,
     load_matrix_text,
-    preconditioned_quasi_entropy,
+    named_spec,
     quasi_entropy,
     rotation_delta_bound,
     save_matrix_text,
@@ -162,7 +163,7 @@ def test_preconditioned_matches_manual_sum():
     MinvT = np.linalg.inv(M).T
     s = (M @ A) * (MinvT @ B)
     manual = -sum(L(v) for v in s.ravel())
-    assert preconditioned_quasi_entropy(M, A, B) == pytest.approx(manual, rel=1e-12)
+    assert k_slice_quasi_entropy(M, PotentialSpec.preconditioned(A, B)) == pytest.approx(manual, rel=1e-12)
 
 
 def test_hat_matches_manual_column_coupling():
@@ -185,13 +186,13 @@ def test_hat_wht_spec_matches_explicit_blocks():
     Q = np.hstack([F, np.eye(n)])
     rng = np.random.default_rng(35)
     M = rng.standard_normal((n, n)) + 3 * np.eye(n)
-    via_spec = k_slice_quasi_entropy(M, hat_wht_spec(n))
+    via_spec = k_slice_quasi_entropy(M, named_spec("hat-pq", n))
     npt.assert_allclose(via_spec, hat_quasi_entropy(M, P, Q), rtol=1e-10)
 
 
 def test_hat_potential_zero_at_identity_and_at_transform():
     for n in (2, 8, 64):
-        spec = hat_wht_spec(n)
+        spec = named_spec("hat-pq", n)
         F = wht_matrix(n)
         assert k_slice_quasi_entropy(np.eye(n), spec) == 0.0
         # with the exact inverse the two slice terms cancel pointwise
@@ -202,7 +203,7 @@ def test_hat_potential_zero_at_identity_and_at_transform():
 def test_precond_id_f_zero_at_identity():
     for n in (2, 8, 64):
         F = wht_matrix(n)
-        assert preconditioned_quasi_entropy(np.eye(n), None, F) == 0.0
+        assert k_slice_quasi_entropy(np.eye(n), PotentialSpec.preconditioned(None, F)) == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -213,10 +214,10 @@ def test_perturbation_closed_forms(n, eps):
     assert quasi_entropy(M, minv_t=MinvT) == pytest.approx(
         closed_form_plain(n, eps), rel=ORACLE_RTOL
     )
-    assert preconditioned_quasi_entropy(M, None, F, minv_t=MinvT) == pytest.approx(
+    assert k_slice_quasi_entropy(M, PotentialSpec.preconditioned(None, F), minv_t=MinvT) == pytest.approx(
         closed_form_precond_id_f(n, eps), rel=ORACLE_RTOL
     )
-    assert k_slice_quasi_entropy(M, hat_wht_spec(n), minv_t=MinvT) == pytest.approx(
+    assert k_slice_quasi_entropy(M, named_spec("hat-pq", n), minv_t=MinvT) == pytest.approx(
         closed_form_hat(n, eps), rel=ORACLE_RTOL
     )
 
@@ -321,7 +322,7 @@ def test_constant_gate_leaves_every_potential_unchanged():
     specs = [
         PotentialSpec.plain(n),
         PotentialSpec(n, [(None, F)], label="precond-id-f"),
-        hat_wht_spec(n),
+        named_spec("hat-pq", n),
     ]
     state = TrackedState.identity(n)
     for gate in random_program(n, 30, 0, rng).gates:
@@ -386,7 +387,7 @@ def test_trace_telescoping_and_endpoint():
 def test_trace_reports_bounds_only_for_single_slice_specs():
     program = fast_wht_program(8)
     plain = trace_potentials(program, PotentialSpec.plain(8))
-    hat = trace_potentials(program, hat_wht_spec(8))
+    hat = trace_potentials(program, named_spec("hat-pq", 8))
     rotation_records = [r for r in plain.records if isinstance(r.gate, Rotation)]
     assert all(r.bound is not None for r in rotation_records)
     assert all(r.bound is None for r in hat.records)
@@ -396,16 +397,16 @@ def test_trace_reports_bounds_only_for_single_slice_specs():
 def test_hat_potential_is_exactly_zero_on_orthogonal_states(n):
     # M^-T = M, so the slices M o (M F) and (M (-F)) o M cancel entrywise
     Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
-    assert k_slice_quasi_entropy(Q, hat_wht_spec(n), minv_t=Q) == 0.0
+    assert k_slice_quasi_entropy(Q, named_spec("hat-pq", n), minv_t=Q) == 0.0
 
 
 def test_hat_potential_stays_zero_along_rotation_only_programs():
     n = 16
     program = random_program(n, 300, 0, np.random.default_rng(43))
-    trajectory = trace_potentials(program, hat_wht_spec(n), recompute_every=64)
+    trajectory = trace_potentials(program, named_spec("hat-pq", n), recompute_every=64)
     assert all(r.potential == 0.0 and r.delta == 0.0 for r in trajectory.records)
     state = run_program(program)
-    assert k_slice_quasi_entropy(state.M, hat_wht_spec(n), minv_t=state.MinvT) == 0.0
+    assert k_slice_quasi_entropy(state.M, named_spec("hat-pq", n), minv_t=state.MinvT) == 0.0
 
 
 def test_trace_kappa_column_matches_exhaustive_certifier():
@@ -451,3 +452,42 @@ def test_matrix_text_truncation_rejected(tmp_path):
     path.write_text("n 2 2\n1.0 2.0\n3.0\n")
     with pytest.raises(ValueError, match="truncated"):
         load_matrices_text(path)
+
+
+@pytest.mark.parametrize("text, header", [("n 0 3\n", "n 0 3"),
+                                          ("n -1 2\n1.0 2.0\n", "n -1 2")],
+                         ids=["zero-rows", "negative-rows"])
+def test_matrix_text_non_positive_sizes_rejected(text, header, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"matrix header '{header}' needs rows and cols >= 1"):
+        load_matrices_text(path)
+
+
+@pytest.mark.parametrize("kind", NAMED_POTENTIALS)
+def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
+    # the tracker moves its caches with the engine's own gate action, so
+    # an identity slot equals M or M^-T exactly, not merely within roundoff
+    rng = np.random.default_rng(44)
+    n = 8
+    program = random_program(n, 60, 20, rng)
+    flips = [Constant(int(i), -1.0) for i in rng.integers(1, n + 1, size=10)]
+    gates = [*program.gates, *flips]
+    mixed = GateProgram(n, [gates[j] for j in rng.permutation(len(gates))])
+    assert any(isinstance(g, Constant) and abs(g.c) != 1.0 for g in mixed.gates)
+    spec = named_spec(kind, n)
+    tracker = PotentialTracker(spec, TrackedState.identity(n))
+    checked = []
+
+    def observer(t, gate, state):
+        tracker.advance(gate)
+        for (A, B), (Lp, Rp) in zip(spec.slices, tracker.products):
+            if A is None:
+                assert Lp is not state.M and np.array_equal(Lp, state.M)
+                checked.append(t)
+            if B is None:
+                assert Rp is not state.MinvT and np.array_equal(Rp, state.MinvT)
+                checked.append(t)
+
+    run_program(mixed, observers=[observer])
+    assert len(checked) >= len(mixed)

@@ -2,10 +2,12 @@
 tracer (perfbench/tracing.py) wraps by name."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -20,19 +22,15 @@ PACKAGE = Path(qel.__file__).resolve().parent
 # Every parameter with a default, as (module, function, parameter).  A new
 # knob is a visible edit to this list.
 KEYWORD_DEFAULTS = [
-    ("cli", "build_potential_spec", "slices_path"),
     ("cli", "main", "argv"),
     ("gates", "run_program", "observers"),
     ("gates", "verify_well_conditioned", "exhaustive"),
     ("gates", "KappaCertifier.__init__", "final_step"),
     ("gates", "KappaCertifier.__init__", "exhaustive"),
-    ("perturb", "synth_perturbation", "route"),
     ("potential", "_as_square", "name"),
-    ("potential", "_slice_products", "copy"),
     ("potential", "_coupled", "rows"),
     ("potential", "k_slice_quasi_entropy", "minv_t"),
     ("potential", "quasi_entropy", "minv_t"),
-    ("potential", "preconditioned_quasi_entropy", "minv_t"),
     ("potential", "hat_quasi_entropy", "minv_t"),
     ("potential", "trace_potentials", "recompute_every"),
     ("potential", "trace_potentials", "check_bounds"),
@@ -151,3 +149,48 @@ def test_benchmark_tracer_sees_the_campaign_schedule(capsys, monkeypatch):
     assert after.keys() == before.keys()
     for key, original in before.items():
         assert after[key] is original, key
+
+
+README = PACKAGE.parents[1] / "README.md"
+IDENTIFIER = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+
+
+def library_tour_names():
+    """Backticked identifiers (optionally dotted, optionally called) of two
+    or more characters in the README's "Library tour" section."""
+    text = README.read_text()
+    tour = text.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for span in re.findall(r"`([^`]+)`", tour):
+        m = IDENTIFIER.fullmatch(span)
+        if m and len(m[1]) >= 2:
+            names.append(m[1])
+    return names
+
+
+def resolves(name):
+    """A name in qel or one of its modules (dotted: attributes from there
+    on), an attribute of a public class, or a parameter of a public function."""
+    head, *rest = name.split(".")
+    roots = (qel, *MODULES, cli)
+    for obj in [qel] if head == "qel" else [getattr(r, head) for r in roots if hasattr(r, head)]:
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    if rest:
+        return False
+    for obj in (getattr(qel, public) for public in qel.__all__):
+        if inspect.isclass(obj):
+            fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+            if hasattr(obj, name) or name in fields:
+                return True
+        elif callable(obj) and name in inspect.signature(obj).parameters:
+            return True
+    return False
+
+
+def test_readme_library_tour_names_only_code_that_exists():
+    names = library_tour_names()
+    assert len(names) > 50
+    assert [name for name in names if not resolves(name)] == []
