@@ -154,7 +154,7 @@ def build_potential_spec(kind, n, slices_path):
     if slices_path is None:
         raise ValueError("--potential k-slice requires --slices <file>")
     mats = load_matrices_text(slices_path)
-    if not mats or len(mats) % 2 != 0:
+    if len(mats) % 2 != 0:
         raise ValueError(
             "slices file must hold an even, positive number of matrices "
             "(A1, B1, A2, B2, ...)"

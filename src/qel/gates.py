@@ -33,7 +33,6 @@ __all__ = [
     "rotate_rows",
     "apply_gate",
     "run_program",
-    "program_matrix",
     "inverse_drift",
     "condition_number",
     "verify_well_conditioned",
@@ -140,9 +139,6 @@ class TrackedState:
     def identity(cls, n):
         return cls(np.eye(n), np.eye(n), 0)
 
-    def copy(self):
-        return TrackedState(self.M.copy(), self.MinvT.copy(), self.t)
-
 
 def rotate_rows(X, i, ip, c, s):
     """Replace rows i, ip (0-based) of X in place by c X[i] + s X[ip] and
@@ -201,11 +197,6 @@ def run_program(program, observers=()):
         for obs in observers:
             obs(t, gate, state)
     return state
-
-
-def program_matrix(program):
-    """The matrix the program computes (its final state M)."""
-    return run_program(program).M
 
 
 def condition_number(M):

@@ -14,10 +14,9 @@ rotations.  Every intermediate state has condition number at most
 Two routes emit the rotation sections: "AppendixB" triangularizes W and
 W^T by Givens elimination (O(n^2) gates, works for any orthogonal
 matrix), "FastKronecker" exploits the Kronecker structure (exactly
-n log2 n rotations + n constants).
-
-Plans serialize as the program text format preceded by a metadata line:
-# route=<AppendixB|FastKronecker> n=<n> eps=<eps> kappa=<certificate>
+n log2 n rotations + n constants).  synth_perturbation returns the
+verified program with its kappa certificate as an in-memory
+PerturbationPlan; gates.save_program writes the program alone.
 
 The module also owns the values of Id + eps*F: perturbation_potentials
 gives its three potentials in O(1) from their entry classes, and
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import (Constant, GateProgram, Rotation, program_from_text,
-                    program_to_text, rotate_rows, verify_well_conditioned)
+from .gates import (Constant, GateProgram, Rotation, rotate_rows,
+                    verify_well_conditioned)
 from .hadamard import _bit_parity, _log2_int, kron_rotation_layer, wht_matrix
 from .potential import (NAMED_POTENTIALS, entropy_sum, k_slice_quasi_entropy,
                         named_spec)
@@ -50,8 +49,6 @@ __all__ = [
     "wht_eigenbasis",
     "givens_decompose",
     "synth_perturbation",
-    "save_plan",
-    "load_plan",
 ]
 
 ROUTE_APPENDIX_B = "AppendixB"
@@ -330,31 +327,3 @@ def synth_perturbation(n, eps, route):
             f"{report.max_kappa!r} at step {report.at_step} > {kappa_allowed!r}")
     return PerturbationPlan(n, eps, route, program, report.max_kappa)
 
-
-def save_plan(plan, path):
-    meta = (f"route={plan.route} n={plan.n} eps={plan.eps!r} "
-            f"kappa={plan.kappa_certificate!r}")
-    with open(path, "w") as fh:
-        fh.write(f"# {meta}\n")
-        fh.write(program_to_text(plan.program))
-
-
-def load_plan(path):
-    with open(path) as fh:
-        text = fh.read()
-    meta = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("#"):
-            continue
-        for token in line[1:].split():
-            if "=" in token:
-                key, _, value = token.partition("=")
-                meta[key] = value
-        break
-    for key in ("route", "n", "eps", "kappa"):
-        if key not in meta:
-            raise ValueError(f"plan file {path} is missing metadata field {key!r}")
-    program = program_from_text(text)
-    return PerturbationPlan(int(meta["n"]), float(meta["eps"]), meta["route"],
-                            program, float(meta["kappa"]))

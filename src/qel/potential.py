@@ -7,9 +7,10 @@ L(0) = 0.  For a nonsingular matrix M with inverse-transpose N:
     preconditioned: Phi_{A,B}(M) = -sum_ij L( (M A)(i,j) (N B)(i,j) )
     k-slice:        Phi^(k)(M)   = -sum_ij L( sum_p (M A_p)(i,j) (N B_p)(i,j) )
 
-The hat potential takes n-by-2n preconditioners P, Q and couples column j
-with column j+n inside the kernel; it is exactly the k-slice potential of
-the two column blocks.  A PotentialSpec holds the slice pairs (None in a
+The hat potential of n-by-2n preconditioners P, Q couples column j with
+column j+n inside the kernel, so it is the k-slice potential of the two
+column-block pairs (P[:, :n], Q[:, :n]) and (P[:, n:], Q[:, n:]), and is
+written as that spec.  A PotentialSpec holds the slice pairs (None in a
 slot means the identity, which skips a product); named_spec builds the
 kinds the CLI names (NAMED_POTENTIALS).
 
@@ -41,14 +42,11 @@ __all__ = [
     "TraceRecord",
     "Trajectory",
     "quasi_entropy",
-    "hat_quasi_entropy",
     "k_slice_quasi_entropy",
     "named_spec",
     "rotation_delta_bound",
     "trace_potentials",
     "write_matrix_text",
-    "save_matrix_text",
-    "load_matrix_text",
     "load_matrices_text",
 ]
 
@@ -133,17 +131,6 @@ class PotentialSpec:
         n = (A if A is not None else B).shape[0]
         return cls(n, [(A, B)], label="precond")
 
-    @classmethod
-    def hat(cls, P, Q):
-        P = np.asarray(P, dtype=float)
-        Q = np.asarray(Q, dtype=float)
-        n = P.shape[0]
-        if P.shape != (n, 2 * n) or Q.shape != (n, 2 * n):
-            raise ValueError(
-                f"hat preconditioners must be n-by-2n, got {P.shape} and {Q.shape}")
-        return cls(n, [(P[:, :n].copy(), Q[:, :n].copy()),
-                       (P[:, n:].copy(), Q[:, n:].copy())], label="hat")
-
 
 def named_spec(kind, n):
     """The spec of a named potential at size n, F = wht_matrix(n): plain;
@@ -191,12 +178,6 @@ def quasi_entropy(M, minv_t=None):
     """Plain quasi-entropy Phi(M) = -sum L(M(i,j) * MinvT(i,j))."""
     M = _as_square(M)
     return k_slice_quasi_entropy(M, PotentialSpec.plain(M.shape[0]), minv_t)
-
-
-def hat_quasi_entropy(M, P, Q, minv_t=None):
-    """Hat potential over n-by-2n preconditioners; equals the k-slice
-    potential of the two column blocks, exactly."""
-    return k_slice_quasi_entropy(M, PotentialSpec.hat(P, Q), minv_t)
 
 
 def _rotation_bound(spec, products, rows):
@@ -326,10 +307,6 @@ class Trajectory:
     def max_abs_delta(self):
         return max((abs(r.delta) for r in self.records), default=0.0)
 
-    def telescoping_error(self):
-        total = math.fsum(r.delta for r in self.records)
-        return abs((self.final_value - self.initial_value) - total)
-
 
 def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
                      check_bounds=True, track_kappa=True):
@@ -383,11 +360,6 @@ def write_matrix_text(fh, M):
         fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def save_matrix_text(M, path):
-    with open(path, "w") as fh:
-        write_matrix_text(fh, M)
-
-
 def _parse_matrix_blocks(tokens):
     pos = 0
     while pos < len(tokens):
@@ -415,10 +387,3 @@ def load_matrices_text(path):
     if not matrices:
         raise ValueError(f"no matrices found in {path}")
     return matrices
-
-
-def load_matrix_text(path):
-    matrices = load_matrices_text(path)
-    if len(matrices) != 1:
-        raise ValueError(f"expected exactly one matrix in {path}, found {len(matrices)}")
-    return matrices[0]

@@ -18,8 +18,8 @@ from qel.gates import (
     Rotation,
     TrackedState,
     apply_gate,
-    program_matrix,
     random_program,
+    run_program,
 )
 from qel.hadamard import fast_wht_program, wht_matrix
 from qel.lemma import check_lemma, run_campaign, LemmaInstance
@@ -92,7 +92,7 @@ def test_criterion_02_butterfly_program_correctness(report):
         program = fast_wht_program(n)
         k = int(math.log2(n))
         counts_ok = counts_ok and program.rotation_count() == (n // 2) * k
-        err = float(np.linalg.norm(program_matrix(program) - wht_matrix(n)))
+        err = float(np.linalg.norm(run_program(program).M - wht_matrix(n)))
         worst = max(worst, err)
     ok = counts_ok and worst <= 1e-10
     report(
@@ -174,7 +174,7 @@ def test_criterion_05_perturbation_synthesis_both_routes(report):
             plan = synth_perturbation(n, eps, route)
             ok = ok and plan.kappa_certificate <= kappa_limit
             if n <= 128:
-                err = float(np.linalg.norm(program_matrix(plan.program) - target))
+                err = float(np.linalg.norm(run_program(plan.program).M - target))
                 worst_real = max(worst_real, err / n)
                 ok = ok and err <= 1e-9 * n
             if route == ROUTE_FAST_KRONECKER:

@@ -621,6 +621,20 @@ def test_k_slice_file_with_a_non_positive_size_is_config_error(header, tmp_path,
     assert f"matrix header '{size}' needs rows and cols >= 1" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# A1\n# B1\n", "no matrices found in"),
+    ("n 1 1\n1.0\n", "slices file must hold an even, positive number of matrices"),
+], ids=["comments-only", "one-matrix"])
+def test_k_slice_file_without_a_pair_of_matrices_is_config_error(text, message, tmp_path,
+                                                                 capsys):
+    slices = tmp_path / "slices.txt"
+    slices.write_text(text)
+    code, _, err = run_cli(["run-wht", "--n", "4", "--potential", "k-slice",
+                            "--slices", str(slices)], capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_format_csv_row_conventions():
     assert format_csv_row([1, "R", None, 0.5, True]) == "1,R,,0.5,True"
     assert format_csv_row([2.0 ** -6]) == "0.015625"

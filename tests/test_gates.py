@@ -19,7 +19,6 @@ from qel.gates import (
     inverse_drift,
     load_program,
     program_from_text,
-    program_matrix,
     program_to_text,
     random_program,
     run_program,
@@ -151,7 +150,7 @@ def test_drift_check_raises_on_impossible_tolerance(monkeypatch):
 
 def test_program_matrix_realizes_walsh_hadamard():
     for n in (2, 4, 16):
-        F = program_matrix(fast_wht_program(n))
+        F = run_program(fast_wht_program(n)).M
         npt.assert_allclose(F, wht_matrix(n), atol=1e-13)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qel.gates import Constant, Rotation, program_matrix
+from qel.gates import Constant, Rotation, run_program
 from qel.hadamard import (
     fast_apply_wht,
     fast_wht_program,
@@ -52,7 +52,7 @@ def test_butterfly_program_realizes_matrix(n):
     k = int(math.log2(n))
     assert program.rotation_count() == (n // 2) * k
     assert program.constant_count() == (n // 2) * k
-    npt.assert_allclose(program_matrix(program), wht_matrix(n), atol=ATOL)
+    npt.assert_allclose(run_program(program).M, wht_matrix(n), atol=ATOL)
 
 
 def test_butterfly_program_structure():
@@ -90,7 +90,7 @@ def test_kron_layer_realizes_single_factor():
     c, s = math.cos(theta), math.sin(theta)
     block = np.array([[c, s], [-s, c]])
     for stage in range(1, k + 1):
-        layer = program_matrix(kron_rotation_layer(n, stage, theta))
+        layer = run_program(kron_rotation_layer(n, stage, theta)).M
         expect = np.eye(1)
         for position in range(1, k + 1):
             expect = np.kron(expect, block if position == stage else np.eye(2))
@@ -99,10 +99,10 @@ def test_kron_layer_realizes_single_factor():
 
 def test_kron_layers_commute_and_invert():
     n = 16
-    a = program_matrix(kron_rotation_layer(n, 1, 0.4))
-    b = program_matrix(kron_rotation_layer(n, 3, -0.9))
+    a = run_program(kron_rotation_layer(n, 1, 0.4)).M
+    b = run_program(kron_rotation_layer(n, 3, -0.9)).M
     npt.assert_allclose(a @ b, b @ a, atol=ATOL)
-    a_inv = program_matrix(kron_rotation_layer(n, 1, -0.4))
+    a_inv = run_program(kron_rotation_layer(n, 1, -0.4)).M
     npt.assert_allclose(a @ a_inv, np.eye(n), atol=ATOL)
 
 

@@ -1,4 +1,4 @@
-"""Perturbation synthesis tests: eigenbasis, Givens route, plan files."""
+"""Perturbation synthesis tests: eigenbasis, Givens route, synthesized programs, closed forms."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from qel import perturb
-from qel.gates import Constant, Rotation, program_matrix
+from qel.gates import Constant, Rotation, run_program
 from qel.hadamard import wht_matrix
 from qel.perturb import (
     ROUTE_APPENDIX_B,
@@ -17,10 +17,8 @@ from qel.perturb import (
     givens_decompose,
     inverse_residual,
     inverse_residual_norm,
-    load_plan,
     perturbation_matrix,
     perturbation_potentials,
-    save_plan,
     synth_perturbation,
     wht_eigenbasis,
 )
@@ -88,7 +86,7 @@ def test_givens_decompose_reconstructs_orthogonal(n):
         if trial == 2:
             Q[0] = -Q[0]  # force a reflection so sign gates appear
         program = givens_decompose(Q)
-        npt.assert_allclose(program_matrix(program), Q, atol=1e-12)
+        npt.assert_allclose(run_program(program).M, Q, atol=1e-12)
         rotations = program.rotation_count()
         signs = program.constant_count()
         assert rotations <= n * (n - 1) // 2
@@ -108,7 +106,7 @@ def test_givens_decompose_rejects_non_orthogonal():
 def test_synthesis_realizes_perturbation(route, eps):
     n = 16
     plan = synth_perturbation(n, eps, route)
-    realized = program_matrix(plan.program)
+    realized = run_program(plan.program).M
     npt.assert_allclose(realized, perturbation_matrix(n, eps), atol=REALIZE_ATOL)
     expect_kappa = (1.0 + eps) / (1.0 - eps)
     assert plan.kappa_certificate == pytest.approx(expect_kappa, rel=1e-6)
@@ -137,34 +135,13 @@ def test_routes_realize_the_same_matrix():
     fast = synth_perturbation(n, eps, ROUTE_FAST_KRONECKER)
     givens = synth_perturbation(n, eps, ROUTE_APPENDIX_B)
     npt.assert_allclose(
-        program_matrix(fast.program), program_matrix(givens.program), atol=1e-11
+        run_program(fast.program).M, run_program(givens.program).M, atol=1e-11
     )
 
 
 def test_unknown_route_rejected():
     with pytest.raises(ValueError, match="route"):
         synth_perturbation(8, 0.1, "diagonal")
-
-
-def test_plan_save_load_round_trip(tmp_path):
-    plan = synth_perturbation(8, 0.03125, ROUTE_FAST_KRONECKER)
-    path = tmp_path / "plan.gates"
-    save_plan(plan, path)
-    back = load_plan(path)
-    assert back.n == plan.n
-    assert back.eps == plan.eps
-    assert back.route == plan.route
-    assert back.kappa_certificate == plan.kappa_certificate
-    assert back.program.gates == plan.program.gates
-
-
-def test_plan_file_starts_with_metadata_line(tmp_path):
-    plan = synth_perturbation(4, 0.125, ROUTE_APPENDIX_B)
-    path = tmp_path / "plan.gates"
-    save_plan(plan, path)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# route=AppendixB ")
-    assert "n=4" in first and "eps=0.125" in first and "kappa=" in first
 
 
 def test_perturbation_steps_have_small_rotations():
