@@ -209,7 +209,7 @@ def cmd_run_perturbation(args):
     program = plan.program
     trajectory = _trace(args, program)
     print(
-        f"run-perturbation n={args.n} eps={args.eps!r} route={plan.route} "
+        f"run-perturbation n={args.n} eps={args.eps!r} route={route} "
         f"potential={trajectory.label}: gates={len(program)} "
         f"(rotations={program.rotation_count()}, constants={program.constant_count()}) "
         f"kappa_certificate={plan.kappa_certificate!r}"
@@ -247,6 +247,11 @@ def cmd_scaling_sweep(args):
     for eps in eps_grid:
         if _check_eps(eps) == 0.0:
             raise ValueError("scaling-sweep needs eps > 0: the ratios divide by eps")
+    for n in n_grid:
+        for eps in eps_grid:
+            if eps * eps * n * math.log2(n) < sys.float_info.min:
+                raise ValueError(f"scaling-sweep point n={n} eps={eps!r}: eps^2 n log2 n "
+                                 f"is below the smallest normal float {sys.float_info.min!r}")
     for n in n_grid:
         for eps in eps_grid:
             _warn_asymptotic_regime(n, eps)
@@ -474,7 +479,8 @@ def build_parser():
         "--eps-grid",
         type=_grid(float),
         default=DEFAULT_EPS_GRID,
-        help="space- or comma-separated values in (0, 1/2)",
+        help="space- or comma-separated values in (0, 1/2); every point needs "
+             "eps^2 n log2 n >= 2.2e-308, the smallest normal float",
     )
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_scaling_sweep)

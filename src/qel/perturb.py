@@ -25,6 +25,7 @@ n <= CROSS_CHECK_MAX_N under a derived rounding bound.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,9 @@ UNIT_ROUNDOFF = 2.0 ** -53
 def _check_eps(eps):
     if not (0.0 <= eps < 0.5) or not math.isfinite(eps):
         raise ValueError(f"eps must lie in [0, 1/2), got {eps!r}")
+    if 0.0 < eps < sys.float_info.min:
+        raise ValueError(f"eps must be 0 or at least the smallest normal float "
+                         f"{sys.float_info.min!r}, got the subnormal {eps!r}")
     return float(eps)
 
 
@@ -274,9 +278,6 @@ def givens_decompose(orth):
 class PerturbationPlan:
     """A verified program computing Id + eps*F with its kappa certificate."""
 
-    n: int
-    eps: float
-    route: str
     program: GateProgram
     kappa_certificate: float
 
@@ -325,5 +326,5 @@ def synth_perturbation(n, eps, route):
         raise RuntimeError(
             f"route {route} exceeded the conditioning certificate: max kappa "
             f"{report.max_kappa!r} at step {report.at_step} > {kappa_allowed!r}")
-    return PerturbationPlan(n, eps, route, program, report.max_kappa)
+    return PerturbationPlan(program, report.max_kappa)
 

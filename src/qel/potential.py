@@ -44,7 +44,6 @@ __all__ = [
     "quasi_entropy",
     "k_slice_quasi_entropy",
     "named_spec",
-    "rotation_delta_bound",
     "trace_potentials",
     "write_matrix_text",
     "load_matrices_text",
@@ -107,6 +106,8 @@ class PotentialSpec:
                 if X.shape != (self.n, self.n):
                     raise ValueError(
                         f"slice {p}: {name} has shape {X.shape}, expected ({self.n}, {self.n})")
+                if not np.isfinite(X).all():
+                    raise ValueError(f"slice {p}: {name} has a non-finite entry")
                 pair.append(X)
             checked.append(tuple(pair))
         self.slices = checked
@@ -180,27 +181,6 @@ def quasi_entropy(M, minv_t=None):
     return k_slice_quasi_entropy(M, PotentialSpec.plain(M.shape[0]), minv_t)
 
 
-def _rotation_bound(spec, products, rows):
-    """Frobenius norm of the given rows of M A times that of MinvT B, from
-    the products of a single-slice spec."""
-    if spec.k != 1:
-        raise ValueError("rotation delta bound is defined for single-slice specs")
-    (Lp, Rp), = products
-    return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
-
-
-def rotation_delta_bound(state, spec, i, iprime):
-    """Product of the Frobenius norms of rows (i, iprime) of M A and of
-    MinvT B: an upper bound on |delta Phi_{A,B}| for any rotation on those
-    rows.  Single-slice specs only."""
-    n = state.M.shape[0]
-    if not (1 <= i <= n and 1 <= iprime <= n) or i == iprime:
-        raise ValueError(f"invalid row pair ({i}, {iprime}) for n={n}")
-    rows = [i - 1, iprime - 1]
-    products = _slice_products(state.M[rows], state.MinvT[rows], spec)
-    return _rotation_bound(spec, products, slice(None))
-
-
 def _value_and_caches(state, spec):
     """(potential, caches) of `state` for a tracker, which mutates its caches
     in place: the identity slots are copied only after the value is taken, so
@@ -231,8 +211,14 @@ class PotentialTracker:
         self.value, self.products = _value_and_caches(state, spec)
 
     def rotation_bound(self, i, iprime):
-        """rotation_delta_bound from the caches, O(n)."""
-        return _rotation_bound(self.spec, self.products, [i - 1, iprime - 1])
+        """Theorem 2's bound on |delta Phi_{A,B}| for any rotation of rows
+        (i, iprime): the product of the Frobenius norms of those rows of M A
+        and of MinvT B, O(n) from the caches.  Single-slice specs only."""
+        if self.spec.k != 1:
+            raise ValueError("rotation delta bound is defined for single-slice specs")
+        (Lp, Rp), = self.products
+        rows = [i - 1, iprime - 1]
+        return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
 
     def advance(self, gate):
         """Apply one gate to the caches; returns the potential change."""
@@ -255,16 +241,16 @@ class PotentialTracker:
     def resync(self, state):
         """Evaluate the potential of `state` from scratch and return it.
 
-        Raises RuntimeError if the inverse of `state` drifted by more than
-        DRIFT_TOL or the value differs from the running one by more than
-        DESYNC_TOL; otherwise adopts it and caches rebuilt from `state`.
+        Raises RuntimeError unless the inverse drift of `state` is within
+        DRIFT_TOL and the value within DESYNC_TOL of the running one (a NaN
+        fails both); otherwise adopts it and caches rebuilt from `state`.
         """
         drift = inverse_drift(state)
-        if drift > DRIFT_TOL:
+        if not drift <= DRIFT_TOL:
             raise RuntimeError(
                 f"step {state.t}: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
         direct, products = _value_and_caches(state, self.spec)
-        if abs(direct - self.value) > DESYNC_TOL:
+        if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
                 f"incremental {self.value!r} vs direct {direct!r}")
@@ -283,9 +269,9 @@ class TraceRecord:
 
     @property
     def exceeds_bound(self):
-        """A rotation whose |delta| exceeds its bound by more than BOUND_TOL."""
+        """A rotation whose |delta| is not within bound + BOUND_TOL (NaN is not)."""
         return (isinstance(self.gate, Rotation) and self.bound is not None
-                and abs(self.delta) > self.bound + BOUND_TOL)
+                and not abs(self.delta) <= self.bound + BOUND_TOL)
 
 
 @dataclass

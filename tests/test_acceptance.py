@@ -34,10 +34,10 @@ from qel.perturb import (
 )
 from qel.potential import (
     PotentialSpec,
+    PotentialTracker,
     k_slice_quasi_entropy,
     named_spec,
     quasi_entropy,
-    rotation_delta_bound,
     trace_potentials,
 )
 
@@ -118,7 +118,7 @@ def test_criterion_03_rotation_bound_campaign_and_tightness(report, tmp_path, mo
 
     state = TrackedState.identity(2)
     spec = PotentialSpec.plain(2)
-    bound = rotation_delta_bound(state, spec, 1, 2)
+    bound = PotentialTracker(spec, state).rotation_bound(1, 2)
     before = k_slice_quasi_entropy(state.M, spec)
     apply_gate(state, Rotation(1, 2, math.pi / 4))
     delta = k_slice_quasi_entropy(state.M, spec) - before

@@ -635,6 +635,65 @@ def test_k_slice_file_without_a_pair_of_matrices_is_config_error(text, message, 
     assert message in err
 
 
+NAN_SLICES = "n 2 2\nnan 0.0\n0.0 1.0\nn 2 2\n1.0 0.0\n0.0 1.0\n"
+
+
+# (argv, QEL_THREADS, --slices file text, a fragment the message must hold);
+# "SLICES" and "OUT" in argv stand for files under the test's tmp_path
+EDGE_INPUTS = {
+    "slices-nan": (["run-wht", "--n", "2", "--potential", "k-slice", "--slices", "SLICES"],
+                   None, NAN_SLICES, "slice 0: A has a non-finite entry"),
+    "slices-inf": (["run-wht", "--n", "2", "--potential", "k-slice", "--slices", "SLICES"],
+                   None, NAN_SLICES.replace("nan", "inf"), "slice 0: A has a non-finite entry"),
+    "sweep-eps-below-floor-n4": (["scaling-sweep", "--n-grid", "4", "--eps-grid", "1e-200"],
+                                 None, None, "point n=4 eps=1e-200"),
+    "sweep-eps-below-floor-n512": (["scaling-sweep", "--n-grid", "512", "--eps-grid", "1e-200"],
+                                   None, None, "point n=512 eps=1e-200"),
+    "subnormal-eps": (["run-perturbation", "--n", "4", "--eps", "5e-324", "--out", "OUT"],
+                      None, None, "got the subnormal 5e-324"),
+    "n-not-power-of-two": (["run-wht", "--n", "6"], None, None, "power of two"),
+    "eps-too-large": (["run-perturbation", "--n", "8", "--eps", "0.5"],
+                      None, None, "eps must lie in [0, 1/2)"),
+    "zero-threads": (["verify-lemma", "--ell-grid", "64", "--instances", "1"],
+                     "0", None, "QEL_THREADS must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_INPUTS, ids=str)
+def test_edge_inputs_are_config_errors(case, tmp_path, capsys, monkeypatch):
+    argv, threads, slices_text, fragment = EDGE_INPUTS[case]
+    slices, out = tmp_path / "slices.txt", tmp_path / "out.csv"
+    if slices_text is not None:
+        slices.write_text(slices_text)
+    if threads is not None:
+        monkeypatch.setenv("QEL_THREADS", threads)
+    argv = [{"SLICES": str(slices), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("qel: error:") and "Traceback" not in err
+    assert fragment in err
+    assert stdout == "" and not out.exists()
+
+
+def test_scaling_sweep_accepts_eps_at_the_normalizer_floor(capsys):
+    # the smallest eps whose eps^2 n log2 n is a normal float, at each n,
+    # found by bisection (eps^2 is subnormal there, so one ulp of eps may
+    # not move it)
+    for n in (4, 256, 512, 2 ** 40):
+        lo, hi = 0.0, 0.25
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if mid * mid * n * math.log2(n) < sys.float_info.min:
+                lo = mid
+            else:
+                hi = mid
+        eps = hi
+        code, stdout, err = run_cli(["scaling-sweep", "--n-grid", str(n),
+                                     "--eps-grid", repr(eps)], capsys)
+        assert code == 0, err
+        assert "FAIL" not in err and "Traceback" not in err
+        assert stdout.startswith(",".join(cli.SWEEP_COLUMNS))
+
+
 def test_format_csv_row_conventions():
     assert format_csv_row([1, "R", None, 0.5, True]) == "1,R,,0.5,True"
     assert format_csv_row([2.0 ** -6]) == "0.015625"

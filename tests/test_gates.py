@@ -38,9 +38,10 @@ def rotation_block(theta):
 
 
 def test_rotation_validation():
-    Rotation(1, 2, 0.5).validate(4)
-    with pytest.raises(ValueError, match="out of range for n=4"):
-        Rotation(1, 5, 0.5).validate(4)
+    GateProgram(4, [Rotation(1, 2, 0.5)])
+    with pytest.raises(ValueError,
+                       match=r"^gate 1: rotation indices \(1,5\) out of range for n=4$"):
+        GateProgram(4, [Rotation(1, 5, 0.5)])
     # the other checks run once, when the gate is built
     for args in [(0, 2, 0.5), (3, 3, 0.5), (1, 2, math.inf)]:
         with pytest.raises(ValueError):
@@ -48,9 +49,9 @@ def test_rotation_validation():
 
 
 def test_constant_validation():
-    Constant(4, -2.0).validate(4)
-    with pytest.raises(ValueError, match="out of range for n=4"):
-        Constant(5, 1.0).validate(4)
+    GateProgram(4, [Constant(4, -2.0)])
+    with pytest.raises(ValueError, match=r"^gate 1: constant gate row 5 out of range for n=4$"):
+        GateProgram(4, [Constant(5, 1.0)])
     for args in [(0, 2.0), (1, 0.0), (1, math.nan)]:
         with pytest.raises(ValueError):
             Constant(*args)
@@ -131,8 +132,9 @@ def test_run_program_only_applies_gates(monkeypatch):
     # longer than 1024 gates, so a periodic inverse check in the loop would fire
     program = random_program(8, 1100, 10, np.random.default_rng(19))
     calls = []
-    monkeypatch.setattr(Rotation, "validate", lambda self, n: calls.append("validate"))
-    monkeypatch.setattr(Constant, "validate", lambda self, n: calls.append("validate"))
+    real = GateProgram.__post_init__
+    monkeypatch.setattr(GateProgram, "__post_init__",
+                        lambda self: calls.append("validate") or real(self))
     monkeypatch.setattr(gates, "inverse_drift", lambda state: calls.append("drift") or 0.0)
     run_program(program)
     verify_well_conditioned(program, kappa_max=1e6)
@@ -185,7 +187,8 @@ def test_exhaustive_and_sampled_conditioning_agree():
     rng = np.random.default_rng(16)
     program = random_program(8, 60, 12, rng)
     fast = verify_well_conditioned(program, kappa_max=1e6)
-    slow = verify_well_conditioned(program, kappa_max=1e6, exhaustive=True)
+    slow = KappaCertifier(exhaustive=True)
+    run_program(program, observers=[slow])
     assert fast.max_kappa == pytest.approx(slow.max_kappa, rel=1e-9)
 
 
@@ -202,7 +205,7 @@ def test_certifier_recomputes_after_scalings_and_at_final_step(monkeypatch):
     run_program(program, observers=[KappaCertifier()])
     assert len(calls) == 1
     calls.clear()
-    verify_well_conditioned(program, kappa_max=2.0, exhaustive=True)
+    run_program(program, observers=[KappaCertifier(exhaustive=True)])
     assert len(calls) == 4
 
 

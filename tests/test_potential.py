@@ -8,6 +8,7 @@ and frozen as the oracle for the generic evaluators.
 
 import decimal
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -27,15 +28,16 @@ from qel.gates import (
 from qel.hadamard import fast_wht_program, wht_matrix
 from qel.perturb import perturbation_potentials
 from qel.potential import (
+    BOUND_TOL,
     NAMED_POTENTIALS,
     PotentialSpec,
     PotentialTracker,
+    TraceRecord,
     entropy_sum,
     k_slice_quasi_entropy,
     load_matrices_text,
     named_spec,
     quasi_entropy,
-    rotation_delta_bound,
     trace_potentials,
     write_matrix_text,
 )
@@ -290,6 +292,11 @@ def test_spec_validation():
         PotentialSpec(4, [(np.eye(3), None)])
     with pytest.raises(ValueError, match=r"slice 1: A has shape \(4, 0\)"):
         column_block_spec(np.eye(4), np.zeros((4, 9)))
+    for bad in (math.nan, math.inf, -math.inf):
+        X = np.eye(2)
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="^slice 1: B has a non-finite entry$"):
+            PotentialSpec(2, [(np.eye(2), None), (None, X)])
 
 
 def test_rotation_delta_bound_is_an_upper_bound():
@@ -301,16 +308,22 @@ def test_rotation_delta_bound_is_an_upper_bound():
     state = TrackedState.identity(n)
     for gate in random_program(n, 40, 0, rng).gates:
         before = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
-        bound = rotation_delta_bound(state, spec, gate.i, gate.iprime)
+        bound = PotentialTracker(spec, state).rotation_bound(gate.i, gate.iprime)
         apply_gate(state, gate)
         after = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
         assert abs(after - before) <= bound + BOUND_SLACK
 
 
+def test_rotation_bound_needs_a_single_slice_spec():
+    tracker = PotentialTracker(named_spec("hat-pq", 4), TrackedState.identity(4))
+    with pytest.raises(ValueError, match="single-slice specs"):
+        tracker.rotation_bound(1, 2)
+
+
 def test_rotation_delta_bound_tight_at_quarter_turn_from_identity():
     state = TrackedState.identity(2)
     spec = PotentialSpec.plain(2)
-    bound = rotation_delta_bound(state, spec, 1, 2)
+    bound = PotentialTracker(spec, state).rotation_bound(1, 2)
     before = k_slice_quasi_entropy(state.M, spec)
     apply_gate(state, Rotation(1, 2, math.pi / 4))
     after = k_slice_quasi_entropy(state.M, spec)
@@ -377,6 +390,32 @@ def test_tracker_detects_cache_desync():
     tracker.advance(Rotation(3, 4, 0.5))
     with pytest.raises(RuntimeError, match="step 2: tracker desync"):
         tracker.resync(state)
+
+
+@pytest.mark.parametrize("poison, message", [
+    ("value", "step 1: tracker desynchronized from state: incremental nan"),
+    ("inverse", "step 1: inverse-transpose drift nan exceeds"),
+], ids=["value", "inverse"])
+def test_tracker_resync_fails_on_nan(poison, message):
+    # a NaN compares false against any tolerance, so each check must fail on it
+    state = TrackedState.identity(4)
+    tracker = PotentialTracker(PotentialSpec.plain(4), state)
+    apply_gate(state, Rotation(1, 2, 0.3))
+    tracker.advance(Rotation(1, 2, 0.3))
+    if poison == "value":
+        tracker.value = math.nan
+    else:
+        state.MinvT[0, 0] = math.nan
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        tracker.resync(state)
+
+
+def test_trace_record_with_a_nan_delta_exceeds_its_bound():
+    gate = Rotation(1, 2, 0.3)
+    assert not TraceRecord(1, gate, 0.5, 0.5, 0.5, None).exceeds_bound
+    assert TraceRecord(1, gate, 0.5, 0.5 + 2 * BOUND_TOL, 0.5, None).exceeds_bound
+    assert TraceRecord(1, gate, math.nan, math.nan, 0.5, None).exceeds_bound
+    assert TraceRecord(1, gate, 0.5, 0.5, math.nan, None).exceeds_bound
 
 
 def test_trace_telescoping_and_endpoint():

@@ -24,7 +24,6 @@ PACKAGE = Path(qel.__file__).resolve().parent
 KEYWORD_DEFAULTS = [
     ("cli", "main", "argv"),
     ("gates", "run_program", "observers"),
-    ("gates", "verify_well_conditioned", "exhaustive"),
     ("gates", "KappaCertifier.__init__", "final_step"),
     ("gates", "KappaCertifier.__init__", "exhaustive"),
     ("potential", "_as_square", "name"),
@@ -60,7 +59,6 @@ def test_module_lists_every_public_function_and_class_it_defines(module):
 # for tests; a new one is a visible edit to this table.
 UNCALLED_EXPORTS = {
     "quasi_entropy": "the paper's plain potential Phi; criteria 1 and 4 evaluate it",
-    "rotation_delta_bound": "the per-rotation bound on any state; criterion 3 checks it",
     "exact_inverse_perturbation": "the closed-form inverse of Id + eps*F; criterion 10",
     "inverse_residual": "the residual of that inverse; criterion 10",
     "inverse_residual_norm": "the residual's closed-form norm; criterion 10",
