@@ -249,9 +249,12 @@ def cmd_scaling_sweep(args):
             raise ValueError("scaling-sweep needs eps > 0: the ratios divide by eps")
     for n in n_grid:
         for eps in eps_grid:
-            if eps * eps * n * math.log2(n) < sys.float_info.min:
-                raise ValueError(f"scaling-sweep point n={n} eps={eps!r}: eps^2 n log2 n "
-                                 f"is below the smallest normal float {sys.float_info.min!r}")
+            # the plain potential's off-diagonal entry class; below the floor it
+            # loses digits or rounds to 0, and its term dominates the value
+            if eps * eps / (n * (1.0 - eps * eps)) < sys.float_info.min:
+                raise ValueError(
+                    f"scaling-sweep point n={n} eps={eps!r}: eps^2 / (n (1 - eps^2)) "
+                    f"is below the smallest normal float {sys.float_info.min!r}")
     for n in n_grid:
         for eps in eps_grid:
             _warn_asymptotic_regime(n, eps)
@@ -353,7 +356,7 @@ def cmd_verify_theorem2(args):
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.programs)
     share, extra = divmod(args.gates, args.programs)
-    # serial: per-gate tracing holds the GIL, so a pool only adds handoffs
+    # serial; README "Parallelism" gives the measured cost of a thread per program
     rows, broken = [], []
     for index, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -480,7 +483,7 @@ def build_parser():
         type=_grid(float),
         default=DEFAULT_EPS_GRID,
         help="space- or comma-separated values in (0, 1/2); every point needs "
-             "eps^2 n log2 n >= 2.2e-308, the smallest normal float",
+             "eps^2 / (n (1 - eps^2)) >= 2.2e-308, the smallest normal float",
     )
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_scaling_sweep)

@@ -6,8 +6,10 @@ M by a plane rotation touching two rows; a constant gate rescales one row
 by a nonzero scalar.  The inverse-transpose of M is evolved jointly (the
 same rotation applies to it, a row scaling applies with 1/c), which keeps
 every step O(n) instead of the O(n^3) a re-inversion would cost.  That
-rule is written once, in _apply_to_pair, which apply_gate runs on (M, M^-T)
-and the potential tracker on each cached (M A_p, M^-T B_p).
+rule is written once, in rotate_rows and _scale_rows: apply_gate runs them
+on (M, M^-T) through _apply_to_pair, one gate at a time, and the potential
+tracker on the gathered rows of each cached (M A_p, M^-T B_p), a level of
+row-disjoint gates at a time.
 Gates check their own fields and GateProgram checks their rows against n,
 once, when built, so run_program only applies gates.
 
@@ -131,11 +133,21 @@ class TrackedState:
 
 def rotate_rows(X, i, ip, c, s):
     """Replace rows i, ip (0-based) of X in place by c X[i] + s X[ip] and
-    c X[ip] - s X[i]: left-multiplication by a plane rotation."""
+    c X[ip] - s X[i]: left-multiplication by a plane rotation.  X[i] and
+    X[ip] may be stacks of rows (index arrays, or the leading axis of a
+    gathered block) with c, s broadcasting against them, one angle per pair."""
     new_i = c * X[i] + s * X[ip]
     new_ip = c * X[ip] - s * X[i]
     X[i] = new_i
     X[ip] = new_ip
+
+
+def _scale_rows(X, Y, i, c):
+    """Scale rows i (0-based) of X by c and of its dual Y by 1/c, in place.
+    X[i] may be a stack of rows with c broadcasting against it, one scalar
+    per row."""
+    X[i] *= c
+    Y[i] *= 1.0 / c
 
 
 def _apply_to_pair(gate, X, Y):
@@ -153,9 +165,7 @@ def _apply_to_pair(gate, X, Y):
         rotate_rows(X, i, ip, c, s)
         rotate_rows(Y, i, ip, c, s)
     else:
-        i = gate.i - 1
-        X[i] *= gate.c
-        Y[i] *= 1.0 / gate.c
+        _scale_rows(X, Y, gate.i - 1, gate.c)
 
 
 def apply_gate(state, gate):

@@ -16,23 +16,28 @@ kinds the CLI names (NAMED_POTENTIALS).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products, which it moves with the engine's gate action
-(gates._apply_to_pair) and builds in one place (_value_and_caches).
-trace_potentials resyncs the tracker every `recompute_every` gates and at
-the endpoint.  A resync raises on inverse drift beyond DRIFT_TOL first (a
-from-scratch value on a wrong inverse means nothing), then on a
-from-scratch value off by more than DESYNC_TOL.
+gate from cached products, built in one place (_slice_products).
+PotentialTracker.advance takes a run of gates and schedules it into ASAP
+levels of row-disjoint gates; each level is one gather of its rows from
+every cache, one update with the engine's row rules (gates.rotate_rows,
+gates._scale_rows) and one scatter, and the per-gate deltas and bounds are
+bitwise those of a gate-by-gate update.  trace_potentials resyncs the
+tracker every `recompute_every` gates and at the endpoint, and advances it
+one segment between checkpoints at a time.  A resync raises on inverse
+drift beyond DRIFT_TOL first (a from-scratch value on a wrong inverse means
+nothing), then on a from-scratch value off by more than DESYNC_TOL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .gates import (KappaCertifier, Rotation, TrackedState, _apply_to_pair,
-                    inverse_drift, run_program)
+from .gates import (KappaCertifier, Rotation, TrackedState, _scale_rows, inverse_drift,
+                    rotate_rows, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -53,21 +58,31 @@ BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
 DRIFT_TOL = 1e-8   # max entry of M^T @ MinvT - Id at a resync
 DESYNC_TOL = 1e-6  # from-scratch evaluation vs the tracker's running value
 RECOMPUTE_EVERY = 1024
+_CHUNK_ENTRIES = 1 << 17  # entries one level chunk gathers from the caches (1 MiB)
 NAMED_POTENTIALS = ("plain", "precond-id-f", "hat-pq")  # the kinds named_spec builds
 
 
-def entropy_sum(values):
-    """sum L(values) as a float, with L(x) = x log2|x| and L(0) = 0.
-
-    Works in one scratch buffer (plus a nonzero mask) and leaves `values`
-    unmodified.
-    """
+def _entropy_terms(values):
+    """L(values) elementwise, with L(x) = x log2|x| and L(0) = 0, in one
+    scratch buffer (plus a nonzero mask); `values` is left unmodified."""
     v = np.asarray(values, dtype=float)
     nz = v != 0.0
     t = np.abs(v)
     np.log2(t, out=t, where=nz)
     np.multiply(t, v, out=t, where=nz)
-    return float(np.sum(t))
+    return t
+
+
+def entropy_sum(values):
+    """sum L(values) as a float."""
+    return float(np.sum(_entropy_terms(values)))
+
+
+def _entropy_rows(values):
+    """sum L over each values[j], for a batch of gathered rows: the same
+    pairwise sum as entropy_sum(values[j])."""
+    t = _entropy_terms(values)
+    return t.reshape(len(t), -1).sum(axis=1)
 
 
 def _inverse_transpose(M):
@@ -147,17 +162,17 @@ def named_spec(kind, n):
 
 
 def _slice_products(M, N, spec):
-    """[(M A_p, N B_p)]; an identity slot is M or N itself."""
-    return [(M if A is None else M @ A, N if B is None else N @ B)
-            for A, B in spec.slices]
+    """[M A_0, N B_0, M A_1, N B_1, ...]; an identity slot is M or N itself."""
+    return [X if P is None else X @ P
+            for A, B in spec.slices for X, P in ((M, A), (N, B))]
 
 
-def _coupled(products, rows=slice(None)):
-    """sum_p Lp * Rp over the given rows of the sliced products."""
-    (L0, R0) = products[0]
-    s = L0[rows] * R0[rows]
-    for Lp, Rp in products[1:]:
-        s += Lp[rows] * Rp[rows]
+def _coupled(products):
+    """sum_p products[2p] * products[2p + 1]: the coupled matrix of sliced
+    products, or of rows gathered from all of them at once."""
+    s = products[0] * products[1]
+    for p in range(2, len(products), 2):
+        s += products[p] * products[p + 1]
     return s
 
 
@@ -181,26 +196,81 @@ def quasi_entropy(M, minv_t=None):
     return k_slice_quasi_entropy(M, PotentialSpec.plain(M.shape[0]), minv_t)
 
 
-def _value_and_caches(state, spec):
-    """(potential, caches) of `state` for a tracker, which mutates its caches
-    in place: the identity slots are copied only after the value is taken, so
-    the copies are not live while entropy_sum runs."""
-    products = _slice_products(state.M, state.MinvT, spec)
-    value = _value(products)
-    return value, [(Lp.copy() if Lp is state.M else Lp,
-                    Rp.copy() if Rp is state.MinvT else Rp)
-                   for Lp, Rp in products]
+def _rotation_bounds(G):
+    """Theorem 2's bound for each rotation of a batch, from the rows
+    G = caches[:, rows] of a single-slice tracker, rows (g, 2): the product
+    of the Frobenius norms of the row pairs of M A and of M^-T B.  Each
+    norm is the square root of one BLAS dot product, as np.linalg.norm
+    forms it."""
+    v = G.reshape(2, G.shape[1], 1, -1)
+    norms = np.sqrt(v @ v.swapaxes(-1, -2))
+    return (norms[0] * norms[1]).reshape(-1)
+
+
+def _rotate_pairs(G, c, s):
+    """Turn the gathered rows G = caches[:, rows], rows (g, 2), of every
+    cache by cos c[j] and sin s[j] (columns), in place."""
+    rotate_rows(G.transpose(2, 0, 1, 3), 0, 1, c, s)
+
+
+def _scale_pairs(G, c):
+    """Scale the gathered rows G = caches[:, rows], rows (g,), by c[j] in
+    every M A_p and by 1/c[j] in every M^-T B_p, in place."""
+    _scale_rows(G[0::2], G[1::2], Ellipsis, c)
+
+
+def _asap_levels(gates, n, chunk):
+    """Schedule a run of gates into ASAP levels, in chunks of one kind.
+
+    A gate's level is one more than the latest level of any earlier gate
+    of the run that shares a row with it, so the gates of a level touch
+    disjoint rows and each finds its rows as the gates before it in the
+    run left them.  Returns (rotations, constants, chunks): rotations as
+    program positions, (g, 2) 0-based rows and cos, sin columns;
+    constants as positions, rows and a scalar column; both sorted by
+    level, then position.  chunks lists (is_rotation, slice) in level
+    order, each slice at most `chunk` entries of one level.
+    """
+    last = [0] * n  # the level of the latest gate on each row
+    rotations, constants = [], []
+    for j, gate in enumerate(gates):
+        if isinstance(gate, Rotation):
+            i, ip = gate.i - 1, gate.iprime - 1
+            level = last[i] = last[ip] = max(last[i], last[ip]) + 1
+            rotations.append((level, j, i, ip, math.cos(gate.theta), math.sin(gate.theta)))
+        else:
+            i = gate.i - 1
+            level = last[i] = last[i] + 1
+            constants.append((level, j, i, gate.c))
+    tasks = []
+    for kind, entries in enumerate((constants, rotations)):
+        entries.sort()
+        start = 0
+        for end in range(1, len(entries) + 1):
+            if (end == len(entries) or entries[end][0] != entries[start][0]
+                    or end - start == chunk):
+                tasks.append((entries[start][0], kind, start, end))
+                start = end
+    tasks.sort()
+    rot = np.array(rotations, dtype=float).reshape(-1, 6)
+    con = np.array(constants, dtype=float).reshape(-1, 4)
+    return ((rot[:, 1].astype(np.intp), rot[:, 2:4].astype(np.intp), rot[:, 4:5], rot[:, 5:6]),
+            (con[:, 1].astype(np.intp), con[:, 2].astype(np.intp), con[:, 3:4]),
+            [(bool(kind), slice(a, b)) for _, kind, a, b in tasks])
 
 
 class PotentialTracker:
     """Incremental quasi-entropy along a gate program.
 
-    Caches the per-slice products (M A_p, MinvT B_p); a rotation touches
-    two rows of every cache, a constant gate one row, so each step costs
-    O(k n).  Constant gates leave the plain potential unchanged exactly
-    (row i of M scales by c, of MinvT by 1/c, products cancel) and the
-    tracker returns literal 0.0 there; general specs recompute the one
-    affected row.  `resync` checks the running value against a
+    Caches the sliced products in one (2k, n, n) array, M A_p at 2p and
+    MinvT B_p at 2p + 1; a rotation touches two rows of every cache, a
+    constant gate one row, so each gate costs O(k n).  `advance` moves a
+    run of gates through the caches a level of row-disjoint gates at a
+    time: one gather of those rows from every cache, one update and one
+    scatter per level.  Constant gates leave the plain potential unchanged
+    exactly (row i of M scales by c, of MinvT by 1/c, products cancel) and
+    the tracker returns literal 0.0 there; general specs recompute the
+    affected rows.  `resync` checks the running value against a
     from-scratch evaluation.
     """
 
@@ -208,7 +278,21 @@ class PotentialTracker:
         if state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
-        self.value, self.products = _value_and_caches(state, spec)
+        self.caches = np.empty((2 * spec.k, spec.n, spec.n))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            self.value = self._rebuild(state)
+        if not math.isfinite(self.value):
+            raise ValueError(f"the starting {spec.label} potential is {self.value!r}, not "
+                             "finite: the preconditioners' products overflow")
+
+    def _rebuild(self, state):
+        """Rebuild the caches from `state`; returns its potential, taken
+        from the fresh products before they are copied in."""
+        products = _slice_products(state.M, state.MinvT, self.spec)
+        value = _value(products)
+        for cache, X in zip(self.caches, products):
+            cache[...] = X
+        return value
 
     def rotation_bound(self, i, iprime):
         """Theorem 2's bound on |delta Phi_{A,B}| for any rotation of rows
@@ -216,45 +300,77 @@ class PotentialTracker:
         and of MinvT B, O(n) from the caches.  Single-slice specs only."""
         if self.spec.k != 1:
             raise ValueError("rotation delta bound is defined for single-slice specs")
-        (Lp, Rp), = self.products
-        rows = [i - 1, iprime - 1]
-        return float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows]))
+        return float(_rotation_bounds(self.caches[:, [[i - 1, iprime - 1]]])[0])
 
-    def advance(self, gate):
-        """Apply one gate to the caches; returns the potential change."""
-        if isinstance(gate, Rotation):
-            rows = [gate.i - 1, gate.iprime - 1]
-        elif self.spec.is_plain:
-            rows = None  # the scalings of row i cancel inside the kernel
-        else:
-            rows = [gate.i - 1]
-        before = 0.0 if rows is None else entropy_sum(_coupled(self.products, rows))
-        for Lp, Rp in self.products:
-            _apply_to_pair(gate, Lp, Rp)
-        if rows is None:
-            delta = 0.0
-        else:
-            delta = -(entropy_sum(_coupled(self.products, rows)) - before) + 0.0
-        self.value += delta
-        return delta
+    def advance(self, gates):
+        """Apply a run of gates to the caches, level by level; returns
+        (deltas, bounds) in program order.
+
+        bounds holds Theorem 2's bound per gate (0.0 on constant gates) for
+        single-slice specs and is None otherwise.  A level is applied in
+        chunks of one kind, each gathering at most _CHUNK_ENTRIES entries.
+        Every delta and bound is bitwise the one a gate-by-gate update
+        gives, and the running value adds the deltas one at a time, in
+        program order.
+        """
+        k, n = self.spec.k, self.spec.n
+        rotations, constants, chunks = _asap_levels(
+            gates, n, max(1, _CHUNK_ENTRIES // (4 * k * n)))
+        rpos, rrows, cos, sin = rotations
+        cpos, crows, scalars = constants
+        rdelta, rbound = np.empty(len(rpos)), np.empty(len(rpos))
+        cdelta = np.zeros(len(cpos))  # a plain spec's literal 0.0
+        for is_rotation, s in chunks:
+            if is_rotation:
+                self._move(rrows[s], _rotate_pairs, (cos[s], sin[s]), rdelta[s],
+                           rbound[s] if k == 1 else None)
+            else:
+                self._move(crows[s], _scale_pairs, (scalars[s],),
+                           None if self.spec.is_plain else cdelta[s], None)
+        deltas = np.empty(len(gates))
+        deltas[rpos], deltas[cpos] = rdelta, cdelta
+        deltas = deltas.tolist()
+        for delta in deltas:
+            self.value += delta
+        if k != 1:
+            return deltas, None
+        bounds = np.zeros(len(gates))
+        bounds[rpos] = rbound
+        return deltas, bounds.tolist()
+
+    def _move(self, rows, act, params, deltas, bounds):
+        """Gather `rows` of every cache, apply act(G, *params) to the
+        gathered G in place and scatter it back.  Writes each gate's
+        potential change into `deltas` (None: leave it) and, into `bounds`
+        (None: skip), Theorem 2's bound of the rows before the move."""
+        G = self.caches[:, rows]
+        if bounds is not None:
+            bounds[:] = _rotation_bounds(G)
+        if deltas is not None:
+            before = _entropy_rows(_coupled(G))
+        act(G, *params)
+        if deltas is not None:
+            deltas[:] = -(_entropy_rows(_coupled(G)) - before) + 0.0
+        self.caches[:, rows] = G
 
     def resync(self, state):
         """Evaluate the potential of `state` from scratch and return it.
 
         Raises RuntimeError unless the inverse drift of `state` is within
         DRIFT_TOL and the value within DESYNC_TOL of the running one (a NaN
-        fails both); otherwise adopts it and caches rebuilt from `state`.
+        fails both); otherwise adopts it.  The caches are rebuilt from
+        `state` once the drift check has passed.
         """
         drift = inverse_drift(state)
         if not drift <= DRIFT_TOL:
             raise RuntimeError(
                 f"step {state.t}: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
-        direct, products = _value_and_caches(state, self.spec)
+        direct = self._rebuild(state)
         if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
                 f"incremental {self.value!r} vs direct {direct!r}")
-        self.value, self.products = direct, products
+        self.value = direct
         return direct
 
 
@@ -306,20 +422,30 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     from-scratch value) every `recompute_every` steps (0: never) and at
     the endpoint, whose from-scratch value is `direct_final`; a periodic
     resync at the last step serves as the endpoint's.
+
+    The program splits into segments that end at each resync step and at
+    the endpoint.  When the engine enters a segment, the tracker advances
+    through all of it at once (in ASAP levels); each step's record is then
+    built when the engine reaches that step, after its certifier and its
+    resync, so an error names the same first step as a gate-by-gate trace.
     """
     tracker = PotentialTracker(spec, TrackedState.identity(program.n))
     trajectory = Trajectory(spec.label, tracker.value)
     cert = KappaCertifier()
+    segment = recompute_every or len(program)
+    pending = None  # (potential, delta, bound) of each step of the current segment
 
     def observer(t, gate, state):
-        bound = None
-        if spec.k == 1:
-            bound = (tracker.rotation_bound(gate.i, gate.iprime)
-                     if isinstance(gate, Rotation) else 0.0)
-        delta = tracker.advance(gate)
+        nonlocal pending
+        if (t - 1) % segment == 0:
+            start = tracker.value
+            deltas, bounds = tracker.advance(program.gates[t - 1:t - 1 + segment])
+            potentials = list(accumulate(deltas, initial=start))[1:]
+            pending = zip(potentials, deltas, bounds or [None] * len(deltas))
+        potential, delta, bound = next(pending)
         if recompute_every and t % recompute_every == 0:
-            tracker.resync(state)
-        record = TraceRecord(t, gate, tracker.value, delta, bound,
+            potential = tracker.resync(state)
+        record = TraceRecord(t, gate, potential, delta, bound,
                              cert.kappa if track_kappa else None)
         if check_bounds and record.exceeds_bound:
             raise RuntimeError(

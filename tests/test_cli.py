@@ -636,6 +636,7 @@ def test_k_slice_file_without_a_pair_of_matrices_is_config_error(text, message, 
 
 
 NAN_SLICES = "n 2 2\nnan 0.0\n0.0 1.0\nn 2 2\n1.0 0.0\n0.0 1.0\n"
+HUGE_SLICES = "n 2 2\n1e200 0.0\n0.0 1e200\nn 2 2\n1e200 0.0\n0.0 1e200\n"
 
 
 # (argv, QEL_THREADS, --slices file text, a fragment the message must hold);
@@ -645,10 +646,15 @@ EDGE_INPUTS = {
                    None, NAN_SLICES, "slice 0: A has a non-finite entry"),
     "slices-inf": (["run-wht", "--n", "2", "--potential", "k-slice", "--slices", "SLICES"],
                    None, NAN_SLICES.replace("nan", "inf"), "slice 0: A has a non-finite entry"),
+    "slices-overflow": (["run-wht", "--n", "2", "--potential", "k-slice", "--slices", "SLICES"],
+                        None, HUGE_SLICES, "the starting k-slice potential is -inf, not finite"),
     "sweep-eps-below-floor-n4": (["scaling-sweep", "--n-grid", "4", "--eps-grid", "1e-200"],
                                  None, None, "point n=4 eps=1e-200"),
     "sweep-eps-below-floor-n512": (["scaling-sweep", "--n-grid", "512", "--eps-grid", "1e-200"],
                                    None, None, "point n=512 eps=1e-200"),
+    "sweep-off-diagonal-subnormal": (["scaling-sweep", "--n-grid", "1099511627776",
+                                      "--eps-grid", "3e-161"],
+                                     None, None, "point n=1099511627776 eps=3e-161"),
     "subnormal-eps": (["run-perturbation", "--n", "4", "--eps", "5e-324", "--out", "OUT"],
                       None, None, "got the subnormal 5e-324"),
     "n-not-power-of-two": (["run-wht", "--n", "6"], None, None, "power of two"),
@@ -676,22 +682,35 @@ def test_edge_inputs_are_config_errors(case, tmp_path, capsys, monkeypatch):
 
 
 def test_scaling_sweep_accepts_eps_at_the_normalizer_floor(capsys):
-    # the smallest eps whose eps^2 n log2 n is a normal float, at each n,
-    # found by bisection (eps^2 is subnormal there, so one ulp of eps may
-    # not move it)
+    # the smallest eps whose plain off-diagonal class eps^2 / (n (1 - eps^2))
+    # is a normal float, at each n, found by bisection (eps^2 is subnormal
+    # there, so one ulp of eps may not move it); the largest eps below the
+    # floor is rejected.  Each accepted point, the README's corner n = 2^40,
+    # eps = 2^-30 included, keeps the dominant term of the plain potential:
+    # its ratio is (1 - 1/n) (1 + (2 log2(1/eps) + 1/ln 2) / log2 n).
+    points = []
     for n in (4, 256, 512, 2 ** 40):
         lo, hi = 0.0, 0.25
         while lo < (mid := (lo + hi) / 2) < hi:
-            if mid * mid * n * math.log2(n) < sys.float_info.min:
+            if mid * mid / (n * (1.0 - mid * mid)) < sys.float_info.min:
                 lo = mid
             else:
                 hi = mid
-        eps = hi
+        code, _, err = run_cli(["scaling-sweep", "--n-grid", str(n), "--eps-grid", repr(lo)],
+                               capsys)
+        assert code == 2 and f"point n={n} eps={lo!r}" in err
+        points.append((n, hi))
+    points.append((2 ** 40, 2.0 ** -30))
+    for n, eps in points:
         code, stdout, err = run_cli(["scaling-sweep", "--n-grid", str(n),
                                      "--eps-grid", repr(eps)], capsys)
         assert code == 0, err
         assert "FAIL" not in err and "Traceback" not in err
-        assert stdout.startswith(",".join(cli.SWEEP_COLUMNS))
+        header, row = stdout.splitlines()[:2]
+        assert header == ",".join(cli.SWEEP_COLUMNS)
+        ratio_plain = float(row.split(",")[cli.SWEEP_COLUMNS.index("ratio_plain")])
+        expected = (1 - 1 / n) * (1 + (2 * math.log2(1 / eps) + 1 / math.log(2)) / math.log2(n))
+        assert ratio_plain == pytest.approx(expected, rel=1e-9)
 
 
 def test_format_csv_row_conventions():

@@ -10,17 +10,22 @@ import decimal
 import math
 import re
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qel import potential
 from qel.gates import (
     Constant,
     GateProgram,
     KappaCertifier,
     Rotation,
     TrackedState,
+    _apply_to_pair,
     apply_gate,
     random_program,
     run_program,
@@ -363,7 +368,7 @@ def test_tracker_agrees_with_direct_evaluation(recompute_every):
     tracker = PotentialTracker(spec, state)
     for gate in program.gates:
         apply_gate(state, gate)
-        tracker.advance(gate)
+        tracker.advance([gate])
         if recompute_every and state.t % recompute_every == 0:
             assert tracker.resync(state) == tracker.value
     direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
@@ -374,20 +379,20 @@ def test_tracker_plain_constant_delta_is_literal_zero():
     state = TrackedState.identity(4)
     tracker = PotentialTracker(PotentialSpec.plain(4), state)
     apply_gate(state, Rotation(1, 2, 0.3))
-    tracker.advance(Rotation(1, 2, 0.3))
-    delta = tracker.advance(Constant(2, 3.7))
+    tracker.advance([Rotation(1, 2, 0.3)])
+    (delta,), _ = tracker.advance([Constant(2, 3.7)])
     apply_gate(state, Constant(2, 3.7))
-    assert delta == 0.0
+    assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
 
 
 def test_tracker_detects_cache_desync():
     state = TrackedState.identity(4)
     tracker = PotentialTracker(PotentialSpec.plain(4), state)
     apply_gate(state, Rotation(1, 2, 0.3))
-    tracker.advance(Rotation(1, 2, 0.3))
+    tracker.advance([Rotation(1, 2, 0.3)])
     tracker.value += 1.0  # simulate accumulated drift
     apply_gate(state, Rotation(3, 4, 0.5))
-    tracker.advance(Rotation(3, 4, 0.5))
+    tracker.advance([Rotation(3, 4, 0.5)])
     with pytest.raises(RuntimeError, match="step 2: tracker desync"):
         tracker.resync(state)
 
@@ -401,7 +406,7 @@ def test_tracker_resync_fails_on_nan(poison, message):
     state = TrackedState.identity(4)
     tracker = PotentialTracker(PotentialSpec.plain(4), state)
     apply_gate(state, Rotation(1, 2, 0.3))
-    tracker.advance(Rotation(1, 2, 0.3))
+    tracker.advance([Rotation(1, 2, 0.3)])
     if poison == "value":
         tracker.value = math.nan
     else:
@@ -512,7 +517,7 @@ def test_matrix_text_non_positive_sizes_rejected(text, header, tmp_path):
 
 @pytest.mark.parametrize("kind", NAMED_POTENTIALS)
 def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
-    # the tracker moves its caches with the engine's own gate action, so
+    # the tracker moves its caches with the engine's own row rules, so
     # an identity slot equals M or M^-T exactly, not merely within roundoff
     rng = np.random.default_rng(44)
     n = 8
@@ -526,14 +531,121 @@ def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
     checked = []
 
     def observer(t, gate, state):
-        tracker.advance(gate)
-        for (A, B), (Lp, Rp) in zip(spec.slices, tracker.products):
+        tracker.advance([gate])
+        for p, (A, B) in enumerate(spec.slices):
+            Lp, Rp = tracker.caches[2 * p], tracker.caches[2 * p + 1]
             if A is None:
-                assert Lp is not state.M and np.array_equal(Lp, state.M)
+                assert not np.shares_memory(Lp, state.M) and np.array_equal(Lp, state.M)
                 checked.append(t)
             if B is None:
-                assert Rp is not state.MinvT and np.array_equal(Rp, state.MinvT)
+                assert not np.shares_memory(Rp, state.MinvT) and np.array_equal(Rp, state.MinvT)
                 checked.append(t)
 
     run_program(mixed, observers=[observer])
     assert len(checked) >= len(mixed)
+
+
+def gate_by_gate_trace(program, spec, recompute_every):
+    """[(potential, delta, bound)] per step from a tracker written out one
+    gate at a time: the engine's gate action (_apply_to_pair) on every
+    cached pair and entropy_sum over the rows the gate touches."""
+    state = TrackedState.identity(program.n)
+
+    def caches():
+        return [(state.M.copy() if A is None else state.M @ A,
+                 state.MinvT.copy() if B is None else state.MinvT @ B)
+                for A, B in spec.slices]
+
+    pairs, value, out = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT), []
+    for t, gate in enumerate(program.gates, start=1):
+        apply_gate(state, gate)
+        rotation = isinstance(gate, Rotation)
+        rows = [gate.i - 1, gate.iprime - 1] if rotation else [gate.i - 1]
+        bound = None
+        if spec.k == 1:
+            (Lp, Rp), = pairs
+            bound = float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows])) if rotation else 0.0
+
+        def coupled_entropy():
+            return entropy_sum(sum(Lp[rows] * Rp[rows] for Lp, Rp in pairs))
+
+        before = coupled_entropy()
+        for Lp, Rp in pairs:
+            _apply_to_pair(gate, Lp, Rp)
+        delta = 0.0 if spec.is_plain and not rotation else -(coupled_entropy() - before) + 0.0
+        value += delta
+        if recompute_every and t % recompute_every == 0:
+            pairs, value = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT)
+        out.append((value, delta, bound))
+    return out
+
+
+def equivalence_specs(n):
+    rng = np.random.default_rng(n)
+    return {
+        "plain": PotentialSpec.plain(n),
+        "precond": PotentialSpec.preconditioned(rng.standard_normal((n, n)),
+                                                rng.standard_normal((n, n))),
+        "precond-id-f": named_spec("precond-id-f", n),
+        "hat-pq": named_spec("hat-pq", n),
+    }
+
+
+@st.composite
+def shared_row_programs(draw):
+    # gates on at most four rows, so levels hold several gates and chains
+    n = draw(st.sampled_from([2, 4, 8, 64]))
+    rows = list(range(1, min(n, 4) + 1))
+    gates = []
+    for _ in range(draw(st.integers(1, 40))):
+        i, other = draw(st.permutations(rows))[:2]
+        if draw(st.booleans()):
+            gates.append(Rotation(i, other, draw(st.floats(-math.pi, math.pi))))
+        else:
+            c = draw(st.sampled_from([-1.0, draw(st.floats(0.5, 2.0)), -draw(st.floats(0.5, 2.0))]))
+            gates.append(Constant(i, c))
+    return GateProgram(n, gates)
+
+
+def hexed(rows):
+    return [tuple(None if x is None else x.hex() for x in row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=shared_row_programs(),
+       kind=st.sampled_from(["plain", "precond", "precond-id-f", "hat-pq"]),
+       recompute_every=st.sampled_from([0, 1, 7, 1024]),
+       chunk_gates=st.sampled_from([1, 2, None]))
+def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kind,
+                                                                   recompute_every,
+                                                                   chunk_gates):
+    spec = equivalence_specs(program.n)[kind]
+    entries = potential._CHUNK_ENTRIES
+    if chunk_gates is not None:  # split each level into chunks of this many gates
+        entries = chunk_gates * 4 * spec.k * spec.n
+    with mock.patch.object(potential, "_CHUNK_ENTRIES", entries):
+        records = trace_potentials(program, spec, recompute_every=recompute_every,
+                                   check_bounds=False, track_kappa=False).records
+    got = [(r.potential, r.delta, r.bound) for r in records]
+    assert hexed(got) == hexed(gate_by_gate_trace(program, spec, recompute_every))
+
+
+@pytest.mark.parametrize("gates, recompute_every, error, message", [
+    ([Constant(1, 2.0), Constant(2, 1e-13), Rotation(1, 2, 0.5)], 1024,
+     ValueError, "step 2: matrix is singular"),
+    ([Constant(1, 2.0), Rotation(1, 2, 0.5), Constant(2, 1e-13)], 1024,
+     RuntimeError, "step 2: |delta| = "),
+    ([Constant(1, 2.0), Rotation(1, 2, 0.5), Rotation(3, 4, 0.5)], 2,
+     RuntimeError, "step 2: tracker desynchronized"),
+], ids=["certifier-first", "violation-first", "resync-at-the-violation"])
+def test_errors_name_the_step_the_engine_reached(gates, recompute_every, error, message,
+                                                 monkeypatch):
+    # the tracker computes a whole segment when the engine enters it, but a
+    # step's bound is checked only after that step's certifier and resync,
+    # so the first failing step is the one a gate-by-gate trace names
+    monkeypatch.setattr(potential, "BOUND_TOL", -math.inf)  # every rotation violates
+    if "desynchronized" in message:
+        monkeypatch.setattr(potential, "DESYNC_TOL", -1.0)
+    with pytest.raises(error, match=re.escape(message)):
+        trace_potentials(GateProgram(4, gates), PotentialSpec.plain(4),
+                         recompute_every=recompute_every)

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import re
 from pathlib import Path
@@ -15,7 +16,9 @@ import pytest
 import qel
 from qel import cli, gates, hadamard, lemma, perturb, potential
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 MODULES = (gates, hadamard, lemma, perturb, potential)
 PACKAGE = Path(qel.__file__).resolve().parent
 
@@ -27,7 +30,6 @@ KEYWORD_DEFAULTS = [
     ("gates", "KappaCertifier.__init__", "final_step"),
     ("gates", "KappaCertifier.__init__", "exhaustive"),
     ("potential", "_as_square", "name"),
-    ("potential", "_coupled", "rows"),
     ("potential", "k_slice_quasi_entropy", "minv_t"),
     ("potential", "quasi_entropy", "minv_t"),
     ("potential", "trace_potentials", "recompute_every"),
@@ -130,11 +132,15 @@ def test_keyword_defaults_are_the_listed_ones():
     assert sorted(found) == sorted(KEYWORD_DEFAULTS)
 
 
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_by_path("perfbench_tracing", TRACING)
 
 
 def layer_bindings(tracing):
@@ -162,9 +168,8 @@ def test_benchmark_tracer_wraps_every_layer_and_restores_it(capsys):
         assert cli.main(["run-wht", "--n", "4", "--out", os.devnull]) == 0
     capsys.readouterr()
     calls, _ = tracer.totals()
-    program_gates = len(hadamard.fast_wht_program(4))
-    assert calls["gates.apply_gate"] == program_gates
-    assert calls["potential.PotentialTracker.advance"] == program_gates
+    assert calls["gates.apply_gate"] == len(hadamard.fast_wht_program(4))
+    assert calls["potential.PotentialTracker.advance"] == 1  # one segment: 8 gates < 1024
     after = layer_bindings(tracing)
     assert after.keys() == before.keys()
     for key, original in before.items():
@@ -194,6 +199,36 @@ def test_benchmark_tracer_sees_the_campaign_schedule(capsys, monkeypatch):
     assert after.keys() == before.keys()
     for key, original in before.items():
         assert after[key] is original, key
+
+
+def pinned_calls(workload):
+    """{layer.calls: count} that the workload's `why` in BENCHMARK.json pins
+    per pass, read as the benchmark reads it."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    why = next(w["why"] for w in bench["workloads"] if w["name"] == workload)
+    return {name: int(count)
+            for name, count in re.findall(r"([A-Za-z][\w.]*\.calls)=(\d+)", why)}
+
+
+@pytest.mark.parametrize("workload", load_by_path("perfbench_workloads", WORKLOADS).WORKLOADS)
+def test_benchmark_workloads_make_exactly_the_pinned_calls(workload, tmp_path, capsys,
+                                                           monkeypatch):
+    # a traced benchmark pass fails on any count that moves, so a change
+    # that moves one must also re-pin it in BENCHMARK.json
+    tracing = load_tracing()
+    workloads = load_by_path("perfbench_workloads", WORKLOADS)
+    pinned = pinned_calls(workload)
+    assert pinned
+    monkeypatch.chdir(tmp_path)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        for job in workloads.jobs(workload, 1):
+            out = tmp_path / f"{job.name}.csv"
+            code = cli.main([*job.argv, "--out", str(out)])
+            stdout, stderr = capsys.readouterr()
+            output = workloads.JobOutput(code, stdout, stderr, out.read_text())
+            assert (code, job.check(output)) == (0, []), job.name
+    calls, _ = tracer.totals()
+    assert {name: calls[name.removesuffix(".calls")] for name in pinned} == pinned
 
 
 README = PACKAGE.parents[1] / "README.md"
