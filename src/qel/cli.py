@@ -25,6 +25,7 @@ from .perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, _check_eps,
                       dense_cross_check, perturbation_potentials, synth_perturbation)
 from .potential import (
     NAMED_POTENTIALS,
+    PROBE_COLUMNS,
     RECOMPUTE_EVERY,
     PotentialSpec,
     load_matrices_text,
@@ -409,7 +410,9 @@ def _add_recompute_flag(parser):
         type=_positive_int,
         default=RECOMPUTE_EVERY,
         metavar="K",
-        help="steps between full recomputations of the tracked value",
+        help="steps between checkpoints, which recompute the tracked value "
+             f"and probe the tracked inverse with {PROBE_COLUMNS} random +-1 "
+             "vectors (the endpoint checks it exactly)",
     )
 
 

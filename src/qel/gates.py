@@ -37,6 +37,7 @@ __all__ = [
     "apply_gate",
     "run_program",
     "inverse_drift",
+    "inverse_probe",
     "condition_number",
     "verify_well_conditioned",
     "program_to_text",
@@ -181,6 +182,14 @@ def inverse_drift(state):
     P = state.M.T @ state.MinvT
     P.reshape(-1)[::n + 1] -= 1.0  # the diagonal, in place
     return float(np.max(np.abs(P, out=P)))
+
+
+def inverse_probe(state, V):
+    """Max-entry of M^T (MinvT V) - V, that is of (M^T @ MinvT - Id) V, for
+    an n-by-r matrix V: O(r n^2) where inverse_drift is O(n^3)."""
+    R = state.M.T @ (state.MinvT @ V)
+    R -= V
+    return float(np.max(np.abs(R, out=R)))
 
 
 def run_program(program, observers=()):

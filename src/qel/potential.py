@@ -25,19 +25,23 @@ bitwise those of a gate-by-gate update.  trace_potentials resyncs the
 tracker every `recompute_every` gates and at the endpoint, and advances it
 one segment between checkpoints at a time.  A resync raises on inverse
 drift beyond DRIFT_TOL first (a from-scratch value on a wrong inverse means
-nothing), then on a from-scratch value off by more than DESYNC_TOL.
+nothing), then on a from-scratch value off by more than DESYNC_TOL.  The
+endpoint's drift check is the exact n x n product; a periodic one is a
+probe with PROBE_COLUMNS fixed random +-1 vectors, O(n^2), which hands over
+to the exact product whenever it sees a residual beyond DRIFT_TOL.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .gates import (KappaCertifier, Rotation, TrackedState, _scale_rows, inverse_drift,
-                    rotate_rows, run_program)
+                    inverse_probe, rotate_rows, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -59,6 +63,8 @@ DRIFT_TOL = 1e-8   # max entry of M^T @ MinvT - Id at a resync
 DESYNC_TOL = 1e-6  # from-scratch evaluation vs the tracker's running value
 RECOMPUTE_EVERY = 1024
 _CHUNK_ENTRIES = 1 << 17  # entries one level chunk gathers from the caches (1 MiB)
+PROBE_COLUMNS = 32  # +-1 columns of the periodic inverse probe: a miss has prob <= 2^-32
+_PROBE_SEED = 1977  # so the probe matrix is the same for every tracker and every run
 NAMED_POTENTIALS = ("plain", "precond-id-f", "hat-pq")  # the kinds named_spec builds
 
 
@@ -259,6 +265,17 @@ def _asap_levels(gates, n, chunk):
             [(bool(kind), slice(a, b)) for _, kind, a, b in tasks])
 
 
+def _probe_matrix(n):
+    """The n x PROBE_COLUMNS matrix of +-1 entries that resync probes the
+    tracked inverse with: independent fair signs, drawn from _PROBE_SEED by
+    the standard library's generator (importing numpy.random would add
+    about 6 MB of resident memory to runs that draw nothing else)."""
+    bits = random.Random(_PROBE_SEED).getrandbits(n * PROBE_COLUMNS)
+    signs = np.unpackbits(np.frombuffer(bits.to_bytes(n * PROBE_COLUMNS // 8, "little"),
+                                        dtype=np.uint8))
+    return (1.0 - 2.0 * signs).reshape(n, PROBE_COLUMNS)
+
+
 class PotentialTracker:
     """Incremental quasi-entropy along a gate program.
 
@@ -278,6 +295,7 @@ class PotentialTracker:
         if state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
+        self.probe = _probe_matrix(spec.n)
         self.caches = np.empty((2 * spec.k, spec.n, spec.n))
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             self.value = self._rebuild(state)
@@ -353,18 +371,30 @@ class PotentialTracker:
             deltas[:] = -(_entropy_rows(_coupled(G)) - before) + 0.0
         self.caches[:, rows] = G
 
-    def resync(self, state):
+    def resync(self, state, endpoint):
         """Evaluate the potential of `state` from scratch and return it.
 
         Raises RuntimeError unless the inverse drift of `state` is within
         DRIFT_TOL and the value within DESYNC_TOL of the running one (a NaN
         fails both); otherwise adopts it.  The caches are rebuilt from
         `state` once the drift check has passed.
+
+        At the `endpoint` the drift is the exact inverse_drift.  Elsewhere
+        the probe max|(M^T M^-T - Id) V|, V = `probe` (n x PROBE_COLUMNS,
+        +-1 entries), comes first, in O(PROBE_COLUMNS n^2); inverse_drift
+        runs only when the probe is not within DRIFT_TOL, and then its value
+        decides and fills the message.  If an entry P[i, j] of
+        P = M^T M^-T - Id exceeds DRIFT_TOL, (P v)[i] = P[i, j] v[j] + (terms
+        without v[j]), so one of the two signs of v[j] gives
+        |(P v)[i]| >= |P[i, j]|: each column of V misses the drift with
+        probability at most 1/2 over its draw, all of them with at most
+        2^-32 (in exact arithmetic).
         """
-        drift = inverse_drift(state)
-        if not drift <= DRIFT_TOL:
-            raise RuntimeError(
-                f"step {state.t}: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}")
+        if endpoint or not inverse_probe(state, self.probe) <= DRIFT_TOL:
+            drift = inverse_drift(state)
+            if not drift <= DRIFT_TOL:
+                raise RuntimeError(f"step {state.t}: inverse-transpose drift "
+                                   f"{drift:.3e} exceeds {DRIFT_TOL:.1e}")
         direct = self._rebuild(state)
         if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
@@ -419,9 +449,10 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     a KappaCertifier: recomputed after scaling gates, carried across
     isometries).  With `check_bounds`, a record that `exceeds_bound`
     raises RuntimeError.  The tracker is resynced (inverse drift, then
-    from-scratch value) every `recompute_every` steps (0: never) and at
-    the endpoint, whose from-scratch value is `direct_final`; a periodic
-    resync at the last step serves as the endpoint's.
+    from-scratch value) every `recompute_every` steps (a non-negative int;
+    0: never) and at the endpoint, whose from-scratch value is
+    `direct_final`; a periodic resync at the last step serves as the
+    endpoint's, exact drift check included.
 
     The program splits into segments that end at each resync step and at
     the endpoint.  When the engine enters a segment, the tracker advances
@@ -429,10 +460,13 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     built when the engine reaches that step, after its certifier and its
     resync, so an error names the same first step as a gate-by-gate trace.
     """
+    if not isinstance(recompute_every, int) or recompute_every < 0:
+        raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")
     tracker = PotentialTracker(spec, TrackedState.identity(program.n))
     trajectory = Trajectory(spec.label, tracker.value)
     cert = KappaCertifier()
-    segment = recompute_every or len(program)
+    m = len(program)
+    segment = recompute_every or m
     pending = None  # (potential, delta, bound) of each step of the current segment
 
     def observer(t, gate, state):
@@ -444,7 +478,7 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
             pending = zip(potentials, deltas, bounds or [None] * len(deltas))
         potential, delta, bound = next(pending)
         if recompute_every and t % recompute_every == 0:
-            potential = tracker.resync(state)
+            potential = tracker.resync(state, t == m)
         record = TraceRecord(t, gate, potential, delta, bound,
                              cert.kappa if track_kappa else None)
         if check_bounds and record.exceeds_bound:
@@ -453,11 +487,10 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
         trajectory.records.append(record)
 
     final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
-    m = len(program)
     if m and recompute_every and m % recompute_every == 0:
         trajectory.direct_final = tracker.value  # adopted by the resync at t = m
     else:
-        trajectory.direct_final = tracker.resync(final)
+        trajectory.direct_final = tracker.resync(final, True)
     return trajectory
 
 

@@ -130,29 +130,54 @@ def test_run_wht_names_the_step_where_the_tracker_desynchronized(
                                           ("1024", [24])])
 def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys, monkeypatch):
     # a periodic resync at the last step (24) doubles as the endpoint check;
-    # each resync, and nothing else, checks the tracked inverse
-    seen, drift_steps = [], []
+    # each resync, and nothing else, checks the tracked inverse: the probe at
+    # every periodic step before the endpoint, the exact product only at 24
+    seen, probe_steps, drift_steps = [], [], []
     real = potential.PotentialTracker.resync
     monkeypatch.setattr(potential.PotentialTracker, "resync",
-                        lambda self, state: seen.append(state.t) or real(self, state))
-    real_drift = gates.inverse_drift
+                        lambda self, state, endpoint:
+                        seen.append(state.t) or real(self, state, endpoint))
+    real_drift, real_probe = gates.inverse_drift, gates.inverse_probe
 
-    def spy(state):
+    def drift_spy(state):
         drift_steps.append(state.t)
         return real_drift(state)
 
-    monkeypatch.setattr(gates, "inverse_drift", spy)
-    monkeypatch.setattr(potential, "inverse_drift", spy, raising=False)
+    def probe_spy(state, V):
+        probe_steps.append(state.t)
+        return real_probe(state, V)
+
+    for module in (gates, potential):
+        monkeypatch.setattr(module, "inverse_drift", drift_spy)
+        monkeypatch.setattr(module, "inverse_probe", probe_spy)
     code, stdout, _ = run_cli(["run-wht", "--n", "8", "--potential", "precond-id-f",
                                "--recompute-every", every, "--out", os.devnull], capsys)
     assert code == 0
     assert seen == steps
-    assert drift_steps == steps
+    assert probe_steps == steps[:-1]
+    assert drift_steps == [24]
+    assert sorted(probe_steps + drift_steps) == steps  # every resync checks the inverse
     direct = float(re.search(r"direct=(\S+)", stdout)[1])
     final = run_program(fast_wht_program(8))
     expected = k_slice_quasi_entropy(final.M, named_spec("precond-id-f", 8),
                                      minv_t=final.MinvT)
     assert abs(direct - expected) <= potential.DESYNC_TOL
+
+
+def test_a_clean_trace_runs_the_exact_drift_check_once(capsys, monkeypatch):
+    # every one of the 2048 steps is a checkpoint; the 2047 before the
+    # endpoint probe the inverse, and only the endpoint forms M^T M^-T
+    probes, drifts = [], []
+    real_drift, real_probe = gates.inverse_drift, gates.inverse_probe
+    monkeypatch.setattr(potential, "inverse_drift",
+                        lambda state: drifts.append(state.t) or real_drift(state))
+    monkeypatch.setattr(potential, "inverse_probe",
+                        lambda state, V: probes.append(state.t) or real_probe(state, V))
+    code, _, _ = run_cli(["run-wht", "--n", "256", "--recompute-every", "1",
+                          "--out", os.devnull], capsys)
+    assert code == 0
+    assert drifts == [2048]
+    assert probes == list(range(1, 2048))
 
 
 @pytest.mark.parametrize("argv", [

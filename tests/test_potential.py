@@ -7,9 +7,14 @@ and frozen as the oracle for the generic evaluators.
 """
 
 import decimal
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qel import potential
+from qel import gates, potential
 from qel.gates import (
     Constant,
     GateProgram,
@@ -27,6 +32,8 @@ from qel.gates import (
     TrackedState,
     _apply_to_pair,
     apply_gate,
+    inverse_drift,
+    inverse_probe,
     random_program,
     run_program,
 )
@@ -34,7 +41,9 @@ from qel.hadamard import fast_wht_program, wht_matrix
 from qel.perturb import perturbation_potentials
 from qel.potential import (
     BOUND_TOL,
+    DRIFT_TOL,
     NAMED_POTENTIALS,
+    PROBE_COLUMNS,
     PotentialSpec,
     PotentialTracker,
     TraceRecord,
@@ -370,7 +379,7 @@ def test_tracker_agrees_with_direct_evaluation(recompute_every):
         apply_gate(state, gate)
         tracker.advance([gate])
         if recompute_every and state.t % recompute_every == 0:
-            assert tracker.resync(state) == tracker.value
+            assert tracker.resync(state, False) == tracker.value
     direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
     assert tracker.value == pytest.approx(direct, abs=TRACK_ATOL)
 
@@ -393,8 +402,9 @@ def test_tracker_detects_cache_desync():
     tracker.value += 1.0  # simulate accumulated drift
     apply_gate(state, Rotation(3, 4, 0.5))
     tracker.advance([Rotation(3, 4, 0.5)])
-    with pytest.raises(RuntimeError, match="step 2: tracker desync"):
-        tracker.resync(state)
+    for endpoint in (False, True):  # a failed resync adopts nothing
+        with pytest.raises(RuntimeError, match="step 2: tracker desync"):
+            tracker.resync(state, endpoint)
 
 
 @pytest.mark.parametrize("poison, message", [
@@ -402,7 +412,8 @@ def test_tracker_detects_cache_desync():
     ("inverse", "step 1: inverse-transpose drift nan exceeds"),
 ], ids=["value", "inverse"])
 def test_tracker_resync_fails_on_nan(poison, message):
-    # a NaN compares false against any tolerance, so each check must fail on it
+    # a NaN compares false against any tolerance, so each check must fail on
+    # it, the periodic probe included
     state = TrackedState.identity(4)
     tracker = PotentialTracker(PotentialSpec.plain(4), state)
     apply_gate(state, Rotation(1, 2, 0.3))
@@ -411,8 +422,95 @@ def test_tracker_resync_fails_on_nan(poison, message):
         tracker.value = math.nan
     else:
         state.MinvT[0, 0] = math.nan
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        tracker.resync(state)
+    for endpoint in (False, True):
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            tracker.resync(state, endpoint)
+
+
+def spy_on_inverse_drift(monkeypatch):
+    """Route the tracker's exact drift checks through a spy; returns the
+    list of (step, drift) it records."""
+    seen = []
+
+    def spy(state):
+        seen.append((state.t, inverse_drift(state)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(potential, "inverse_drift", spy)
+    return seen
+
+
+def test_the_probe_catches_one_drifted_entry_of_the_inverse(monkeypatch):
+    # one off-diagonal entry of M^-T goes wrong after step 13; later gates
+    # move M^T M^-T - Id not at all, so the probe at step 16 sees it, the
+    # exact product confirms it, and the message is the exact one
+    program = random_program(8, 36, 4, np.random.default_rng(21))
+    real_apply = gates.apply_gate
+
+    def drifting_apply(state, gate):
+        real_apply(state, gate)
+        if state.t == 13:
+            state.MinvT[0, 1] += 1e-5
+        return state
+
+    monkeypatch.setattr(gates, "apply_gate", drifting_apply)
+    drifts = spy_on_inverse_drift(monkeypatch)
+    with pytest.raises(RuntimeError) as exc:
+        trace_potentials(program, PotentialSpec.plain(8), recompute_every=8)
+    [(t, drift)] = drifts  # the probe alone passed step 8
+    assert t == 16 and drift > DRIFT_TOL
+    assert str(exc.value) == f"step 16: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}"
+
+
+def test_entries_below_the_drift_tolerance_that_add_up_past_it_fall_back_to_the_exact_check(
+        monkeypatch):
+    # every entry of row 0 of M^T M^-T - Id is 0.9 DRIFT_TOL, so the exact
+    # drift passes, but (P v)_0 = 0.9 DRIFT_TOL sum(v) sets off the probe;
+    # the exact product then decides, and the resync passes as before
+    n = 64
+    state = run_program(random_program(n, 300, 30, np.random.default_rng(22)))
+    tracker = PotentialTracker(PotentialSpec.plain(n), state)
+    D = np.zeros((n, n))
+    D[0] = 0.9 * DRIFT_TOL
+    state.MinvT += state.MinvT @ D
+    assert inverse_drift(state) <= DRIFT_TOL
+    assert not inverse_probe(state, tracker.probe) <= DRIFT_TOL
+    drifts = spy_on_inverse_drift(monkeypatch)
+    assert tracker.resync(state, False) == tracker.value
+    assert [t for t, _ in drifts] == [state.t]
+
+
+def test_the_probe_matrix_is_fixed():
+    # the same +-1 columns for every tracker, after a resync, and under any
+    # QEL_THREADS, so a run's checks never depend on when or how it ran
+    state = run_program(random_program(16, 40, 4, np.random.default_rng(23)))
+    first = PotentialTracker(PotentialSpec.plain(16), state)
+    V = first.probe.copy()
+    first.resync(state, False)
+    second = PotentialTracker(named_spec("hat-pq", 16), TrackedState.identity(16))
+    assert V.shape == (16, PROBE_COLUMNS)
+    assert set(np.unique(V)) == {-1.0, 1.0}
+    assert np.array_equal(first.probe, V) and np.array_equal(second.probe, V)
+    script = ("import hashlib\n"
+              "from qel.gates import TrackedState\n"
+              "from qel.potential import PotentialSpec, PotentialTracker\n"
+              "tracker = PotentialTracker(PotentialSpec.plain(16), TrackedState.identity(16))\n"
+              "print(hashlib.sha256(tracker.probe.tobytes()).hexdigest())\n")
+    for threads in ("1", "2"):
+        env = dict(os.environ, QEL_THREADS=threads,
+                   PYTHONPATH=str(Path(potential.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == hashlib.sha256(V.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("recompute_every", [-3, -24, 2.0])
+def test_trace_rejects_a_recompute_period_that_is_not_a_non_negative_int(recompute_every):
+    # before: -3 failed as a false desync, -24 leaked StopIteration, 2.0 a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"got {recompute_every!r}")):
+        trace_potentials(fast_wht_program(8), PotentialSpec.plain(8),
+                         recompute_every=recompute_every)
 
 
 def test_trace_record_with_a_nan_delta_exceeds_its_bound():

@@ -274,3 +274,27 @@ def test_readme_library_tour_names_only_code_that_exists():
     names = library_tour_names()
     assert len(names) > 50
     assert [name for name in names if not resolves(name)] == []
+
+
+def tolerance_table_rows():
+    """(name, module, value) of each row of the README's tolerance table
+    whose Name and Module cells are single backticked identifiers."""
+    text = README.read_text()
+    table = text.split("## Tolerances and thresholds", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) < 3:
+            continue
+        name, module = (re.fullmatch(r"`([A-Za-z_]\w*)`", cell) for cell in cells[:2])
+        if name and module:
+            rows.append((name[1], module[1], cells[2].strip("`")))
+    return rows
+
+
+def test_readme_tolerance_table_states_the_constants_the_code_defines():
+    rows = tolerance_table_rows()
+    assert {"DRIFT_TOL", "PROBE_COLUMNS", "DESYNC_TOL", "SIGMA_FLOOR"} <= {r[0] for r in rows}
+    for name, module, value in rows:
+        constant = getattr(importlib.import_module(f"qel.{module}"), name)
+        assert constant == float(value), (name, module, value)
