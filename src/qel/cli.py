@@ -410,9 +410,10 @@ def _add_recompute_flag(parser):
         type=_positive_int,
         default=RECOMPUTE_EVERY,
         metavar="K",
-        help="steps between checkpoints, which recompute the tracked value "
-             f"and probe the tracked inverse with {PROBE_COLUMNS} random +-1 "
-             "vectors (the endpoint checks it exactly)",
+        help="steps between checkpoints, which probe the tracked inverse and "
+             f"cached products with {PROBE_COLUMNS} random +-1 vectors and check "
+             "the tracked value against the caches' own (the endpoint checks "
+             "both from scratch)",
     )
 
 

@@ -24,11 +24,18 @@ gates._scale_rows) and one scatter, and the per-gate deltas and bounds are
 bitwise those of a gate-by-gate update.  trace_potentials resyncs the
 tracker every `recompute_every` gates and at the endpoint, and advances it
 one segment between checkpoints at a time.  A resync raises on inverse
-drift beyond DRIFT_TOL first (a from-scratch value on a wrong inverse means
-nothing), then on a from-scratch value off by more than DESYNC_TOL.  The
+drift beyond DRIFT_TOL first (a value checked against a wrong inverse means
+nothing), then on a checked value off by more than DESYNC_TOL.  The
 endpoint's drift check is the exact n x n product; a periodic one is a
 probe with PROBE_COLUMNS fixed random +-1 vectors, O(n^2), which hands over
-to the exact product whenever it sees a residual beyond DRIFT_TOL.
+to the exact product whenever it sees a residual beyond DRIFT_TOL.  The
+endpoint's value is the potential of fresh slice products; a periodic
+checkpoint forms no n x n product: it probes each preconditioned cache
+C = X A against the live state with the same vectors, and takes the value
+of the caches themselves, O(k n^2).  The caches are rebuilt there only
+when a probe residual is beyond CACHE_PROBE_TOL, so on a clean trace they
+are never reset between the endpoints and deltas do not depend on the
+cadence.
 """
 
 from __future__ import annotations
@@ -60,10 +67,15 @@ __all__ = [
 
 BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
 DRIFT_TOL = 1e-8   # max entry of M^T @ MinvT - Id at a resync
-DESYNC_TOL = 1e-6  # from-scratch evaluation vs the tracker's running value
+DESYNC_TOL = 1e-6  # checked value at a resync vs the tracker's running value
 RECOMPUTE_EVERY = 1024
 _CHUNK_ENTRIES = 1 << 17  # entries one level chunk gathers from the caches (1 MiB)
 PROBE_COLUMNS = 32  # +-1 columns of the periodic inverse probe: a miss has prob <= 2^-32
+# max|C V - X (A V)| of a cached product C = X A, relative to max |X| (|A| |V|):
+# forming both sides costs about 2 (n + 2) u of that (one length-n dot product
+# each, twice for the nested one), and each of m gates about 4 u (a rounding
+# of C and of X per entry it moves), about 5e-10 at n = 2^16 and m = 10^6
+CACHE_PROBE_TOL = 1e-9
 _PROBE_SEED = 1977  # so the probe matrix is the same for every tracker and every run
 NAMED_POTENTIALS = ("plain", "precond-id-f", "hat-pq")  # the kinds named_spec builds
 
@@ -167,10 +179,12 @@ def named_spec(kind, n):
     return PotentialSpec(n, slices, label=kind)
 
 
-def _slice_products(M, N, spec):
-    """[M A_0, N B_0, M A_1, N B_1, ...]; an identity slot is M or N itself."""
-    return [X if P is None else X @ P
-            for A, B in spec.slices for X, P in ((M, A), (N, B))]
+def _slice_products(M, N, spec, out):
+    """[M A_0, N B_0, M A_1, N B_1, ...]; an identity slot is M or N itself,
+    and a product is written into out[slot] unless `out` is None."""
+    slots = [(X, P) for A, B in spec.slices for X, P in ((M, A), (N, B))]
+    return [X if P is None else np.matmul(X, P, out=None if out is None else out[slot])
+            for slot, (X, P) in enumerate(slots)]
 
 
 def _coupled(products):
@@ -193,7 +207,7 @@ def k_slice_quasi_entropy(M, spec, minv_t=None):
     if M.shape[0] != spec.n:
         raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
     N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
-    return _value(_slice_products(M, N, spec))
+    return _value(_slice_products(M, N, spec, None))
 
 
 def quasi_entropy(M, minv_t=None):
@@ -287,8 +301,9 @@ class PotentialTracker:
     scatter per level.  Constant gates leave the plain potential unchanged
     exactly (row i of M scales by c, of MinvT by 1/c, products cancel) and
     the tracker returns literal 0.0 there; general specs recompute the
-    affected rows.  `resync` checks the running value against a
-    from-scratch evaluation.
+    affected rows.  `resync` checks the running value against the
+    caches' own value, after probing them against the live state, and at
+    the endpoint against a from-scratch evaluation.
     """
 
     def __init__(self, spec, state):
@@ -297,20 +312,35 @@ class PotentialTracker:
         self.spec = spec
         self.probe = _probe_matrix(spec.n)
         self.caches = np.empty((2 * spec.k, spec.n, spec.n))
+        self.caches[0::2], self.caches[1::2] = state.M, state.MinvT  # _rebuild fills the rest
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            # per preconditioned slot: A V and the row sums of |A|, its probe's fixed half
+            self._probed = [(slot, A @ self.probe, np.abs(A).sum(axis=1))
+                            for slot, A in enumerate(P for pair in spec.slices for P in pair)
+                            if A is not None]
             self.value = self._rebuild(state)
         if not math.isfinite(self.value):
             raise ValueError(f"the starting {spec.label} potential is {self.value!r}, not "
                              "finite: the preconditioners' products overflow")
 
     def _rebuild(self, state):
-        """Rebuild the caches from `state`; returns its potential, taken
-        from the fresh products before they are copied in."""
-        products = _slice_products(state.M, state.MinvT, self.spec)
-        value = _value(products)
-        for cache, X in zip(self.caches, products):
-            cache[...] = X
-        return value
+        """Form the preconditioned caches from `state` in place (an identity
+        slot already is M or MinvT, bitwise); returns the potential of
+        `state`, taken from those products and from M and MinvT."""
+        return _value(_slice_products(state.M, state.MinvT, self.spec, self.caches))
+
+    def _caches_pass_probe(self, state):
+        """Whether every preconditioned cache C = X A (X = M or MinvT of
+        `state`) has max|C V - X (A V)| within CACHE_PROBE_TOL times
+        max |X| (|A| |V|), with V = `probe` (so |A| |V| repeats the row sums
+        of |A| in every column): O(PROBE_COLUMNS n^2) per slot."""
+        for slot, AV, row_sums in self._probed:
+            X = state.MinvT if slot % 2 else state.M
+            R = self.caches[slot] @ self.probe
+            R -= X @ AV
+            if not np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * np.max(np.abs(X) @ row_sums):
+                return False
+        return True
 
     def rotation_bound(self, i, iprime):
         """Theorem 2's bound on |delta Phi_{A,B}| for any rotation of rows
@@ -372,12 +402,11 @@ class PotentialTracker:
         self.caches[:, rows] = G
 
     def resync(self, state, endpoint):
-        """Evaluate the potential of `state` from scratch and return it.
+        """Check the tracker against `state` and return the checked value.
 
         Raises RuntimeError unless the inverse drift of `state` is within
-        DRIFT_TOL and the value within DESYNC_TOL of the running one (a NaN
-        fails both); otherwise adopts it.  The caches are rebuilt from
-        `state` once the drift check has passed.
+        DRIFT_TOL and the checked value within DESYNC_TOL of the running one
+        (a NaN fails both); otherwise adopts it.
 
         At the `endpoint` the drift is the exact inverse_drift.  Elsewhere
         the probe max|(M^T M^-T - Id) V|, V = `probe` (n x PROBE_COLUMNS,
@@ -389,13 +418,27 @@ class PotentialTracker:
         |(P v)[i]| >= |P[i, j]|: each column of V misses the drift with
         probability at most 1/2 over its draw, all of them with at most
         2^-32 (in exact arithmetic).
+
+        The checked value at the `endpoint` is the potential of fresh slice
+        products, which replace the preconditioned caches.  Elsewhere each
+        preconditioned cache C = X A + E is probed first: (C V - X (A V)) is
+        E V up to rounding, so an error E[i, j] alone shows as |E[i, j]| in
+        every column of the probe, and several errors in one row slip past
+        all columns with at most 2^-32 as above.  If every probe is within
+        CACHE_PROBE_TOL, the checked value is that of the caches themselves,
+        O(k n^2), and no product is formed; otherwise the caches are rebuilt
+        as at the endpoint and the fresh value faces the desync check, so
+        the probe flags and the exact path decides.
         """
         if endpoint or not inverse_probe(state, self.probe) <= DRIFT_TOL:
             drift = inverse_drift(state)
             if not drift <= DRIFT_TOL:
                 raise RuntimeError(f"step {state.t}: inverse-transpose drift "
                                    f"{drift:.3e} exceeds {DRIFT_TOL:.1e}")
-        direct = self._rebuild(state)
+        if endpoint or not self._caches_pass_probe(state):
+            direct = self._rebuild(state)
+        else:
+            direct = _value(self.caches)
         if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
@@ -449,10 +492,10 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     a KappaCertifier: recomputed after scaling gates, carried across
     isometries).  With `check_bounds`, a record that `exceeds_bound`
     raises RuntimeError.  The tracker is resynced (inverse drift, then
-    from-scratch value) every `recompute_every` steps (a non-negative int;
-    0: never) and at the endpoint, whose from-scratch value is
-    `direct_final`; a periodic resync at the last step serves as the
-    endpoint's, exact drift check included.
+    the caches' value, see PotentialTracker.resync) every `recompute_every`
+    steps (a non-negative int; 0: never) and at the endpoint, whose
+    from-scratch value is `direct_final`; a periodic resync at the last
+    step serves as the endpoint's, exact checks included.
 
     The program splits into segments that end at each resync step and at
     the endpoint.  When the engine enters a segment, the tracker advances

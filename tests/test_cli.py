@@ -180,6 +180,29 @@ def test_a_clean_trace_runs_the_exact_drift_check_once(capsys, monkeypatch):
     assert probes == list(range(1, 2048))
 
 
+def test_a_clean_trace_forms_slice_products_only_at_its_endpoints(capsys, monkeypatch):
+    # periodic checkpoints probe the caches instead of rebuilding them, so
+    # products are formed when a tracker starts and at its endpoint only;
+    # each call is recorded as the number of gates the engine has applied
+    applied, formed = [0], []
+    real_apply, real_products = gates.apply_gate, potential._slice_products
+
+    def counting_apply(state, gate):
+        applied[0] += 1
+        return real_apply(state, gate)
+
+    monkeypatch.setattr(gates, "apply_gate", counting_apply)
+    monkeypatch.setattr(potential, "_slice_products",
+                        lambda *args: formed.append(applied[0]) or real_products(*args))
+    code, _, _ = run_cli(["run-wht", "--n", "256", "--potential", "hat-pq",
+                          "--recompute-every", "16", "--out", os.devnull], capsys)
+    assert code == 0 and formed == [0, 2048]
+    applied[0], formed[:] = 0, []
+    code, _, _ = run_cli(["verify-theorem2", "--n", "32", "--programs", "2", "--gates", "600",
+                          "--recompute-every", "7", "--out", os.devnull], capsys)
+    assert code == 0 and formed == [0, 330, 330, 660]  # two programs of 300 + 30 gates
+
+
 @pytest.mark.parametrize("argv", [
     ["run-wht", "--recompute-every", "0"],
     ["verify-lemma", "--instances", "0"],
@@ -538,33 +561,38 @@ def test_run_wht_names_the_first_step_over_the_rotation_bound(tmp_path, capsys, 
 
 
 def test_verify_theorem2_archives_replay_the_violations(tmp_path, capsys, monkeypatch):
-    # about half of these rotations sit within 0.44 of their bound
+    # about half of these rotations sit within 0.44 of their bound; the
+    # archives replay at the default cadence, and deltas do not depend on it
     tol = -0.44
     monkeypatch.setattr(potential, "BOUND_TOL", tol)
-    monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(
-        ["verify-theorem2", "--n", "8", "--programs", "2", "--gates", "40",
-         "--seed", "11", "--out", "thm2.csv"],
-        capsys,
-    )
-    assert code == 1
-    rows = list(csv.DictReader(open("thm2.csv")))
-    for index in range(2):
-        mine = {int(r["step"]): r for r in rows if r["program"] == str(index)}
-        steps = sorted(t for t, r in mine.items()
-                       if abs(float(r["delta"])) > float(r["bound"]) + tol)
-        assert 0 < len(steps) < len(mine)
-        stem = f"theorem2-violation-program{index}"
-        assert f"FAIL: program {index} broke the rotation bound at steps {steps}" in err
-        A, B = load_matrices_text(f"{stem}.mats")
-        replay = trace_potentials(load_program(f"{stem}.gates"),
-                                  PotentialSpec.preconditioned(A, B),
-                                  check_bounds=False, track_kappa=False)
-        violations = [r for r in replay.records if r.exceeds_bound]
-        assert [r.t for r in violations] == steps
-        for r in violations:
-            assert r.delta.hex() == float(mine[r.t]["delta"]).hex()
-            assert r.bound.hex() == float(mine[r.t]["bound"]).hex()
+    for run, argv in enumerate([["--n", "8", "--gates", "40"],
+                                ["--n", "16", "--gates", "400", "--recompute-every", "5"]]):
+        workdir = tmp_path / f"run{run}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, _, err = run_cli(
+            ["verify-theorem2", *argv, "--programs", "2", "--seed", "11", "--out", "thm2.csv"],
+            capsys,
+        )
+        assert code == 1
+        rows = list(csv.DictReader(open("thm2.csv")))
+        for index in range(2):
+            mine = {int(r["step"]): r for r in rows if r["program"] == str(index)}
+            steps = sorted(t for t, r in mine.items()
+                           if abs(float(r["delta"])) > float(r["bound"]) + tol)
+            assert 0 < len(steps) < len(mine)
+            stem = f"theorem2-violation-program{index}"
+            assert f"FAIL: program {index} broke the rotation bound at steps {steps}" in err
+            A, B = load_matrices_text(f"{stem}.mats")
+            replay = trace_potentials(load_program(f"{stem}.gates"),
+                                      PotentialSpec.preconditioned(A, B),
+                                      check_bounds=False, track_kappa=False)
+            violations = [r for r in replay.records if r.exceeds_bound]
+            assert [r.t for r in violations] == steps
+            for r in replay.records:
+                if r.t in mine:
+                    assert r.delta.hex() == float(mine[r.t]["delta"]).hex()
+                    assert r.bound.hex() == float(mine[r.t]["bound"]).hex()
 
 
 def test_verify_theorem2_deterministic(tmp_path, capsys):

@@ -646,7 +646,9 @@ def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
 def gate_by_gate_trace(program, spec, recompute_every):
     """[(potential, delta, bound)] per step from a tracker written out one
     gate at a time: the engine's gate action (_apply_to_pair) on every
-    cached pair and entropy_sum over the rows the gate touches."""
+    cached pair and entropy_sum over the rows the gate touches.  A periodic
+    checkpoint takes the caches' own value; only the endpoint's rebuilds
+    them from fresh products."""
     state = TrackedState.identity(program.n)
 
     def caches():
@@ -673,7 +675,10 @@ def gate_by_gate_trace(program, spec, recompute_every):
         delta = 0.0 if spec.is_plain and not rotation else -(coupled_entropy() - before) + 0.0
         value += delta
         if recompute_every and t % recompute_every == 0:
-            pairs, value = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT)
+            if t == len(program):
+                pairs, value = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT)
+            else:
+                value = potential._value([X for pair in pairs for X in pair])
         out.append((value, delta, bound))
     return out
 
@@ -726,6 +731,90 @@ def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kin
                                    check_bounds=False, track_kappa=False).records
     got = [(r.potential, r.delta, r.bound) for r in records]
     assert hexed(got) == hexed(gate_by_gate_trace(program, spec, recompute_every))
+
+
+CORRUPTED_SLOTS = [("hat-pq", 1), ("hat-pq", 2), ("precond", 0), ("precond", 1)]
+
+
+def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
+    """Trace a 36-gate program with checkpoints every 8 steps, adding
+    `error` to one entry of cache `slot` right after the checkpoint at step
+    8, on a row the next gate moves.  on_resync(tracker, state) runs before
+    each resync.  Returns (program, the trajectory or the RuntimeError,
+    the steps at which slice products were formed)."""
+    program = random_program(8, 32, 4, np.random.default_rng(24))
+    row = program.gates[8].i - 1
+    real_resync, real_products = PotentialTracker.resync, potential._slice_products
+    formed, checkpoint = [], [0]  # the step of the resync in progress, 0 at the start
+
+    def resync(tracker, state, endpoint):
+        checkpoint[0] = None
+        if on_resync is not None:
+            on_resync(tracker, state)
+        checkpoint[0] = state.t
+        value = real_resync(tracker, state, endpoint)
+        checkpoint[0] = None
+        if state.t == 8:
+            tracker.caches[slot, row, (row + 3) % 8] += error
+        return value
+
+    def products(*args):
+        if checkpoint[0] is not None:
+            formed.append(checkpoint[0])
+        return real_products(*args)
+
+    monkeypatch.setattr(PotentialTracker, "resync", resync)
+    monkeypatch.setattr(potential, "_slice_products", products)
+    try:
+        result = trace_potentials(program, spec, recompute_every=8, check_bounds=False)
+    except RuntimeError as exc:
+        result = exc
+    return program, result, formed
+
+
+@pytest.mark.parametrize("kind, slot", CORRUPTED_SLOTS)
+def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, monkeypatch):
+    # the caches' own value agrees with the running one, which the same
+    # wrong entry moved; the probe flags the entry at step 16 and hands
+    # over to fresh products, whose value disagrees with the running one
+    spec = equivalence_specs(8)[kind]
+    expected = []
+
+    def message(tracker, state):
+        direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
+        expected.append(f"step {state.t}: tracker desynchronized from state: "
+                        f"incremental {tracker.value!r} vs direct {direct!r}")
+
+    _, result, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1.0, message)
+    assert isinstance(result, RuntimeError)
+    assert formed == [0, 16]
+    assert str(result) == expected[1]
+
+
+@pytest.mark.parametrize("kind, slot", CORRUPTED_SLOTS)
+def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeypatch):
+    # 1e-7 is far beyond the probe's tolerance and moves the value by less
+    # than DESYNC_TOL, so step 16 rebuilds the caches and passes; every
+    # delta after it is one a tracker built fresh at step 16 gives
+    spec = equivalence_specs(8)[kind]
+    program, trajectory, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1e-7)
+    assert formed == [0, 16, 36]
+    state = run_program(GateProgram(8, program.gates[:16]))
+    fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
+    assert [r.delta.hex() for r in trajectory.records[16:]] == [d.hex() for d in fresh]
+
+
+@pytest.mark.parametrize("kind", ["plain", "precond", "hat-pq"])
+def test_deltas_and_bounds_do_not_depend_on_the_checkpoint_cadence(kind):
+    # a clean trace never resets its caches before the endpoint, so every
+    # delta and bound comes from the same cached products at any cadence
+    program = random_program(16, 2100, 210, np.random.default_rng(25))
+    spec = equivalence_specs(16)[kind]
+    traces = [hexed((r.delta, r.bound) for r in
+                    trace_potentials(program, spec, recompute_every=every,
+                                     check_bounds=False, track_kappa=False).records)
+              for every in (0, 1, 7, 1024)]
+    assert traces[1] == traces[0] and traces[2] == traces[0] and traces[3] == traces[0]
 
 
 @pytest.mark.parametrize("gates, recompute_every, error, message", [
