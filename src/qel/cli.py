@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .potential import (
     PROBE_COLUMNS,
     RECOMPUTE_EVERY,
     PotentialSpec,
+    _exceeds_bound,
     load_matrices_text,
     named_spec,
     trace_potentials,
@@ -151,6 +153,8 @@ def _warn_asymptotic_regime(n, eps):
 def build_potential_spec(kind, n, slices_path):
     """Resolve --potential: a named kind, or k-slice pairs from --slices."""
     if kind != "k-slice":
+        if slices_path is not None:
+            raise ValueError(f"--slices applies only to --potential k-slice, not {kind}")
         return named_spec(kind, n)
     if slices_path is None:
         raise ValueError("--potential k-slice requires --slices <file>")
@@ -167,13 +171,14 @@ def build_potential_spec(kind, n, slices_path):
 def trajectory_rows(trajectory):
     """CSV rows for one trajectory, with a step-0 initialization row."""
     rows = [(0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)]
-    for rec in trajectory.records:
-        gate = rec.gate
+    columns = zip(trajectory.program.gates, trajectory.potentials[1:], trajectory.deltas,
+                  trajectory.bounds or repeat(None), trajectory.kappas or repeat(None))
+    for t, (gate, potential, delta, bound, kappa) in enumerate(columns, start=1):
         if isinstance(gate, Rotation):
             head = ("R", gate.i, gate.iprime, gate.theta)
         else:
             head = ("C", gate.i, None, gate.c)
-        rows.append((rec.t, *head, rec.potential, rec.delta, rec.bound, rec.kappa))
+        rows.append((t, *head, potential, delta, bound, kappa))
     return rows
 
 
@@ -182,9 +187,7 @@ def _trace(args, program):
     spec = build_potential_spec(args.potential, args.n, args.slices)
     trajectory = trace_potentials(program, spec, recompute_every=args.recompute_every)
     if args.plot_data:
-        rows = [(0, trajectory.initial_value)]
-        rows.extend((rec.t, rec.potential) for rec in trajectory.records)
-        _write_table(args.out, ("step", "potential"), rows)
+        _write_table(args.out, ("step", "potential"), enumerate(trajectory.potentials))
     else:
         _write_table(args.out, TRACE_COLUMNS, trajectory_rows(trajectory))
     return trajectory
@@ -369,13 +372,14 @@ def cmd_verify_theorem2(args):
                                       recompute_every=args.recompute_every,
                                       check_bounds=False, track_kappa=False)
         steps = []
-        for rec in trajectory.records:
-            if not isinstance(rec.gate, Rotation):
+        columns = zip(program.gates, trajectory.deltas, trajectory.bounds)
+        for t, (gate, delta, bound) in enumerate(columns, start=1):
+            if not isinstance(gate, Rotation):
                 continue
-            ratio = abs(rec.delta) / rec.bound if rec.bound > 1e-300 else 0.0
-            rows.append((index, rec.t, rec.gate.i, rec.gate.iprime, rec.delta, rec.bound, ratio))
-            if rec.exceeds_bound:
-                steps.append(rec.t)
+            ratio = abs(delta) / bound if bound > 1e-300 else 0.0
+            rows.append((index, t, gate.i, gate.iprime, delta, bound, ratio))
+            if _exceeds_bound(gate, delta, bound):
+                steps.append(t)
         if steps:
             broken.append((index, steps, program, A, B))
     _write_table(args.out, THEOREM2_COLUMNS, rows)
@@ -427,7 +431,7 @@ def _add_trace_flags(parser):
     parser.add_argument(
         "--slices",
         default=None,
-        help="matrix-text file of A/B pairs for --potential k-slice",
+        help="matrix-text file of A/B pairs; only with --potential k-slice",
     )
     _add_recompute_flag(parser)
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")

@@ -42,20 +42,19 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .gates import (KappaCertifier, Rotation, TrackedState, _scale_rows, inverse_drift,
-                    inverse_probe, rotate_rows, run_program)
+from .gates import (GateProgram, KappaCertifier, Rotation, TrackedState, _scale_rows,
+                    inverse_drift, inverse_probe, rotate_rows, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
     "entropy_sum",
     "PotentialSpec",
     "PotentialTracker",
-    "TraceRecord",
     "Trajectory",
     "quasi_entropy",
     "k_slice_quasi_entropy",
@@ -447,94 +446,89 @@ class PotentialTracker:
         return direct
 
 
-@dataclass
-class TraceRecord:
-    t: int
-    gate: object
-    potential: float
-    delta: float
-    bound: float | None
-    kappa: float | None
-
-    @property
-    def exceeds_bound(self):
-        """A rotation whose |delta| is not within bound + BOUND_TOL (NaN is not)."""
-        return (isinstance(self.gate, Rotation) and self.bound is not None
-                and not abs(self.delta) <= self.bound + BOUND_TOL)
+def _exceeds_bound(gate, delta, bound):
+    """Whether `gate` is a rotation whose |delta| is not within bound +
+    BOUND_TOL (NaN is not): the one place the bound rule is applied."""
+    return isinstance(gate, Rotation) and not abs(delta) <= bound + BOUND_TOL
 
 
 @dataclass
 class Trajectory:
-    """Record of one spec's traced run.  `records` has one entry per gate
-    (an empty program leaves only the initial value); deltas telescope to
-    final_value - initial_value up to roundoff."""
+    """One spec's traced run of `program`, as columns: potentials[t] is the
+    value after step t (potentials[0] the initial one); deltas, bounds (None
+    for k >= 2 specs) and kappas (None untracked) hold step t at t - 1.
+    Deltas telescope to final_value - initial_value up to roundoff."""
 
     label: str
-    initial_value: float
-    records: list = field(default_factory=list)
-    direct_final: float = math.nan
+    program: GateProgram
+    potentials: list
+    deltas: list
+    bounds: list | None
+    kappas: list | None
+    direct_final: float
+
+    @property
+    def initial_value(self):
+        return self.potentials[0]
 
     @property
     def final_value(self):
-        return self.records[-1].potential if self.records else self.initial_value
+        return self.potentials[-1]
 
     @property
     def max_abs_delta(self):
-        return max((abs(r.delta) for r in self.records), default=0.0)
+        return max(map(abs, self.deltas), default=0.0)
 
 
 def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
                      check_bounds=True, track_kappa=True):
-    """Run a program once, tracking the spec's potential per step.
+    """Run a program once and return the spec's Trajectory.
 
-    Per record: potential value, delta, the rotation delta bound (single
-    slice specs; 0.0 on constant gates, None for k >= 2), and kappa (from
-    a KappaCertifier: recomputed after scaling gates, carried across
-    isometries).  With `check_bounds`, a record that `exceeds_bound`
-    raises RuntimeError.  The tracker is resynced (inverse drift, then
-    the caches' value, see PotentialTracker.resync) every `recompute_every`
-    steps (a non-negative int; 0: never) and at the endpoint, whose
-    from-scratch value is `direct_final`; a periodic resync at the last
-    step serves as the endpoint's, exact checks included.
+    Its columns hold, per step, the potential, its delta, the rotation
+    bound (single-slice specs; 0.0 on constant gates) and kappa (from a
+    KappaCertifier: recomputed after scaling gates, carried across
+    isometries).  With `check_bounds`, a rotation over its bound
+    (_exceeds_bound) raises RuntimeError.  The tracker is resynced
+    (inverse drift, then the caches' value, see PotentialTracker.resync)
+    every `recompute_every` steps (a non-negative int; 0: never) and at
+    the endpoint, whose from-scratch value is `direct_final`; a periodic
+    resync at the last step serves as the endpoint's, exact checks included.
 
     The program splits into segments that end at each resync step and at
     the endpoint.  When the engine enters a segment, the tracker advances
-    through all of it at once (in ASAP levels); each step's record is then
-    built when the engine reaches that step, after its certifier and its
-    resync, so an error names the same first step as a gate-by-gate trace.
+    through all of it at once (in ASAP levels) into the columns; each
+    step's resync (which overwrites its potential) and bound check run when
+    the engine reaches that step, after its certifier, so an error names
+    the same first step as a gate-by-gate trace.
     """
-    if not isinstance(recompute_every, int) or recompute_every < 0:
+    if type(recompute_every) is not int or recompute_every < 0:
         raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")
     tracker = PotentialTracker(spec, TrackedState.identity(program.n))
-    trajectory = Trajectory(spec.label, tracker.value)
+    potentials, deltas = [tracker.value], []
+    bounds, kappas = ([] if spec.k == 1 else None), ([] if track_kappa else None)
     cert = KappaCertifier()
     m = len(program)
     segment = recompute_every or m
-    pending = None  # (potential, delta, bound) of each step of the current segment
 
     def observer(t, gate, state):
-        nonlocal pending
         if (t - 1) % segment == 0:
-            start = tracker.value
-            deltas, bounds = tracker.advance(program.gates[t - 1:t - 1 + segment])
-            potentials = list(accumulate(deltas, initial=start))[1:]
-            pending = zip(potentials, deltas, bounds or [None] * len(deltas))
-        potential, delta, bound = next(pending)
+            moved, moved_bounds = tracker.advance(program.gates[t - 1:t - 1 + segment])
+            potentials.extend(accumulate(moved, initial=potentials.pop()))
+            deltas.extend(moved)
+            if bounds is not None:
+                bounds.extend(moved_bounds)
+        if track_kappa:
+            kappas.append(cert.kappa)
         if recompute_every and t % recompute_every == 0:
-            potential = tracker.resync(state, t == m)
-        record = TraceRecord(t, gate, potential, delta, bound,
-                             cert.kappa if track_kappa else None)
-        if check_bounds and record.exceeds_bound:
-            raise RuntimeError(
-                f"step {t}: |delta| = {abs(delta)!r} exceeds rotation bound {bound!r}")
-        trajectory.records.append(record)
+            potentials[t] = tracker.resync(state, t == m)
+        if check_bounds and bounds and _exceeds_bound(gate, deltas[t - 1], bounds[t - 1]):
+            raise RuntimeError(f"step {t}: |delta| = {abs(deltas[t - 1])!r} "
+                               f"exceeds rotation bound {bounds[t - 1]!r}")
 
     final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
-    if m and recompute_every and m % recompute_every == 0:
-        trajectory.direct_final = tracker.value  # adopted by the resync at t = m
-    else:
-        trajectory.direct_final = tracker.resync(final, True)
-    return trajectory
+    if not (m and recompute_every and m % recompute_every == 0):  # else step m resynced
+        tracker.resync(final, True)
+    return Trajectory(spec.label, program, potentials, deltas, bounds, kappas, tracker.value)
 
 
 def write_matrix_text(fh, M):

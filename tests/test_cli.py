@@ -548,9 +548,11 @@ def test_run_wht_names_the_first_step_over_the_rotation_bound(tmp_path, capsys, 
     # the butterfly rotations meet their bound to within an ulp, so a
     # negative tolerance turns them into violations
     tol = -1e-12
-    records = trace_potentials(fast_wht_program(8), PotentialSpec.plain(8)).records
-    first = next(r.t for r in records
-                 if isinstance(r.gate, Rotation) and abs(r.delta) > r.bound + tol)
+    program = fast_wht_program(8)
+    trajectory = trace_potentials(program, PotentialSpec.plain(8))
+    first = next(t for t, (gate, delta, bound)
+                 in enumerate(zip(program.gates, trajectory.deltas, trajectory.bounds), start=1)
+                 if isinstance(gate, Rotation) and abs(delta) > bound + tol)
     monkeypatch.setattr(potential, "BOUND_TOL", tol)
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(["run-wht", "--n", "8", "--out", "trace.csv"], capsys)
@@ -584,15 +586,15 @@ def test_verify_theorem2_archives_replay_the_violations(tmp_path, capsys, monkey
             stem = f"theorem2-violation-program{index}"
             assert f"FAIL: program {index} broke the rotation bound at steps {steps}" in err
             A, B = load_matrices_text(f"{stem}.mats")
-            replay = trace_potentials(load_program(f"{stem}.gates"),
-                                      PotentialSpec.preconditioned(A, B),
+            program = load_program(f"{stem}.gates")
+            replay = trace_potentials(program, PotentialSpec.preconditioned(A, B),
                                       check_bounds=False, track_kappa=False)
-            violations = [r for r in replay.records if r.exceeds_bound]
-            assert [r.t for r in violations] == steps
-            for r in replay.records:
-                if r.t in mine:
-                    assert r.delta.hex() == float(mine[r.t]["delta"]).hex()
-                    assert r.bound.hex() == float(mine[r.t]["bound"]).hex()
+            columns = list(enumerate(zip(program.gates, replay.deltas, replay.bounds), start=1))
+            assert [t for t, step in columns if potential._exceeds_bound(*step)] == steps
+            for t, (_, delta, bound) in columns:
+                if t in mine:
+                    assert delta.hex() == float(mine[t]["delta"]).hex()
+                    assert bound.hex() == float(mine[t]["bound"]).hex()
 
 
 def test_verify_theorem2_deterministic(tmp_path, capsys):
@@ -640,6 +642,20 @@ def test_missing_slices_file_is_config_error(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["run-wht", "--n", "4", "--potential", "plain"],
+                                  ["run-perturbation", "--n", "8", "--eps", "0.125",
+                                   "--potential", "hat-pq"]],
+                         ids=["run-wht", "run-perturbation"])
+def test_slices_with_a_named_potential_is_config_error(argv, tmp_path, capsys):
+    # a named kind has no use for the file, so it must not be ignored in silence
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli([*argv, "--slices", "/nonexistent/path.txt", "--out", str(out)],
+                           capsys)
+    assert code == 2
+    assert f"--slices applies only to --potential k-slice, not {argv[-1]}" in err
+    assert not out.exists()
 
 
 def test_build_potential_spec_labels():

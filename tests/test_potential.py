@@ -46,7 +46,7 @@ from qel.potential import (
     PROBE_COLUMNS,
     PotentialSpec,
     PotentialTracker,
-    TraceRecord,
+    _exceeds_bound,
     entropy_sum,
     k_slice_quasi_entropy,
     load_matrices_text,
@@ -505,20 +505,22 @@ def test_the_probe_matrix_is_fixed():
         assert proc.stdout.strip() == hashlib.sha256(V.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("recompute_every", [-3, -24, 2.0])
+@pytest.mark.parametrize("recompute_every", [-3, -24, 2.0, True])
 def test_trace_rejects_a_recompute_period_that_is_not_a_non_negative_int(recompute_every):
-    # before: -3 failed as a false desync, -24 leaked StopIteration, 2.0 a TypeError
+    # before: -3 failed as a false desync, -24 leaked StopIteration, 2.0 a
+    # TypeError, and True passed as a cadence of 1
     with pytest.raises(ValueError, match=re.escape(f"got {recompute_every!r}")):
         trace_potentials(fast_wht_program(8), PotentialSpec.plain(8),
                          recompute_every=recompute_every)
 
 
-def test_trace_record_with_a_nan_delta_exceeds_its_bound():
+def test_a_rotation_with_a_nan_delta_exceeds_its_bound():
     gate = Rotation(1, 2, 0.3)
-    assert not TraceRecord(1, gate, 0.5, 0.5, 0.5, None).exceeds_bound
-    assert TraceRecord(1, gate, 0.5, 0.5 + 2 * BOUND_TOL, 0.5, None).exceeds_bound
-    assert TraceRecord(1, gate, math.nan, math.nan, 0.5, None).exceeds_bound
-    assert TraceRecord(1, gate, 0.5, 0.5, math.nan, None).exceeds_bound
+    assert not _exceeds_bound(gate, 0.5, 0.5)
+    assert _exceeds_bound(gate, 0.5 + 2 * BOUND_TOL, 0.5)
+    assert _exceeds_bound(gate, math.nan, 0.5)
+    assert _exceeds_bound(gate, 0.5, math.nan)
+    assert not _exceeds_bound(Constant(1, 2.0), 1.0, 0.0)
 
 
 def test_trace_telescoping_and_endpoint():
@@ -526,18 +528,31 @@ def test_trace_telescoping_and_endpoint():
     trajectory = trace_potentials(program, PotentialSpec.plain(16))
     assert trajectory.initial_value == 0.0
     assert trajectory.final_value == pytest.approx(16 * 4.0, rel=1e-12)
-    total = math.fsum(r.delta for r in trajectory.records)
+    total = math.fsum(trajectory.deltas)
     assert abs((trajectory.final_value - trajectory.initial_value) - total) < 1e-9
-    assert len(trajectory.records) == len(program)
+    assert len(trajectory.deltas) == len(program)
+    assert len(trajectory.potentials) == len(program) + 1
+
+
+@pytest.mark.parametrize("kind", ["plain", "hat-pq"])
+def test_an_empty_program_traces_only_its_initial_value(kind):
+    spec = named_spec(kind, 4)
+    trajectory = trace_potentials(GateProgram(4, []), spec)
+    initial = k_slice_quasi_entropy(np.eye(4), spec, minv_t=np.eye(4))
+    assert trajectory.potentials == [initial]
+    assert trajectory.deltas == [] and trajectory.kappas == []
+    assert trajectory.bounds == ([] if kind == "plain" else None)
+    assert trajectory.final_value == trajectory.initial_value == trajectory.direct_final
+    assert trajectory.max_abs_delta == 0.0
 
 
 def test_trace_reports_bounds_only_for_single_slice_specs():
     program = fast_wht_program(8)
     plain = trace_potentials(program, PotentialSpec.plain(8))
     hat = trace_potentials(program, named_spec("hat-pq", 8))
-    rotation_records = [r for r in plain.records if isinstance(r.gate, Rotation)]
-    assert all(r.bound is not None for r in rotation_records)
-    assert all(r.bound is None for r in hat.records)
+    assert len(plain.bounds) == len(program)
+    assert all(bound is not None for bound in plain.bounds)
+    assert hat.bounds is None
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -551,7 +566,7 @@ def test_hat_potential_stays_zero_along_rotation_only_programs():
     n = 16
     program = random_program(n, 300, 0, np.random.default_rng(43))
     trajectory = trace_potentials(program, named_spec("hat-pq", n), recompute_every=64)
-    assert all(r.potential == 0.0 and r.delta == 0.0 for r in trajectory.records)
+    assert all(value == 0.0 for value in trajectory.potentials + trajectory.deltas)
     state = run_program(program)
     assert k_slice_quasi_entropy(state.M, named_spec("hat-pq", n), minv_t=state.MinvT) == 0.0
 
@@ -561,14 +576,15 @@ def test_trace_kappa_column_matches_exhaustive_certifier():
     oracle = KappaCertifier(exhaustive=True)
     kappas = []
     run_program(program, observers=[oracle, lambda t, gate, state: kappas.append(oracle.kappa)])
-    records = trace_potentials(program, PotentialSpec.plain(8)).records
-    npt.assert_allclose([r.kappa for r in records], kappas, rtol=1e-9)
+    npt.assert_allclose(trace_potentials(program, PotentialSpec.plain(8)).kappas, kappas,
+                        rtol=1e-9)
 
 
 def test_trace_kappa_column_tracks_scaling_gates():
     program = fast_wht_program(4)
     trajectory = trace_potentials(program, PotentialSpec.plain(4))
-    assert all(r.kappa == pytest.approx(1.0, abs=1e-9) for r in trajectory.records)
+    assert len(trajectory.kappas) == len(program)
+    assert all(kappa == pytest.approx(1.0, abs=1e-9) for kappa in trajectory.kappas)
 
 
 def test_matrix_text_round_trip(tmp_path):
@@ -714,6 +730,13 @@ def hexed(rows):
     return [tuple(None if x is None else x.hex() for x in row) for row in rows]
 
 
+def step_rows(trajectory):
+    """(potential, delta, bound) per step from a trajectory's columns; the
+    bound is None for k >= 2 specs."""
+    return list(zip(trajectory.potentials[1:], trajectory.deltas,
+                    trajectory.bounds or [None] * len(trajectory.deltas)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(program=shared_row_programs(),
        kind=st.sampled_from(["plain", "precond", "precond-id-f", "hat-pq"]),
@@ -727,10 +750,10 @@ def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kin
     if chunk_gates is not None:  # split each level into chunks of this many gates
         entries = chunk_gates * 4 * spec.k * spec.n
     with mock.patch.object(potential, "_CHUNK_ENTRIES", entries):
-        records = trace_potentials(program, spec, recompute_every=recompute_every,
-                                   check_bounds=False, track_kappa=False).records
-    got = [(r.potential, r.delta, r.bound) for r in records]
-    assert hexed(got) == hexed(gate_by_gate_trace(program, spec, recompute_every))
+        trajectory = trace_potentials(program, spec, recompute_every=recompute_every,
+                                      check_bounds=False, track_kappa=False)
+    assert hexed(step_rows(trajectory)) == hexed(gate_by_gate_trace(program, spec,
+                                                                    recompute_every))
 
 
 CORRUPTED_SLOTS = [("hat-pq", 1), ("hat-pq", 2), ("precond", 0), ("precond", 1)]
@@ -801,7 +824,7 @@ def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeyp
     assert formed == [0, 16, 36]
     state = run_program(GateProgram(8, program.gates[:16]))
     fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
-    assert [r.delta.hex() for r in trajectory.records[16:]] == [d.hex() for d in fresh]
+    assert [d.hex() for d in trajectory.deltas[16:]] == [d.hex() for d in fresh]
 
 
 @pytest.mark.parametrize("kind", ["plain", "precond", "hat-pq"])
@@ -810,9 +833,9 @@ def test_deltas_and_bounds_do_not_depend_on_the_checkpoint_cadence(kind):
     # delta and bound comes from the same cached products at any cadence
     program = random_program(16, 2100, 210, np.random.default_rng(25))
     spec = equivalence_specs(16)[kind]
-    traces = [hexed((r.delta, r.bound) for r in
-                    trace_potentials(program, spec, recompute_every=every,
-                                     check_bounds=False, track_kappa=False).records)
+    traces = [hexed(row[1:] for row in
+                    step_rows(trace_potentials(program, spec, recompute_every=every,
+                                               check_bounds=False, track_kappa=False)))
               for every in (0, 1, 7, 1024)]
     assert traces[1] == traces[0] and traces[2] == traces[0] and traces[3] == traces[0]
 
