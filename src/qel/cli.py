@@ -15,7 +15,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
+from contextlib import nullcontext
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -69,6 +70,7 @@ DEFAULT_ELL_GRID = (64, 256, 1024, 4096, 65536)
 DEFAULT_SEED = 20250819
 
 SIGN_EPS_CAP = 0.125
+_TABLE_CHUNK = 4096  # CSV rows formatted per write
 
 
 def _fmt(value):
@@ -112,14 +114,14 @@ def _pool_map(fn, items):
 
 
 def _write_table(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(format_csv_row(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    """Write the CSV to `path` (stdout if None), _TABLE_CHUNK rows per write,
+    so no more than a chunk of the text is held at once."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="ascii")) as fh:
+        fh.write(",".join(header) + "\n")
+        rows = iter(rows)
+        while chunk := list(islice(rows, _TABLE_CHUNK)):
+            fh.write("".join(format_csv_row(row) + "\n" for row in chunk))
 
 
 def _grid(cast):
@@ -169,8 +171,9 @@ def build_potential_spec(kind, n, slices_path):
 
 
 def trajectory_rows(trajectory):
-    """CSV rows for one trajectory, with a step-0 initialization row."""
-    rows = [(0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)]
+    """CSV rows for one trajectory, with a step-0 initialization row, one
+    at a time."""
+    yield (0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)
     columns = zip(trajectory.program.gates, trajectory.potentials[1:], trajectory.deltas,
                   trajectory.bounds or repeat(None), trajectory.kappas or repeat(None))
     for t, (gate, potential, delta, bound, kappa) in enumerate(columns, start=1):
@@ -178,13 +181,11 @@ def trajectory_rows(trajectory):
             head = ("R", gate.i, gate.iprime, gate.theta)
         else:
             head = ("C", gate.i, None, gate.c)
-        rows.append((t, *head, potential, delta, bound, kappa))
-    return rows
+        yield (t, *head, potential, delta, bound, kappa)
 
 
-def _trace(args, program):
-    """Trace the --potential spec along `program` and write its CSV."""
-    spec = build_potential_spec(args.potential, args.n, args.slices)
+def _trace(args, program, spec):
+    """Trace `spec` (the resolved --potential) along `program` and write its CSV."""
     trajectory = trace_potentials(program, spec, recompute_every=args.recompute_every)
     if args.plot_data:
         _write_table(args.out, ("step", "potential"), enumerate(trajectory.potentials))
@@ -195,7 +196,7 @@ def _trace(args, program):
 
 def cmd_run_wht(args):
     program = fast_wht_program(args.n)
-    trajectory = _trace(args, program)
+    trajectory = _trace(args, program, build_potential_spec(args.potential, args.n, args.slices))
     print(
         f"run-wht n={args.n} potential={trajectory.label}: gates={len(program)} "
         f"final={trajectory.final_value!r} direct={trajectory.direct_final!r} "
@@ -209,9 +210,10 @@ def cmd_run_perturbation(args):
     _check_eps(args.eps)
     _warn_asymptotic_regime(args.n, args.eps)
     route = ROUTE_APPENDIX_B if args.route == "appendix-b" else ROUTE_FAST_KRONECKER
+    spec = build_potential_spec(args.potential, args.n, args.slices)  # before synthesis: fail fast
     plan = synth_perturbation(args.n, args.eps, route)
     program = plan.program
-    trajectory = _trace(args, program)
+    trajectory = _trace(args, program, spec)
     print(
         f"run-perturbation n={args.n} eps={args.eps!r} route={route} "
         f"potential={trajectory.label}: gates={len(program)} "

@@ -40,12 +40,19 @@ def wht_matrix(n):
     """The n-by-n Walsh-Hadamard matrix, entries exactly +-n^(-1/2).
 
     All entries come from a single square root times a sign, so equal
-    magnitudes are bitwise identical.
+    magnitudes are bitwise identical.  The signs come from an n x n byte
+    matrix of parities, doubled in place a bit at a time (the parity of
+    i & j flips in the block where both i and j have that bit set), so the
+    result is the only n x n array of doubles built.
     """
-    _log2_int(n)
-    idx = np.arange(n)
-    par = _bit_parity(idx[:, None] & idx[None, :])
-    return (1.0 - 2.0 * par) * (n ** -0.5)
+    k = _log2_int(n)
+    par = np.zeros((n, n), dtype=np.uint8)
+    for b in range(k):
+        h = 1 << b
+        par[:h, h:2 * h] = par[h:2 * h, :h] = par[:h, :h]
+        np.bitwise_xor(par[:h, :h], 1, out=par[h:2 * h, h:2 * h])
+    scale = n ** -0.5
+    return np.where(par, -scale, scale)
 
 
 def _stage_pairs(n, half):

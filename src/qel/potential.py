@@ -11,12 +11,14 @@ The hat potential of n-by-2n preconditioners P, Q couples column j with
 column j+n inside the kernel, so it is the k-slice potential of the two
 column-block pairs (P[:, :n], Q[:, :n]) and (P[:, n:], Q[:, n:]), and is
 written as that spec.  A PotentialSpec holds the slice pairs (None in a
-slot means the identity, which skips a product); named_spec builds the
-kinds the CLI names (NAMED_POTENTIALS).
+slot means the identity, which skips a product) and a sign per slice, so
+hat-pq's second pair (-F, Id) is held as (F, Id) with sign -1 and F is
+stored once; named_spec builds the kinds the CLI names (NAMED_POTENTIALS).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products, built in one place (_slice_products).
+gate from cached products, formed in one place (_slice_products); a tracker
+started at the identity copies the preconditioners instead and forms none.
 PotentialTracker.advance takes a run of gates and schedules it into ASAP
 levels of row-disjoint gates; each level is one gather of its rows from
 every cache, one update with the engine's row rules (gates.rotate_rows,
@@ -42,12 +44,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .gates import (GateProgram, KappaCertifier, Rotation, TrackedState, _scale_rows,
+from .gates import (GateProgram, KappaCertifier, Rotation, _scale_rows,
                     inverse_drift, inverse_probe, rotate_rows, run_program)
 from .hadamard import wht_matrix
 
@@ -118,17 +120,25 @@ def _as_square(M, name="M"):
 
 @dataclass
 class PotentialSpec:
-    """k preconditioner slice pairs (A_p, B_p); None means the identity."""
+    """k preconditioner slices, each a pair (A_p, B_p) or a triple (A_p,
+    B_p, sign_p) with sign_p = +1 or -1 (a pair has sign +1); None means the
+    identity.  The slice enters the coupled sum as sign_p (M A_p)(M^-T B_p).
+    After checking, `slices` holds the pairs and `signs` the signs."""
 
     n: int
     slices: list
     label: str = "custom"
+    signs: tuple = field(init=False)
 
     def __post_init__(self):
         if not self.slices:
             raise ValueError("a potential spec needs at least one slice")
-        checked = []
-        for p, (A, B) in enumerate(self.slices):
+        checked, signs = [], []
+        for p, entry in enumerate(self.slices):
+            A, B, sign = (*entry, 1) if len(entry) == 2 else entry
+            if sign not in (1, -1):
+                raise ValueError(f"slice {p}: sign must be +1 or -1, got {sign!r}")
+            signs.append(float(sign))
             pair = []
             for name, X in (("A", A), ("B", B)):
                 if X is None:
@@ -142,7 +152,7 @@ class PotentialSpec:
                     raise ValueError(f"slice {p}: {name} has a non-finite entry")
                 pair.append(X)
             checked.append(tuple(pair))
-        self.slices = checked
+        self.slices, self.signs = checked, tuple(signs)
 
     @property
     def k(self):
@@ -167,14 +177,15 @@ class PotentialSpec:
 
 def named_spec(kind, n):
     """The spec of a named potential at size n, F = wht_matrix(n): plain;
-    precond-id-f, the pair (Id, F); hat-pq, P = [Id, -F], Q = [F, Id] as two
-    identity-aware slices so M @ Id is never materialized."""
+    precond-id-f, the pair (Id, F); hat-pq, P = [Id, -F], Q = [F, Id] as the
+    identity-aware slices (Id, F) and (F, Id) with sign -1, so M @ Id is
+    never materialized and F is held once."""
     if kind not in NAMED_POTENTIALS:
         raise ValueError(f"unknown potential kind {kind!r}")
     if kind == "plain":
         return PotentialSpec.plain(n)
     F = wht_matrix(n)
-    slices = [(None, F)] if kind == "precond-id-f" else [(None, F), (-F, None)]
+    slices = [(None, F)] if kind == "precond-id-f" else [(None, F), (F, None, -1)]
     return PotentialSpec(n, slices, label=kind)
 
 
@@ -186,18 +197,37 @@ def _slice_products(M, N, spec, out):
             for slot, (X, P) in enumerate(slots)]
 
 
-def _coupled(products):
-    """sum_p products[2p] * products[2p + 1]: the coupled matrix of sliced
-    products, or of rows gathered from all of them at once."""
-    s = products[0] * products[1]
-    for p in range(2, len(products), 2):
-        s += products[p] * products[p + 1]
+def _row_blocks(X):
+    """Slices of X's leading axis of about _CHUNK_ENTRIES entries each."""
+    step = max(1, _CHUNK_ENTRIES * len(X) // max(1, X.size))
+    return [slice(r, r + step) for r in range(0, len(X), step)]
+
+
+def _coupled(products, signs):
+    """sum_p signs[p] products[2p] * products[2p + 1]: the coupled matrix of
+    sliced products, or of rows gathered from all of them at once, in one
+    new array (a later slice's products are formed a row block at a time).
+    Adding a negated product is subtracting it, so a slice held with sign -1
+    gives bitwise the sum of its negated preconditioner."""
+    s = np.multiply(products[0], products[1])
+    if signs[0] < 0:
+        np.negative(s, out=s)
+    for p in range(1, len(signs)):
+        X, Y, add = products[2 * p], products[2 * p + 1], np.add if signs[p] > 0 else np.subtract
+        for rows in _row_blocks(s):
+            add(s[rows], X[rows] * Y[rows], out=s[rows])
     return s
 
 
-def _value(products):
-    """The potential of the sliced products (+ 0.0 turns -0.0 into 0.0)."""
-    return -entropy_sum(_coupled(products)) + 0.0
+def _value(products, signs):
+    """The potential of the sliced products (+ 0.0 turns -0.0 into 0.0).  The
+    coupled matrix is its one n x n buffer: its entropy terms overwrite it a
+    row block at a time, and one np.sum over all of it keeps entropy_sum's
+    summation order."""
+    s = _coupled(products, signs)
+    for rows in _row_blocks(s):
+        s[rows] = _entropy_terms(s[rows])
+    return -float(np.sum(s)) + 0.0
 
 
 def k_slice_quasi_entropy(M, spec, minv_t=None):
@@ -206,7 +236,7 @@ def k_slice_quasi_entropy(M, spec, minv_t=None):
     if M.shape[0] != spec.n:
         raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
     N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
-    return _value(_slice_products(M, N, spec, None))
+    return _value(_slice_products(M, N, spec, None), spec.signs)
 
 
 def quasi_entropy(M, minv_t=None):
@@ -306,18 +336,33 @@ class PotentialTracker:
     """
 
     def __init__(self, spec, state):
-        if state.M.shape[0] != spec.n:
+        """Start at `state`, or at the identity when it is None.  There each
+        cache is its slot's preconditioner (Id for None), copied, and no
+        product is formed: a copy differs from Id A only in the sign of
+        zero entries, and L maps both signs of zero to 0."""
+        if state is not None and state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
         self.probe = _probe_matrix(spec.n)
         self.caches = np.empty((2 * spec.k, spec.n, spec.n))
-        self.caches[0::2], self.caches[1::2] = state.M, state.MinvT  # _rebuild fills the rest
+        slots = [P for pair in spec.slices for P in pair]
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            # per preconditioned slot: A V and the row sums of |A|, its probe's fixed half
-            self._probed = [(slot, A @ self.probe, np.abs(A).sum(axis=1))
-                            for slot, A in enumerate(P for pair in spec.slices for P in pair)
+            # per distinct preconditioner A: A V and the row sums of |A|, its probe's fixed half
+            distinct = {id(A): A for A in slots if A is not None}
+            images = {key: (A @ self.probe, np.abs(A).sum(axis=1)) for key, A in distinct.items()}
+            self._probed = [(slot, *images[id(A)]) for slot, A in enumerate(slots)
                             if A is not None]
-            self.value = self._rebuild(state)
+            if state is None:
+                for cache, A in zip(self.caches, slots):
+                    if A is None:
+                        cache[...] = 0.0
+                        np.fill_diagonal(cache, 1.0)
+                    else:
+                        cache[...] = A
+                self.value = _value(self.caches, spec.signs)
+            else:
+                self.caches[0::2], self.caches[1::2] = state.M, state.MinvT
+                self.value = self._rebuild(state)
         if not math.isfinite(self.value):
             raise ValueError(f"the starting {spec.label} potential is {self.value!r}, not "
                              "finite: the preconditioners' products overflow")
@@ -326,7 +371,8 @@ class PotentialTracker:
         """Form the preconditioned caches from `state` in place (an identity
         slot already is M or MinvT, bitwise); returns the potential of
         `state`, taken from those products and from M and MinvT."""
-        return _value(_slice_products(state.M, state.MinvT, self.spec, self.caches))
+        return _value(_slice_products(state.M, state.MinvT, self.spec, self.caches),
+                      self.spec.signs)
 
     def _caches_pass_probe(self, state):
         """Whether every preconditioned cache C = X A (X = M or MinvT of
@@ -394,10 +440,10 @@ class PotentialTracker:
         if bounds is not None:
             bounds[:] = _rotation_bounds(G)
         if deltas is not None:
-            before = _entropy_rows(_coupled(G))
+            before = _entropy_rows(_coupled(G, self.spec.signs))
         act(G, *params)
         if deltas is not None:
-            deltas[:] = -(_entropy_rows(_coupled(G)) - before) + 0.0
+            deltas[:] = -(_entropy_rows(_coupled(G, self.spec.signs)) - before) + 0.0
         self.caches[:, rows] = G
 
     def resync(self, state, endpoint):
@@ -437,7 +483,7 @@ class PotentialTracker:
         if endpoint or not self._caches_pass_probe(state):
             direct = self._rebuild(state)
         else:
-            direct = _value(self.caches)
+            direct = _value(self.caches, self.spec.signs)
         if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
@@ -499,11 +545,13 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
     through all of it at once (in ASAP levels) into the columns; each
     step's resync (which overwrites its potential) and bound check run when
     the engine reaches that step, after its certifier, so an error names
-    the same first step as a gate-by-gate trace.
+    the same first step as a gate-by-gate trace.  The tracker starts at the
+    identity, so slice products are formed only at the endpoint and after a
+    failed cache probe.
     """
     if type(recompute_every) is not int or recompute_every < 0:
         raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")
-    tracker = PotentialTracker(spec, TrackedState.identity(program.n))
+    tracker = PotentialTracker(spec, None)
     potentials, deltas = [tracker.value], []
     bounds, kappas = ([] if spec.k == 1 else None), ([] if track_kappa else None)
     cert = KappaCertifier()

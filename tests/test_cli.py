@@ -196,11 +196,11 @@ def test_a_clean_trace_forms_slice_products_only_at_its_endpoints(capsys, monkey
                         lambda *args: formed.append(applied[0]) or real_products(*args))
     code, _, _ = run_cli(["run-wht", "--n", "256", "--potential", "hat-pq",
                           "--recompute-every", "16", "--out", os.devnull], capsys)
-    assert code == 0 and formed == [0, 2048]
+    assert code == 0 and formed == [2048]
     applied[0], formed[:] = 0, []
     code, _, _ = run_cli(["verify-theorem2", "--n", "32", "--programs", "2", "--gates", "600",
                           "--recompute-every", "7", "--out", os.devnull], capsys)
-    assert code == 0 and formed == [0, 330, 330, 660]  # two programs of 300 + 30 gates
+    assert code == 0 and formed == [330, 660]  # two programs of 300 + 30 gates
 
 
 @pytest.mark.parametrize("argv", [
@@ -656,6 +656,36 @@ def test_slices_with_a_named_potential_is_config_error(argv, tmp_path, capsys):
     assert code == 2
     assert f"--slices applies only to --potential k-slice, not {argv[-1]}" in err
     assert not out.exists()
+
+
+def test_run_perturbation_resolves_the_potential_before_synthesis(capsys, monkeypatch):
+    # a bad --slices file exits 2 before any program is synthesized, so no
+    # kappa of a synthesized state is certified; the spy sees a good run's
+    calls = []
+    real = gates.condition_number
+    monkeypatch.setattr(gates, "condition_number", lambda M: calls.append(1) or real(M))
+    code, _, err = run_cli(["run-perturbation", "--n", "256", "--eps", "0.0625",
+                            "--potential", "k-slice", "--slices", "/nonexistent/s.txt"],
+                           capsys)
+    assert code == 2 and "/nonexistent/s.txt" in err
+    assert calls == []
+    code, _, _ = run_cli(["run-perturbation", "--n", "8", "--eps", "0.125", "--out", os.devnull],
+                         capsys)
+    assert code == 0 and calls
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+def test_write_table_streams_the_joined_text(count, tmp_path, capsys, monkeypatch):
+    # chunks of three rows, written one at a time, give the bytes of the
+    # whole table joined at once, on a file and on stdout
+    monkeypatch.setattr(cli, "_TABLE_CHUNK", 3)
+    header = ("step", "value")
+    rows = [(t, t / 7, None if t % 2 else "x") for t in range(count)]
+    text = "\n".join([",".join(header), *map(format_csv_row, rows)]) + "\n"
+    cli._write_table(tmp_path / "t.csv", header, iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == text.encode("ascii")
+    cli._write_table(None, header, iter(rows))
+    assert capsys.readouterr().out == text
 
 
 def test_build_potential_spec_labels():

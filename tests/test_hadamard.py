@@ -1,6 +1,7 @@
 """Walsh-Hadamard matrix, butterfly program, and Kronecker layer tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 
 from qel.gates import Constant, Rotation, run_program
 from qel.hadamard import (
+    _bit_parity,
     fast_apply_wht,
     fast_wht_program,
     kron_rotation_layer,
@@ -30,6 +32,29 @@ def test_small_matrices_exact():
         dtype=float,
     )
     npt.assert_array_equal(wht_matrix(4), H4)
+
+
+def test_wht_matrix_is_bitwise_the_parity_formula():
+    # the in-place byte parities give exactly (1 - 2 parity(i & j)) n^-1/2,
+    # the formula evaluated on n x n integer arrays
+    for n in (2 ** k for k in range(1, 11)):
+        idx = np.arange(n)
+        expected = (1.0 - 2.0 * _bit_parity(idx[:, None] & idx[None, :])) * (n ** -0.5)
+        F = wht_matrix(n)
+        assert F.dtype == np.float64 and F.flags.c_contiguous
+        assert F.tobytes() == expected.tobytes()
+
+
+def test_wht_matrix_builds_one_n_by_n_array_of_doubles():
+    # the result, plus an n x n byte matrix of parities: 1.125 n^2 doubles
+    n = 1024
+    tracemalloc.start()
+    try:
+        wht_matrix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -311,6 +312,18 @@ def test_spec_validation():
         X[1, 0] = bad
         with pytest.raises(ValueError, match="^slice 1: B has a non-finite entry$"):
             PotentialSpec(2, [(np.eye(2), None), (None, X)])
+    for bad in (0, 2, -0.5, math.nan):
+        with pytest.raises(ValueError, match="^slice 1: sign must be \\+1 or -1, got "):
+            PotentialSpec(2, [(None, None), (None, np.eye(2), bad)])
+
+
+def test_hat_pq_holds_f_once_in_a_slice_of_sign_minus_one():
+    spec = named_spec("hat-pq", 8)
+    (A0, B0), (A1, B1) = spec.slices
+    assert A0 is None and B1 is None and A1 is B0
+    assert spec.signs == (1.0, -1.0)
+    assert np.array_equal(B0, wht_matrix(8))
+    assert PotentialSpec(2, [(None, np.eye(2)), (np.eye(2), None, 1)]).signs == (1.0, 1.0)
 
 
 def test_rotation_delta_bound_is_an_upper_bound():
@@ -659,10 +672,57 @@ def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
     assert len(checked) >= len(mixed)
 
 
+@pytest.mark.parametrize("kind", ["plain", "precond", "precond-id-f", "hat-pq"])
+def test_a_tracker_at_the_identity_copies_its_preconditioners(kind, monkeypatch):
+    # started with no state, a tracker forms no product and holds what the
+    # products at the identity state hold, up to the sign of zero entries
+    spec = equivalence_specs(8)[kind]
+    formed = []
+    real_products = potential._slice_products
+    monkeypatch.setattr(potential, "_slice_products",
+                        lambda *args: formed.append(1) or real_products(*args))
+    copied = PotentialTracker(spec, None)
+    assert formed == []
+    multiplied = PotentialTracker(spec, TrackedState.identity(8))
+    assert formed == [1]
+    assert copied.value.hex() == multiplied.value.hex()
+    assert np.array_equal(copied.caches, multiplied.caches)
+
+
+@pytest.mark.parametrize("kind", NAMED_POTENTIALS)
+def test_a_trace_holds_the_engine_its_caches_and_one_n_by_n_temporary(kind):
+    # measured after the spec (and its F) is built: the engine's M and M^-T,
+    # the 2k caches and at most one n x n temporary at a time, plus an
+    # allowance for what does not grow with n^2:
+    # - per step, three new floats (potential, delta, bound; 24 B each) and
+    #   four list slots (8 B each; kappa reuses the certifier's float), 104 B,
+    #   rounded up to 128 B for the lists' over-allocation;
+    # - the n x PROBE_COLUMNS probe and, per distinct preconditioner, its
+    #   image under it and the row sums of its absolute values;
+    # - one row block of entropy terms and its nonzero mask, _CHUNK_ENTRIES
+    #   doubles and as many bytes;
+    # - 64 KiB for the tracker, certifier and trajectory objects.
+    n = 512
+    program, spec = fast_wht_program(n), named_spec(kind, n)
+    distinct = len({id(P) for pair in spec.slices for P in pair if P is not None})
+    allowance = (128 * len(program)
+                 + 8 * n * ((1 + distinct) * PROBE_COLUMNS + distinct)
+                 + 9 * potential._CHUNK_ENTRIES
+                 + (64 << 10))
+    tracemalloc.start()
+    try:
+        trace_potentials(program, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 + 2 * spec.k + 1) * n * n + allowance
+
+
 def gate_by_gate_trace(program, spec, recompute_every):
     """[(potential, delta, bound)] per step from a tracker written out one
     gate at a time: the engine's gate action (_apply_to_pair) on every
-    cached pair and entropy_sum over the rows the gate touches.  A periodic
+    cached pair and entropy_sum over the rows the gate touches, each pair's
+    product times its slice's sign.  A periodic
     checkpoint takes the caches' own value; only the endpoint's rebuilds
     them from fresh products."""
     state = TrackedState.identity(program.n)
@@ -683,7 +743,8 @@ def gate_by_gate_trace(program, spec, recompute_every):
             bound = float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows])) if rotation else 0.0
 
         def coupled_entropy():
-            return entropy_sum(sum(Lp[rows] * Rp[rows] for Lp, Rp in pairs))
+            return entropy_sum(sum(sign * Lp[rows] * Rp[rows]
+                                   for (Lp, Rp), sign in zip(pairs, spec.signs)))
 
         before = coupled_entropy()
         for Lp, Rp in pairs:
@@ -694,7 +755,7 @@ def gate_by_gate_trace(program, spec, recompute_every):
             if t == len(program):
                 pairs, value = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT)
             else:
-                value = potential._value([X for pair in pairs for X in pair])
+                value = potential._value([X for pair in pairs for X in pair], spec.signs)
         out.append((value, delta, bound))
     return out
 
@@ -810,7 +871,7 @@ def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, mon
 
     _, result, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1.0, message)
     assert isinstance(result, RuntimeError)
-    assert formed == [0, 16]
+    assert formed == [16]
     assert str(result) == expected[1]
 
 
@@ -821,7 +882,7 @@ def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeyp
     # delta after it is one a tracker built fresh at step 16 gives
     spec = equivalence_specs(8)[kind]
     program, trajectory, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1e-7)
-    assert formed == [0, 16, 36]
+    assert formed == [16, 36]
     state = run_program(GateProgram(8, program.gates[:16]))
     fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
     assert [d.hex() for d in trajectory.deltas[16:]] == [d.hex() for d in fresh]
