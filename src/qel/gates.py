@@ -22,6 +22,7 @@ precision.  Lines starting with ``#`` are comments and are ignored.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,13 +135,18 @@ class TrackedState:
 
 def rotate_rows(X, i, ip, c, s):
     """Replace rows i, ip (0-based) of X in place by c X[i] + s X[ip] and
-    c X[ip] - s X[i]: left-multiplication by a plane rotation.  X[i] and
-    X[ip] may be stacks of rows (index arrays, or the leading axis of a
-    gathered block) with c, s broadcasting against them, one angle per pair."""
-    new_i = c * X[i] + s * X[ip]
-    new_ip = c * X[ip] - s * X[i]
-    X[i] = new_i
-    X[ip] = new_ip
+    c X[ip] - s X[i]: left-multiplication by a plane rotation.  i and ip are
+    integers, so X[i] and X[ip] are views that are written in place (an
+    index array would select a copy, and raises TypeError); they may be
+    stacks of rows (the leading axis of a gathered block) with c, s
+    broadcasting against them, one angle per pair.  Only s X[ip] and s X[i]
+    are temporaries, and each entry is fl(fl(c a) + fl(s b)) as written."""
+    a, b = X[operator.index(i)], X[operator.index(ip)]
+    sb, sa = s * b, s * a
+    a *= c
+    a += sb
+    b *= c
+    b -= sa
 
 
 def _scale_rows(X, Y, i, c):

@@ -21,9 +21,14 @@ gate from cached products, formed in one place (_slice_products); a tracker
 started at the identity copies the preconditioners instead and forms none.
 PotentialTracker.advance takes a run of gates and schedules it into ASAP
 levels of row-disjoint gates; each level is one gather of its rows from
-every cache, one update with the engine's row rules (gates.rotate_rows,
-gates._scale_rows) and one scatter, and the per-gate deltas and bounds are
-bitwise those of a gate-by-gate update.  trace_potentials resyncs the
+every cache into a before/after buffer, one update with the engine's row
+rules (gates.rotate_rows, gates._scale_rows) and one scatter.  The deltas
+and bounds wait in the buffer until it is full, the gate kind changes or
+the run ends, and then come from one pass over all its gates, so a chain
+of one-gate levels (an Appendix-B program) pays for that arithmetic once
+per buffer rather than once per gate.  Each gate's terms are summed as one
+contiguous row, so every delta and bound is bitwise that of a gate-by-gate
+update.  trace_potentials resyncs the
 tracker every `recompute_every` gates and at the endpoint, and advances it
 one segment between checkpoints at a time.  A resync raises on inverse
 drift beyond DRIFT_TOL first (a value checked against a wrong inverse means
@@ -206,10 +211,11 @@ def _row_blocks(X):
 def _coupled(products, signs):
     """sum_p signs[p] products[2p] * products[2p + 1]: the coupled matrix of
     sliced products, or of rows gathered from all of them at once, in one
-    new array (a later slice's products are formed a row block at a time).
+    new C-ordered array, so each gathered gate's terms are one contiguous
+    row (a later slice's products are formed a row block at a time).
     Adding a negated product is subtracting it, so a slice held with sign -1
     gives bitwise the sum of its negated preconditioner."""
-    s = np.multiply(products[0], products[1])
+    s = np.multiply(products[0], products[1], order="C")
     if signs[0] < 0:
         np.negative(s, out=s)
     for p in range(1, len(signs)):
@@ -246,26 +252,29 @@ def quasi_entropy(M, minv_t=None):
 
 
 def _rotation_bounds(G):
-    """Theorem 2's bound for each rotation of a batch, from the rows
-    G = caches[:, rows] of a single-slice tracker, rows (g, 2): the product
-    of the Frobenius norms of the row pairs of M A and of M^-T B.  Each
-    norm is the square root of one BLAS dot product, as np.linalg.norm
-    forms it."""
+    """Theorem 2's bound for each rotation of a batch, from the rows G,
+    (2, g, 2, n), of a single-slice tracker: G[0, j] and G[1, j] hold the
+    rows (i, i') of rotation j in M A and in M^-T B.  The bound is the
+    product of the Frobenius norms of those row pairs.  Each norm is the
+    square root of one BLAS dot product over the pair's 2n contiguous
+    entries (the reshape copies them together if they are apart), as
+    np.linalg.norm forms it."""
     v = G.reshape(2, G.shape[1], 1, -1)
     norms = np.sqrt(v @ v.swapaxes(-1, -2))
     return (norms[0] * norms[1]).reshape(-1)
 
 
 def _rotate_pairs(G, c, s):
-    """Turn the gathered rows G = caches[:, rows], rows (g, 2), of every
-    cache by cos c[j] and sin s[j] (columns), in place."""
-    rotate_rows(G.transpose(2, 0, 1, 3), 0, 1, c, s)
+    """Turn the gathered rows G, (2, g, 2k, n) with G[0, j] the rows i and
+    G[1, j] the rows i' of gate j in every cache, by cos c[j] and sin s[j]
+    ((g, 1, 1)), in place."""
+    rotate_rows(G, 0, 1, c, s)
 
 
 def _scale_pairs(G, c):
-    """Scale the gathered rows G = caches[:, rows], rows (g,), by c[j] in
-    every M A_p and by 1/c[j] in every M^-T B_p, in place."""
-    _scale_rows(G[0::2], G[1::2], Ellipsis, c)
+    """Scale the gathered rows G, (1, g, 2k, n), by c[j] ((g, 1, 1)) in every
+    M A_p and by 1/c[j] in every M^-T B_p, in place."""
+    _scale_rows(G[0, :, 0::2], G[0, :, 1::2], Ellipsis, c)
 
 
 def _asap_levels(gates, n, chunk):
@@ -275,10 +284,10 @@ def _asap_levels(gates, n, chunk):
     of the run that shares a row with it, so the gates of a level touch
     disjoint rows and each finds its rows as the gates before it in the
     run left them.  Returns (rotations, constants, chunks): rotations as
-    program positions, (g, 2) 0-based rows and cos, sin columns;
-    constants as positions, rows and a scalar column; both sorted by
-    level, then position.  chunks lists (is_rotation, slice) in level
-    order, each slice at most `chunk` entries of one level.
+    program positions, (g, 2) 0-based rows and cos, sin as (g, 1, 1);
+    constants as positions, (g, 1) rows and scalars as (g, 1, 1); both
+    sorted by level, then position.  chunks lists (is_rotation, slice) in
+    level order, each slice at most `chunk` entries of one level.
     """
     last = [0] * n  # the level of the latest gate on each row
     rotations, constants = [], []
@@ -303,8 +312,9 @@ def _asap_levels(gates, n, chunk):
     tasks.sort()
     rot = np.array(rotations, dtype=float).reshape(-1, 6)
     con = np.array(constants, dtype=float).reshape(-1, 4)
-    return ((rot[:, 1].astype(np.intp), rot[:, 2:4].astype(np.intp), rot[:, 4:5], rot[:, 5:6]),
-            (con[:, 1].astype(np.intp), con[:, 2].astype(np.intp), con[:, 3:4]),
+    return ((rot[:, 1].astype(np.intp), rot[:, 2:4].astype(np.intp),
+             rot[:, 4:5, None], rot[:, 5:6, None]),
+            (con[:, 1].astype(np.intp), con[:, 2:3].astype(np.intp), con[:, 3:4, None]),
             [(bool(kind), slice(a, b)) for _, kind, a, b in tasks])
 
 
@@ -327,7 +337,8 @@ class PotentialTracker:
     constant gate one row, so each gate costs O(k n).  `advance` moves a
     run of gates through the caches a level of row-disjoint gates at a
     time: one gather of those rows from every cache, one update and one
-    scatter per level.  Constant gates leave the plain potential unchanged
+    scatter per level, and the deltas and bounds of a buffer of gates in
+    one pass.  Constant gates leave the plain potential unchanged
     exactly (row i of M scales by c, of MinvT by 1/c, products cancel) and
     the tracker returns literal 0.0 there; general specs recompute the
     affected rows.  `resync` checks the running value against the
@@ -401,25 +412,48 @@ class PotentialTracker:
 
         bounds holds Theorem 2's bound per gate (0.0 on constant gates) for
         single-slice specs and is None otherwise.  A level is applied in
-        chunks of one kind, each gathering at most _CHUNK_ENTRIES entries.
-        Every delta and bound is bitwise the one a gate-by-gate update
+        chunks of one kind.  Each chunk gathers its rows of every cache
+        straight into the `after` half of a before/after buffer of at most
+        _CHUNK_ENTRIES entries, copies them into `before`, updates `after`
+        and scatters it back.  The deltas and bounds of the buffered gates
+        wait until the buffer is full, the kind changes or the run ends
+        (_flush), so a chain of one-gate levels pays for them once per
+        buffer.  Each gate's terms are still summed as one contiguous row,
+        so every delta and bound is bitwise the one a gate-by-gate update
         gives, and the running value adds the deltas one at a time, in
         program order.
         """
         k, n = self.spec.k, self.spec.n
-        rotations, constants, chunks = _asap_levels(
-            gates, n, max(1, _CHUNK_ENTRIES // (4 * k * n)))
+        capacity = max(1, _CHUNK_ENTRIES // (8 * k * n))  # gates: a rotation's 8kn entries
+        rotations, constants, chunks = _asap_levels(gates, n, capacity)
         rpos, rrows, cos, sin = rotations
         cpos, crows, scalars = constants
         rdelta, rbound = np.empty(len(rpos)), np.empty(len(rpos))
         cdelta = np.zeros(len(cpos))  # a plain spec's literal 0.0
+        # per kind: each gate's rows of every cache as rows of `flat`, (r, gates, 2k),
+        # its move with its parameters, and where its deltas and bounds go (None: skip)
+        flat, offsets = self.caches.reshape(2 * k * n, n), np.arange(0, 2 * k * n, n)
+        kinds = {True: (rrows.T[:, :, None] + offsets, _rotate_pairs, (cos, sin), rdelta,
+                        rbound if k == 1 else None),
+                 False: (crows.T[:, :, None] + offsets, _scale_pairs, (scalars,),
+                         None if self.spec.is_plain else cdelta, None)}
+        # [before, after][row of the gate][gate][cache]: one row of n entries
+        buffer = np.empty((2, 2, min(capacity, len(gates)), 2 * k, n))
+        kind, first, end = True, 0, 0  # the buffered gates: entries [first, end) of kind
         for is_rotation, s in chunks:
-            if is_rotation:
-                self._move(rrows[s], _rotate_pairs, (cos[s], sin[s]), rdelta[s],
-                           rbound[s] if k == 1 else None)
-            else:
-                self._move(crows[s], _scale_pairs, (scalars[s],),
-                           None if self.spec.is_plain else cdelta[s], None)
+            if is_rotation != kind or s.stop - first > capacity:
+                self._flush(buffer, kinds[kind], slice(first, end))
+                kind, first = is_rotation, s.start
+            index, act, params = kinds[kind][:3]
+            rows = index[:, s]
+            before, after = buffer[:, :len(rows), s.start - first:s.stop - first]
+            for q, out in zip(rows, after):  # "clip" (rows are in range) fills `out` in place
+                flat.take(q, axis=0, out=out, mode="clip")
+            before[...] = after
+            act(after, *(p[s] for p in params))
+            flat[rows] = after
+            end = s.stop
+        self._flush(buffer, kinds[kind], slice(first, end))
         deltas = np.empty(len(gates))
         deltas[rpos], deltas[cpos] = rdelta, cdelta
         deltas = deltas.tolist()
@@ -431,20 +465,21 @@ class PotentialTracker:
         bounds[rpos] = rbound
         return deltas, bounds.tolist()
 
-    def _move(self, rows, act, params, deltas, bounds):
-        """Gather `rows` of every cache, apply act(G, *params) to the
-        gathered G in place and scatter it back.  Writes each gate's
-        potential change into `deltas` (None: leave it) and, into `bounds`
-        (None: skip), Theorem 2's bound of the rows before the move."""
-        G = self.caches[:, rows]
+    def _flush(self, buffer, kind, gates):
+        """Evaluate the buffered `gates`, a slice of the entries of `kind`,
+        whose rows buffer[0] holds before their move and buffer[1] after it:
+        each gate's potential change and, for a kind with bounds, Theorem 2's
+        bound of its rows before the move, in one pass over all of them."""
+        index, _, _, deltas, bounds = kind
+        if gates.start == gates.stop:
+            return
+        # (2k, g, r, n): the gates' rows by cache
+        before, after = buffer[:, :len(index), :gates.stop - gates.start].transpose(0, 3, 2, 1, 4)
         if bounds is not None:
-            bounds[:] = _rotation_bounds(G)
+            bounds[gates] = _rotation_bounds(before)
         if deltas is not None:
-            before = _entropy_rows(_coupled(G, self.spec.signs))
-        act(G, *params)
-        if deltas is not None:
-            deltas[:] = -(_entropy_rows(_coupled(G, self.spec.signs)) - before) + 0.0
-        self.caches[:, rows] = G
+            deltas[gates] = -(_entropy_rows(_coupled(after, self.spec.signs))
+                              - _entropy_rows(_coupled(before, self.spec.signs))) + 0.0
 
     def resync(self, state, endpoint):
         """Check the tracker against `state` and return the checked value.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -18,6 +19,7 @@ from qel.gates import (
     condition_number,
     inverse_drift,
     load_program,
+    rotate_rows,
     program_from_text,
     program_to_text,
     random_program,
@@ -87,6 +89,47 @@ def test_apply_rotation_matches_left_multiplication():
     npt.assert_allclose(state.M, G @ M0, atol=ATOL)
     npt.assert_allclose(state.MinvT, G @ np.linalg.inv(M0).T, atol=1e-10)
     npt.assert_allclose(state.M.T @ state.MinvT, np.eye(6), atol=1e-10)
+
+
+def test_rotate_rows_is_bitwise_the_two_products_and_their_sum():
+    # in place, each entry is still fl(fl(c a) + fl(s b)) and fl(fl(c b) - fl(s a)),
+    # for one row pair and for a stack of them with one angle per pair
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((6, 9))
+    a, b = X[1].copy(), X[4].copy()
+    c, s = math.cos(0.7), math.sin(0.7)
+    rotate_rows(X, 1, 4, c, s)
+    assert X[1].tobytes() == (c * a + s * b).tobytes()
+    assert X[4].tobytes() == (c * b - s * a).tobytes()
+    G = rng.standard_normal((2, 5, 3, 9))
+    theta = rng.uniform(-math.pi, math.pi, (5, 1, 1))
+    c, s = np.cos(theta), np.sin(theta)
+    a, b = G[0].copy(), G[1].copy()
+    rotate_rows(G, 0, 1, c, s)
+    assert G[0].tobytes() == (c * a + s * b).tobytes()
+    assert G[1].tobytes() == (c * b - s * a).tobytes()
+
+
+def test_rotate_rows_rejects_index_arrays():
+    # X[[i, j]] would select a copy, and an in-place rotation of a copy is lost
+    X = np.eye(4)
+    with pytest.raises(TypeError):
+        rotate_rows(X, np.array([0, 1]), np.array([2, 3]), 0.6, 0.8)
+    assert np.array_equal(X, np.eye(4))
+
+
+def test_rotating_two_rows_allocates_at_most_two_rows():
+    # s X[i'] and s X[i] are the only temporaries; 1 KiB covers the views
+    n = 1024
+    X = np.random.default_rng(15).standard_normal((n, n))
+    c, s = math.cos(0.3), math.sin(0.3)
+    tracemalloc.start()
+    try:
+        rotate_rows(X, 3, 700, c, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + 1024
 
 
 def test_apply_constant_scales_row_and_inverse_row():

@@ -39,7 +39,8 @@ from qel.gates import (
     run_program,
 )
 from qel.hadamard import fast_wht_program, wht_matrix
-from qel.perturb import perturbation_potentials
+from qel.perturb import (ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER, givens_decompose,
+                         perturbation_potentials, synth_perturbation, wht_eigenbasis)
 from qel.potential import (
     BOUND_TOL,
     DRIFT_TOL,
@@ -693,7 +694,10 @@ def test_a_tracker_at_the_identity_copies_its_preconditioners(kind, monkeypatch)
 def test_a_trace_holds_the_engine_its_caches_and_one_n_by_n_temporary(kind):
     # measured after the spec (and its F) is built: the engine's M and M^-T,
     # the 2k caches and at most one n x n temporary at a time, plus an
-    # allowance for what does not grow with n^2:
+    # allowance for what does not grow with n^2 (advance holds no n x n
+    # temporary: its before/after buffer of at most _CHUNK_ENTRIES doubles
+    # and a flush's temporaries, 1.8 MiB at n = 512, fit in the 2 MiB slot
+    # of the checkpoint's temporary):
     # - per step, three new floats (potential, delta, bound; 24 B each) and
     #   four list slots (8 B each; kappa reuses the certifier's float), 104 B,
     #   rounded up to 128 B for the lists' over-allocation;
@@ -815,6 +819,38 @@ def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kin
                                       check_bounds=False, track_kappa=False)
     assert hexed(step_rows(trajectory)) == hexed(gate_by_gate_trace(program, spec,
                                                                     recompute_every))
+
+
+@pytest.mark.parametrize("buffered", [1, 3, 5, 1024])
+@pytest.mark.parametrize("kind", ["plain", "precond", "precond-id-f", "hat-pq"])
+@pytest.mark.parametrize("route", [ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER])
+def test_buffers_that_flush_mid_chain_and_mid_level_match_the_gate_by_gate_tracker(
+        route, kind, buffered):
+    # Appendix-B is one chain of one-gate levels, the fast route levels of
+    # n/2 rotations or n scalings; a buffer of 3 or 5 gates flushes inside
+    # the chain and inside a level, one of 1024 once per segment
+    program = synth_perturbation(16, 0.125, route).program
+    spec = equivalence_specs(16)[kind]
+    with mock.patch.object(potential, "_CHUNK_ENTRIES", buffered * 8 * spec.k * spec.n):
+        trajectory = trace_potentials(program, spec, recompute_every=100,
+                                      check_bounds=False, track_kappa=False)
+    assert hexed(step_rows(trajectory)) == hexed(gate_by_gate_trace(program, spec, 100))
+
+
+def test_a_chain_segment_evaluates_its_entropies_once_per_buffer(monkeypatch):
+    # 1024 one-gate levels: the entropy rows are taken twice per full buffer
+    # (before and after), not twice per level
+    n = 128
+    segment = givens_decompose(wht_eigenbasis(n)[0].T).gates[:1024]
+    capacity = potential._CHUNK_ENTRIES // (8 * n)  # gates a plain tracker buffers
+    assert len(potential._asap_levels(segment, n, capacity)[2]) == len(segment)
+    calls = []
+    real_entropy_rows = potential._entropy_rows
+    monkeypatch.setattr(potential, "_entropy_rows",
+                        lambda values: calls.append(len(values)) or real_entropy_rows(values))
+    PotentialTracker(PotentialSpec.plain(n), None).advance(segment)
+    assert len(calls) == 2 * math.ceil(len(segment) / capacity) == 16
+    assert sum(calls) == 2 * len(segment)
 
 
 CORRUPTED_SLOTS = [("hat-pq", 1), ("hat-pq", 2), ("precond", 0), ("precond", 1)]
