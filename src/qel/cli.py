@@ -143,6 +143,14 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    """argparse type: a campaign seed, an integer >= 0 (numpy seeds no negative)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _warn_asymptotic_regime(n, eps):
     if eps > 0.0 and 1.0 / eps > n:
         print(
@@ -518,7 +526,7 @@ def build_parser():
         default=C_MAX,
         help="interference budget C (rejected above 1/8)",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="campaign seed (>= 0)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_verify_lemma)
 
@@ -536,7 +544,7 @@ def build_parser():
         help="total rotations across programs (at least --programs)",
     )
     _add_recompute_flag(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="campaign seed (>= 0)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_verify_theorem2)
 

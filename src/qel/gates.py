@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 SIGMA_FLOOR = 1e-12  # smallest singular value treated as nonsingular
+_CHUNK_ENTRIES = 1 << 17  # entries of one block of a pass over n x n arrays (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,27 @@ def apply_gate(state, gate):
     return state
 
 
+def _row_blocks(X):
+    """Slices of X's leading axis of about _CHUNK_ENTRIES entries each."""
+    step = max(1, _CHUNK_ENTRIES * len(X) // max(1, X.size))
+    return [slice(r, r + step) for r in range(0, len(X), step)]
+
+
 def inverse_drift(state):
-    """Max-entry deviation of M^T @ MinvT from the identity."""
-    n = state.M.shape[0]
-    P = state.M.T @ state.MinvT
-    P.reshape(-1)[::n + 1] -= 1.0  # the diagonal, in place
-    return float(np.max(np.abs(P, out=P)))
+    """Max-entry deviation of M^T @ MinvT from the identity, formed one block
+    of rows at a time (M's columns, _row_blocks(M^T)), so no n x n product
+    is held; a NaN anywhere is the result.  Each entry of a block is one
+    GEMM sum over the same n terms as in the whole product, bitwise so for a
+    power-of-two n (every n the CLI takes: the blocks are then powers of two
+    wide) and at the sizes a test checks; elsewhere BLAS's edge kernels may
+    round a block's last rows differently in the last bit."""
+    M, n = state.M, state.M.shape[0]
+    peaks = []
+    for cols in _row_blocks(M.T):
+        P = M[:, cols].T @ state.MinvT
+        P.reshape(-1)[cols.start::n + 1] -= 1.0  # the block's diagonal, in place
+        peaks.append(np.max(np.abs(P, out=P)))
+    return float(np.max(peaks))
 
 
 def inverse_probe(state, V):

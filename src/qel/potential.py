@@ -42,7 +42,11 @@ C = X A against the live state with the same vectors, and takes the value
 of the caches themselves, O(k n^2).  The caches are rebuilt there only
 when a probe residual is beyond CACHE_PROBE_TOL, so on a clean trace they
 are never reset between the endpoints and deltas do not depend on the
-cadence.
+cadence.  Every n x n pass of a trace (a value, a cache probe's |X|, the
+endpoint's drift product, the start's row sums of |A|) runs in blocks of
+about gates._CHUNK_ENTRIES entries, so a trace holds the engine's (M, M^-T),
+its caches and no n x n temporary; a value stays bitwise entropy_sum's over
+the whole coupled matrix (_value).
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import (GateProgram, KappaCertifier, Rotation, _scale_rows,
-                    inverse_drift, inverse_probe, rotate_rows, run_program)
+from .gates import (_CHUNK_ENTRIES, GateProgram, KappaCertifier, Rotation, _row_blocks,
+                    _scale_rows, inverse_drift, inverse_probe, rotate_rows, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -75,7 +79,7 @@ BOUND_TOL = 1e-8   # slack when asserting |delta| <= rotation bound
 DRIFT_TOL = 1e-8   # max entry of M^T @ MinvT - Id at a resync
 DESYNC_TOL = 1e-6  # checked value at a resync vs the tracker's running value
 RECOMPUTE_EVERY = 1024
-_CHUNK_ENTRIES = 1 << 17  # entries one level chunk gathers from the caches (1 MiB)
+_PAIRWISE_BLOCK = 128  # numpy's pairwise sum adds up to this many entries without a split
 PROBE_COLUMNS = 32  # +-1 columns of the periodic inverse probe: a miss has prob <= 2^-32
 # max|C V - X (A V)| of a cached product C = X A, relative to max |X| (|A| |V|):
 # forming both sides costs about 2 (n + 2) u of that (one length-n dot product
@@ -202,12 +206,6 @@ def _slice_products(M, N, spec, out):
             for slot, (X, P) in enumerate(slots)]
 
 
-def _row_blocks(X):
-    """Slices of X's leading axis of about _CHUNK_ENTRIES entries each."""
-    step = max(1, _CHUNK_ENTRIES * len(X) // max(1, X.size))
-    return [slice(r, r + step) for r in range(0, len(X), step)]
-
-
 def _coupled(products, signs):
     """sum_p signs[p] products[2p] * products[2p + 1]: the coupled matrix of
     sliced products, or of rows gathered from all of them at once, in one
@@ -226,14 +224,32 @@ def _coupled(products, signs):
 
 
 def _value(products, signs):
-    """The potential of the sliced products (+ 0.0 turns -0.0 into 0.0).  The
-    coupled matrix is its one n x n buffer: its entropy terms overwrite it a
-    row block at a time, and one np.sum over all of it keeps entropy_sum's
-    summation order."""
-    s = _coupled(products, signs)
-    for rows in _row_blocks(s):
-        s[rows] = _entropy_terms(s[rows])
-    return -float(np.sum(s)) + 0.0
+    """The potential of the sliced products (+ 0.0 turns -0.0 into 0.0), in
+    entropy_sum's order over the whole coupled matrix but with no n x n
+    temporary.  np.sum of n^2 contiguous terms is numpy's pairwise sum: a
+    range of more than _PAIRWISE_BLOCK entries splits after half its length
+    rounded down to a multiple of 8, and each part is summed alone.  The
+    flat range [0, n^2) splits the same way down to blocks of at most
+    _CHUNK_ENTRIES entries (never below _PAIRWISE_BLOCK, where numpy stops
+    splitting); each block forms its coupled terms from flat slices of the
+    products (views of C-ordered arrays such as the caches; another layout
+    is copied once), np.sums their entropy terms, and the parts add back up
+    the tree as Python floats, which raise no floating-point warning, so the
+    value is bitwise that of the one np.sum."""
+    flat = [np.reshape(P, -1) for P in products]
+    return -_entropy_total(flat, signs, 0, flat[0].size) + 0.0
+
+
+def _entropy_total(flat, signs, lo, hi):
+    """The entropy terms of the coupled entries [lo, hi) of the flat
+    products, summed in np.sum's pairwise order (see _value).  A module
+    function, not a closure: a recursive closure is a reference cycle,
+    which would keep the products alive until the garbage collector ran."""
+    if hi - lo <= max(_CHUNK_ENTRIES, _PAIRWISE_BLOCK):
+        return float(np.sum(_entropy_terms(_coupled([f[lo:hi] for f in flat], signs))))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _entropy_total(flat, signs, lo, lo + half) + _entropy_total(flat, signs, lo + half, hi)
 
 
 def k_slice_quasi_entropy(M, spec, minv_t=None):
@@ -360,7 +376,9 @@ class PotentialTracker:
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             # per distinct preconditioner A: A V and the row sums of |A|, its probe's fixed half
             distinct = {id(A): A for A in slots if A is not None}
-            images = {key: (A @ self.probe, np.abs(A).sum(axis=1)) for key, A in distinct.items()}
+            images = {key: (A @ self.probe, np.concatenate(
+                [np.abs(A[rows]).sum(axis=1) for rows in _row_blocks(A)]))
+                for key, A in distinct.items()}
             self._probed = [(slot, *images[id(A)]) for slot, A in enumerate(slots)
                             if A is not None]
             if state is None:
@@ -389,12 +407,14 @@ class PotentialTracker:
         """Whether every preconditioned cache C = X A (X = M or MinvT of
         `state`) has max|C V - X (A V)| within CACHE_PROBE_TOL times
         max |X| (|A| |V|), with V = `probe` (so |A| |V| repeats the row sums
-        of |A| in every column): O(PROBE_COLUMNS n^2) per slot."""
+        of |A| in every column): O(PROBE_COLUMNS n^2) per slot.  |X| is taken
+        a row block at a time (_row_blocks), so no n x n temporary is held."""
         for slot, AV, row_sums in self._probed:
             X = state.MinvT if slot % 2 else state.M
             R = self.caches[slot] @ self.probe
             R -= X @ AV
-            if not np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * np.max(np.abs(X) @ row_sums):
+            scale = np.max([np.max(np.abs(X[rows]) @ row_sums) for rows in _row_blocks(X)])
+            if not np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * scale:
                 return False
         return True
 

@@ -761,6 +761,11 @@ EDGE_INPUTS = {
                       None, None, "eps must lie in [0, 1/2)"),
     "zero-threads": (["verify-lemma", "--ell-grid", "64", "--instances", "1"],
                      "0", None, "QEL_THREADS must be >= 1"),
+    "lemma-negative-seed": (["verify-lemma", "--ell-grid", "64", "--instances", "1",
+                             "--seed", "-5"], None, None, "argument --seed: must be >= 0, got -5"),
+    "theorem2-negative-seed": (["verify-theorem2", "--n", "8", "--programs", "1", "--gates", "2",
+                                "--seed", "-1"], None, None,
+                               "argument --seed: must be >= 0, got -1"),
 }
 
 
@@ -773,9 +778,15 @@ def test_edge_inputs_are_config_errors(case, tmp_path, capsys, monkeypatch):
     if threads is not None:
         monkeypatch.setenv("QEL_THREADS", threads)
     argv = [{"SLICES": str(slices), "OUT": str(out)}.get(arg, arg) for arg in argv]
-    code, stdout, err = run_cli(argv, capsys)
+    if fragment.startswith("argument "):  # a flag's value the parser rejects, exiting
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, (stdout, err), prefix = exc.value.code, capsys.readouterr(), f"usage: qel {argv[0]}"
+    else:
+        code, stdout, err = run_cli(argv, capsys)
+        prefix = "qel: error:"
     assert code == 2
-    assert err.startswith("qel: error:") and "Traceback" not in err
+    assert err.startswith(prefix) and "Traceback" not in err
     assert fragment in err
     assert stdout == "" and not out.exists()
 

@@ -149,8 +149,9 @@ def test_inverse_transpose_stays_synchronized_along_random_program():
     assert inverse_drift(state) < DRIFT_ATOL
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 256])
+@pytest.mark.parametrize("n", [1, 2, 64, 256, 600, 1024])
 def test_inverse_drift_matches_the_identity_subtraction_bitwise(n):
+    # from n = 363 on, inverse_drift forms M^T M^-T in blocks of columns of M
     rng = np.random.default_rng(n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     G = rng.standard_normal((n, n)) + n * np.eye(n)

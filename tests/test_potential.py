@@ -7,6 +7,7 @@ and frozen as the oracle for the generic evaluators.
 """
 
 import decimal
+import gc
 import hashlib
 import math
 import os
@@ -14,6 +15,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+import weakref
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -131,6 +134,64 @@ def test_entropy_sum_matches_scalar_reference_bitwise(shape):
     terms = np.array(terms).reshape(shape)
     assert entropy_sum(v).hex() == float(np.sum(terms)).hex()
     assert v.tobytes() == original
+
+
+def dense_value(products, signs):
+    """-entropy_sum of the coupled matrix built whole: sign_p times the
+    product of slots 2p and 2p + 1, summed over the slices in order."""
+    coupled = signs[0] * products[0] * products[1]
+    for p in range(1, len(signs)):
+        coupled = coupled + signs[p] * products[2 * p] * products[2 * p + 1]
+    return -entropy_sum(coupled) + 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 362, 363, 600, 1024])
+def test_value_keeps_np_sums_order_over_the_whole_coupled_matrix(n):
+    # _value sums blocks of at most _CHUNK_ENTRIES = 2^17 terms and adds them
+    # as numpy's pairwise sum splits the n^2 terms (362^2 < 2^17 < 363^2), so
+    # it is bitwise -entropy_sum of the dense coupled matrix; a numpy release
+    # that changed its pairwise rule fails here.  Entries span 40 binades, so
+    # another order would move the last bits.
+    rng = np.random.default_rng(n)
+    for k in (1, 2):
+        products = rng.standard_normal((2 * k, n, n)) * np.exp2(rng.uniform(-20, 20, (2 * k, n, n)))
+        products[0, 0] = 0.0
+        products[-1, -1, ::2] = -0.0
+        for signs in {(1.0, 1.0)[:k], (-1.0, -1.0)[:k], (1.0, -1.0)[:k], (-1.0, 1.0)[:k]}:
+            expected = dense_value(products, signs).hex()
+            assert potential._value(products, signs).hex() == expected
+            assert potential._value(list(products), signs).hex() == expected
+
+
+def test_a_value_frees_its_products_on_return():
+    # the dense evaluator's products are temporaries: no reference cycle may
+    # keep them (or views of them) alive until the garbage collector runs
+    products = [np.ones((4, 4)), np.full((4, 4), 2.0)]
+    refs = [weakref.ref(P) for P in products]
+    gc.disable()
+    try:
+        assert potential._value(products, (1.0,)) == -32.0
+        del products
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("case", ["overflow", "inf-minus-inf"])
+def test_value_of_non_finite_terms_stays_non_finite_without_a_new_warning(case):
+    # products that overflow give -inf; +inf terms in the first half of the
+    # pairwise tree and -inf terms in the second give NaN where the two halves
+    # meet, as the dense sum does.  Under the errstate the tracker starts in,
+    # nothing warns (the blocks are added as Python floats)
+    n = 600
+    products = np.full((2, n, n), 1e200)
+    if case == "inf-minus-inf":
+        products[0, n // 2:] = -1e200
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, expected = potential._value(products, (1.0,)), dense_value(products, (1.0,))
+    assert not math.isfinite(value)
+    assert value.hex() == expected.hex() == ("-inf" if case == "overflow" else "nan")
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 32])
@@ -691,27 +752,29 @@ def test_a_tracker_at_the_identity_copies_its_preconditioners(kind, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", NAMED_POTENTIALS)
-def test_a_trace_holds_the_engine_its_caches_and_one_n_by_n_temporary(kind):
-    # measured after the spec (and its F) is built: the engine's M and M^-T,
-    # the 2k caches and at most one n x n temporary at a time, plus an
-    # allowance for what does not grow with n^2 (advance holds no n x n
-    # temporary: its before/after buffer of at most _CHUNK_ENTRIES doubles
-    # and a flush's temporaries, 1.8 MiB at n = 512, fit in the 2 MiB slot
-    # of the checkpoint's temporary):
+def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
+    # measured after the spec (and its F) is built: the engine's M and M^-T
+    # and the 2k caches, plus an allowance for what does not grow with n^2.
+    # At n = 1024 one n x n array is 8 MiB, four times the largest block
+    # temporary, so any n x n temporary (a checkpoint's coupled matrix, a
+    # cache probe's |X|, the endpoint's M^T M^-T) fails the bound:
     # - per step, three new floats (potential, delta, bound; 24 B each) and
     #   four list slots (8 B each; kappa reuses the certifier's float), 104 B,
     #   rounded up to 128 B for the lists' over-allocation;
     # - the n x PROBE_COLUMNS probe and, per distinct preconditioner, its
     #   image under it and the row sums of its absolute values;
-    # - one row block of entropy terms and its nonzero mask, _CHUNK_ENTRIES
-    #   doubles and as many bytes;
+    # - one block of the value: its coupled terms, their entropy terms and
+    #   nonzero mask, 2 _CHUNK_ENTRIES doubles and _CHUNK_ENTRIES bytes (a
+    #   drift or cache-probe block is at most _CHUNK_ENTRIES doubles, and
+    #   advance's before/after buffer of at most _CHUNK_ENTRIES doubles with
+    #   a flush's temporaries fits too);
     # - 64 KiB for the tracker, certifier and trajectory objects.
-    n = 512
+    n = 1024
     program, spec = fast_wht_program(n), named_spec(kind, n)
     distinct = len({id(P) for pair in spec.slices for P in pair if P is not None})
     allowance = (128 * len(program)
                  + 8 * n * ((1 + distinct) * PROBE_COLUMNS + distinct)
-                 + 9 * potential._CHUNK_ENTRIES
+                 + 17 * potential._CHUNK_ENTRIES
                  + (64 << 10))
     tracemalloc.start()
     try:
@@ -719,7 +782,7 @@ def test_a_trace_holds_the_engine_its_caches_and_one_n_by_n_temporary(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (2 + 2 * spec.k + 1) * n * n + allowance
+    assert peak <= 8 * (2 + 2 * spec.k) * n * n + allowance
 
 
 def gate_by_gate_trace(program, spec, recompute_every):
