@@ -180,10 +180,11 @@ def build_potential_spec(kind, n, slices_path):
 
 def trajectory_rows(trajectory):
     """CSV rows for one trajectory, with a step-0 initialization row, one
-    at a time."""
+    at a time; a column that is None (bounds, kappas) gives empty cells."""
     yield (0, "init", None, None, None, trajectory.initial_value, 0.0, None, 1.0)
     columns = zip(trajectory.program.gates, trajectory.potentials[1:], trajectory.deltas,
-                  trajectory.bounds or repeat(None), trajectory.kappas or repeat(None))
+                  *(repeat(None) if column is None else column
+                    for column in (trajectory.bounds, trajectory.kappas)))
     for t, (gate, potential, delta, bound, kappa) in enumerate(columns, start=1):
         if isinstance(gate, Rotation):
             head = ("R", gate.i, gate.iprime, gate.theta)
@@ -379,10 +380,9 @@ def cmd_verify_theorem2(args):
         rotations = share + (index < extra)
         program = random_program(args.n, rotations, max(1, rotations // 10), rng)
         trajectory = trace_potentials(program, PotentialSpec.preconditioned(A, B),
-                                      recompute_every=args.recompute_every,
-                                      check_bounds=False, track_kappa=False)
+                                      recompute_every=args.recompute_every, certify=False)
         steps = []
-        columns = zip(program.gates, trajectory.deltas, trajectory.bounds)
+        columns = zip(program.gates, trajectory.deltas.tolist(), trajectory.bounds.tolist())
         for t, (gate, delta, bound) in enumerate(columns, start=1):
             if not isinstance(gate, Rotation):
                 continue

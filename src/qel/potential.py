@@ -28,9 +28,11 @@ the run ends, and then come from one pass over all its gates, so a chain
 of one-gate levels (an Appendix-B program) pays for that arithmetic once
 per buffer rather than once per gate.  Each gate's terms are summed as one
 contiguous row, so every delta and bound is bitwise that of a gate-by-gate
-update.  trace_potentials resyncs the
-tracker every `recompute_every` gates and at the endpoint, and advances it
-one segment between checkpoints at a time.  A resync raises on inverse
+update.  trace_potentials writes advance's running potentials, deltas and
+bounds a segment at a time into float64 columns.  It resyncs the tracker at
+each `recompute_every`-th step before the last, whose potential becomes the
+checked value, and at the endpoint, which leaves the last step's running
+value.  A resync raises on inverse
 drift beyond DRIFT_TOL first (a value checked against a wrong inverse means
 nothing), then on a checked value off by more than DESYNC_TOL.  The
 endpoint's drift check is the exact n x n product; a periodic one is a
@@ -54,7 +56,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -424,14 +425,17 @@ class PotentialTracker:
         and of MinvT B, O(n) from the caches.  Single-slice specs only."""
         if self.spec.k != 1:
             raise ValueError("rotation delta bound is defined for single-slice specs")
+        if not (1 <= i <= self.spec.n and 1 <= iprime <= self.spec.n and i != iprime):
+            raise ValueError(f"rows ({i}, {iprime}) are not two distinct rows in 1..{self.spec.n}")
         return float(_rotation_bounds(self.caches[:, [[i - 1, iprime - 1]]])[0])
 
     def advance(self, gates):
         """Apply a run of gates to the caches, level by level; returns
-        (deltas, bounds) in program order.
+        (potentials, deltas, bounds), float64 arrays in program order.
 
-        bounds holds Theorem 2's bound per gate (0.0 on constant gates) for
-        single-slice specs and is None otherwise.  A level is applied in
+        potentials[j] is the running value after gate j; bounds holds
+        Theorem 2's bound per gate (0.0 on constant gates) for single-slice
+        specs and is None otherwise.  A level is applied in
         chunks of one kind.  Each chunk gathers its rows of every cache
         straight into the `after` half of a before/after buffer of at most
         _CHUNK_ENTRIES entries, copies them into `before`, updates `after`
@@ -441,22 +445,23 @@ class PotentialTracker:
         buffer.  Each gate's terms are still summed as one contiguous row,
         so every delta and bound is bitwise the one a gate-by-gate update
         gives, and the running value adds the deltas one at a time, in
-        program order.
+        program order (np.add.accumulate: bitwise a Python loop of +=).
         """
         k, n = self.spec.k, self.spec.n
         capacity = max(1, _CHUNK_ENTRIES // (8 * k * n))  # gates: a rotation's 8kn entries
         rotations, constants, chunks = _asap_levels(gates, n, capacity)
         rpos, rrows, cos, sin = rotations
         cpos, crows, scalars = constants
-        rdelta, rbound = np.empty(len(rpos)), np.empty(len(rpos))
-        cdelta = np.zeros(len(cpos))  # a plain spec's literal 0.0
-        # per kind: each gate's rows of every cache as rows of `flat`, (r, gates, 2k),
-        # its move with its parameters, and where its deltas and bounds go (None: skip)
+        deltas = np.zeros(len(gates))  # a plain spec's literal 0.0 on constant gates
+        bounds = np.zeros(len(gates)) if k == 1 else None  # 0.0 on constant gates
+        # per kind: each gate's rows of every cache as rows of `flat`, (r, gates, 2k), its
+        # move with its parameters, its program positions and the columns its deltas and
+        # bounds go to (None: skip)
         flat, offsets = self.caches.reshape(2 * k * n, n), np.arange(0, 2 * k * n, n)
-        kinds = {True: (rrows.T[:, :, None] + offsets, _rotate_pairs, (cos, sin), rdelta,
-                        rbound if k == 1 else None),
-                 False: (crows.T[:, :, None] + offsets, _scale_pairs, (scalars,),
-                         None if self.spec.is_plain else cdelta, None)}
+        kinds = {True: (rrows.T[:, :, None] + offsets, _rotate_pairs, (cos, sin), rpos,
+                        deltas, bounds),
+                 False: (crows.T[:, :, None] + offsets, _scale_pairs, (scalars,), cpos,
+                         None if self.spec.is_plain else deltas, None)}
         # [before, after][row of the gate][gate][cache]: one row of n entries
         buffer = np.empty((2, 2, min(capacity, len(gates)), 2 * k, n))
         kind, first, end = True, 0, 0  # the buffered gates: entries [first, end) of kind
@@ -474,32 +479,27 @@ class PotentialTracker:
             flat[rows] = after
             end = s.stop
         self._flush(buffer, kinds[kind], slice(first, end))
-        deltas = np.empty(len(gates))
-        deltas[rpos], deltas[cpos] = rdelta, cdelta
-        deltas = deltas.tolist()
-        for delta in deltas:
-            self.value += delta
-        if k != 1:
-            return deltas, None
-        bounds = np.zeros(len(gates))
-        bounds[rpos] = rbound
-        return deltas, bounds.tolist()
+        running = np.add.accumulate(np.concatenate(([self.value], deltas)))
+        self.value = float(running[-1])
+        return running[1:], deltas, bounds
 
     def _flush(self, buffer, kind, gates):
         """Evaluate the buffered `gates`, a slice of the entries of `kind`,
         whose rows buffer[0] holds before their move and buffer[1] after it:
         each gate's potential change and, for a kind with bounds, Theorem 2's
-        bound of its rows before the move, in one pass over all of them."""
-        index, _, _, deltas, bounds = kind
+        bound of its rows before the move, in one pass over all of them, into
+        the gates' program positions."""
+        index, _, _, positions, deltas, bounds = kind
         if gates.start == gates.stop:
             return
+        at = positions[gates]
         # (2k, g, r, n): the gates' rows by cache
         before, after = buffer[:, :len(index), :gates.stop - gates.start].transpose(0, 3, 2, 1, 4)
         if bounds is not None:
-            bounds[gates] = _rotation_bounds(before)
+            bounds[at] = _rotation_bounds(before)
         if deltas is not None:
-            deltas[gates] = -(_entropy_rows(_coupled(after, self.spec.signs))
-                              - _entropy_rows(_coupled(before, self.spec.signs))) + 0.0
+            deltas[at] = -(_entropy_rows(_coupled(after, self.spec.signs))
+                           - _entropy_rows(_coupled(before, self.spec.signs))) + 0.0
 
     def resync(self, state, endpoint):
         """Check the tracker against `state` and return the checked value.
@@ -555,83 +555,81 @@ def _exceeds_bound(gate, delta, bound):
 
 @dataclass
 class Trajectory:
-    """One spec's traced run of `program`, as columns: potentials[t] is the
-    value after step t (potentials[0] the initial one); deltas, bounds (None
-    for k >= 2 specs) and kappas (None untracked) hold step t at t - 1.
-    Deltas telescope to final_value - initial_value up to roundoff."""
+    """One spec's traced run of `program`, as float64 columns: potentials[t]
+    is the running value after step t (potentials[0] the initial one);
+    deltas, bounds (None for k >= 2 specs) and kappas (None uncertified)
+    hold step t at t - 1, and telescope to final_value - initial_value up
+    to roundoff.  The properties are Python floats."""
 
     label: str
     program: GateProgram
-    potentials: list
-    deltas: list
-    bounds: list | None
-    kappas: list | None
+    potentials: np.ndarray
+    deltas: np.ndarray
+    bounds: np.ndarray | None
+    kappas: np.ndarray | None
     direct_final: float
 
     @property
     def initial_value(self):
-        return self.potentials[0]
+        return float(self.potentials[0])
 
     @property
     def final_value(self):
-        return self.potentials[-1]
+        return float(self.potentials[-1])
 
     @property
     def max_abs_delta(self):
-        return max(map(abs, self.deltas), default=0.0)
+        return float(np.max(np.abs(self.deltas), initial=0.0))
 
 
-def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY,
-                     check_bounds=True, track_kappa=True):
-    """Run a program once and return the spec's Trajectory.
+def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=True):
+    """Run a program of m gates once and return the spec's Trajectory.
 
     Its columns hold, per step, the potential, its delta, the rotation
-    bound (single-slice specs; 0.0 on constant gates) and kappa (from a
-    KappaCertifier: recomputed after scaling gates, carried across
-    isometries).  With `check_bounds`, a rotation over its bound
-    (_exceeds_bound) raises RuntimeError.  The tracker is resynced
-    (inverse drift, then the caches' value, see PotentialTracker.resync)
-    every `recompute_every` steps (a non-negative int; 0: never) and at
-    the endpoint, whose from-scratch value is `direct_final`; a periodic
-    resync at the last step serves as the endpoint's, exact checks included.
+    bound (single-slice specs; 0.0 on constant gates) and, to `certify`,
+    kappa (from a KappaCertifier: recomputed after scaling gates, carried
+    across isometries); certifying also raises RuntimeError on a rotation
+    over its bound (_exceeds_bound).  The tracker is resynced (inverse
+    drift, then the caches' value, see PotentialTracker.resync) at each
+    step t < m that `recompute_every` divides (a non-negative int; 0:
+    never), whose checked value replaces potentials[t], and once at the
+    endpoint, whose from-scratch value is `direct_final`; potentials[m]
+    keeps the running value, so final_value - direct_final is a margin.
 
-    The program splits into segments that end at each resync step and at
-    the endpoint.  When the engine enters a segment, the tracker advances
-    through all of it at once (in ASAP levels) into the columns; each
-    step's resync (which overwrites its potential) and bound check run when
-    the engine reaches that step, after its certifier, so an error names
-    the same first step as a gate-by-gate trace.  The tracker starts at the
-    identity, so slice products are formed only at the endpoint and after a
-    failed cache probe.
+    The tracker advances through each segment between checkpoints at once
+    (in ASAP levels) when the engine enters it; each step's resync and
+    bound check run when the engine reaches that step, after its
+    certifier, so an error names the same first step as a gate-by-gate
+    trace.  The tracker starts at the identity, so slice products are
+    formed only at the endpoint and after a failed cache probe.
     """
     if type(recompute_every) is not int or recompute_every < 0:
         raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")
     tracker = PotentialTracker(spec, None)
-    potentials, deltas = [tracker.value], []
-    bounds, kappas = ([] if spec.k == 1 else None), ([] if track_kappa else None)
-    cert = KappaCertifier()
     m = len(program)
+    potentials, deltas = np.full(m + 1, tracker.value), np.empty(m)
+    bounds, kappas = (np.empty(m) if spec.k == 1 else None), (np.empty(m) if certify else None)
+    cert = KappaCertifier()
     segment = recompute_every or m
 
     def observer(t, gate, state):
         if (t - 1) % segment == 0:
-            moved, moved_bounds = tracker.advance(program.gates[t - 1:t - 1 + segment])
-            potentials.extend(accumulate(moved, initial=potentials.pop()))
-            deltas.extend(moved)
+            steps = slice(t - 1, t - 1 + segment)
+            potentials[t:t + segment], deltas[steps], moved_bounds = tracker.advance(
+                program.gates[steps])
             if bounds is not None:
-                bounds.extend(moved_bounds)
-        if track_kappa:
-            kappas.append(cert.kappa)
-        if recompute_every and t % recompute_every == 0:
-            potentials[t] = tracker.resync(state, t == m)
-        if check_bounds and bounds and _exceeds_bound(gate, deltas[t - 1], bounds[t - 1]):
-            raise RuntimeError(f"step {t}: |delta| = {abs(deltas[t - 1])!r} "
-                               f"exceeds rotation bound {bounds[t - 1]!r}")
+                bounds[steps] = moved_bounds
+        if recompute_every and t % recompute_every == 0 and t < m:
+            potentials[t] = tracker.resync(state, False)
+        if certify:
+            kappas[t - 1] = cert.kappa
+            if bounds is not None and _exceeds_bound(gate, deltas[t - 1], bounds[t - 1]):
+                raise RuntimeError(f"step {t}: |delta| = {abs(float(deltas[t - 1]))!r} "
+                                   f"exceeds rotation bound {float(bounds[t - 1])!r}")
 
-    final = run_program(program, observers=[cert, observer] if track_kappa else [observer])
-    if not (m and recompute_every and m % recompute_every == 0):  # else step m resynced
-        tracker.resync(final, True)
-    return Trajectory(spec.label, program, potentials, deltas, bounds, kappas, tracker.value)
+    final = run_program(program, observers=[cert, observer] if certify else [observer])
+    direct = tracker.resync(final, True)
+    return Trajectory(spec.label, program, potentials, deltas, bounds, kappas, direct)
 
 
 def write_matrix_text(fh, M):

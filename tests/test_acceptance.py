@@ -236,7 +236,7 @@ def test_criterion_07_per_step_hat_drift_stability(report):
     for n in (64, 128, 256, 512):
         plan = synth_perturbation(n, eps, ROUTE_FAST_KRONECKER)
         trajectory = trace_potentials(
-            plan.program, named_spec("hat-pq", n), track_kappa=False
+            plan.program, named_spec("hat-pq", n), certify=False
         )
         ratios[n] = trajectory.max_abs_delta / denom
     spread = max(ratios.values()) / min(ratios.values())
@@ -262,15 +262,14 @@ def test_criterion_08_incremental_tracking_fidelity(report):
     plan = synth_perturbation(256, 2.0 ** -6, ROUTE_FAST_KRONECKER)
     trajectory = trace_potentials(
         plan.program, named_spec("hat-pq", 256), recompute_every=10 ** 9,
-        track_kappa=False,
+        certify=False,
     )
     checks.append(abs(trajectory.final_value - trajectory.direct_final))
     small_ok = max(checks) <= 1e-8
 
     program = fast_wht_program(512)
     trajectory = trace_potentials(
-        program, PotentialSpec.plain(512), recompute_every=10 ** 9,
-        track_kappa=False,
+        program, PotentialSpec.plain(512), recompute_every=10 ** 9
     )
     big_gap = abs(trajectory.final_value - trajectory.direct_final)
     ok = small_ok and big_gap <= 1e-6

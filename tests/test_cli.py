@@ -502,6 +502,39 @@ def test_campaign_output_does_not_depend_on_the_thread_count(argv, tmp_path, cap
     assert len(outputs) == 1
 
 
+def test_outputs_do_not_depend_on_the_blas_or_qel_thread_count(tmp_path):
+    # README "Parallelism": byte-identical under any BLAS thread count and
+    # QEL_THREADS; 256-wide products split across BLAS threads
+    runs = [["verify-theorem2", "--n", "256", "--programs", "2", "--gates", "2000",
+             "--seed", "3"],
+            ["run-perturbation", "--n", "64", "--eps", "0.0625", "--route", "appendix-b",
+             "--potential", "hat-pq", "--recompute-every", "7"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qel.cli import main\n"
+        "for index, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main([*argv, '--out', f'run{index}.csv'])\n"
+        "    assert code == 0, argv\n"
+        "    with open(f'run{index}.txt', 'w') as fh:\n"
+        "        fh.write(out.getvalue())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        env = dict(os.environ, QEL_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(qel.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              cwd=workdir, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(workdir.iterdir())})
+    assert sorted(outputs[0]) == ["run0.csv", "run0.txt", "run1.csv", "run1.txt"]
+    assert outputs[1] == outputs[0]
+
+
 def test_verify_lemma_rejects_large_interference(capsys):
     code, _, err = run_cli(["verify-lemma", "--c", "0.2"], capsys)
     assert code == 2
@@ -588,7 +621,7 @@ def test_verify_theorem2_archives_replay_the_violations(tmp_path, capsys, monkey
             A, B = load_matrices_text(f"{stem}.mats")
             program = load_program(f"{stem}.gates")
             replay = trace_potentials(program, PotentialSpec.preconditioned(A, B),
-                                      check_bounds=False, track_kappa=False)
+                                      certify=False)
             columns = list(enumerate(zip(program.gates, replay.deltas, replay.bounds), start=1))
             assert [t for t, step in columns if potential._exceeds_bound(*step)] == steps
             for t, (_, delta, bound) in columns:

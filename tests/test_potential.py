@@ -409,6 +409,14 @@ def test_rotation_bound_needs_a_single_slice_spec():
         tracker.rotation_bound(1, 2)
 
 
+@pytest.mark.parametrize("i, iprime", [(0, 2), (2, 2), (9, 1)])
+def test_rotation_bound_rejects_rows_that_are_no_rotation(i, iprime):
+    # row 0 would wrap to row n, and equal rows are no rotation
+    tracker = PotentialTracker(PotentialSpec.plain(8), TrackedState.identity(8))
+    with pytest.raises(ValueError, match=re.escape(f"rows ({i}, {iprime}) are not two distinct rows in 1..8")):
+        tracker.rotation_bound(i, iprime)
+
+
 def test_rotation_delta_bound_tight_at_quarter_turn_from_identity():
     state = TrackedState.identity(2)
     spec = PotentialSpec.plain(2)
@@ -464,7 +472,7 @@ def test_tracker_plain_constant_delta_is_literal_zero():
     tracker = PotentialTracker(PotentialSpec.plain(4), state)
     apply_gate(state, Rotation(1, 2, 0.3))
     tracker.advance([Rotation(1, 2, 0.3)])
-    (delta,), _ = tracker.advance([Constant(2, 3.7)])
+    _, (delta,), _ = tracker.advance([Constant(2, 3.7)])
     apply_gate(state, Constant(2, 3.7))
     assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
 
@@ -614,11 +622,31 @@ def test_an_empty_program_traces_only_its_initial_value(kind):
     spec = named_spec(kind, 4)
     trajectory = trace_potentials(GateProgram(4, []), spec)
     initial = k_slice_quasi_entropy(np.eye(4), spec, minv_t=np.eye(4))
-    assert trajectory.potentials == [initial]
-    assert trajectory.deltas == [] and trajectory.kappas == []
-    assert trajectory.bounds == ([] if kind == "plain" else None)
+    assert trajectory.potentials.tolist() == [initial]
+    assert trajectory.deltas.tolist() == [] and trajectory.kappas.tolist() == []
+    if kind == "plain":
+        assert trajectory.bounds.tolist() == []
+    else:
+        assert trajectory.bounds is None
     assert trajectory.final_value == trajectory.initial_value == trajectory.direct_final
     assert trajectory.max_abs_delta == 0.0
+
+
+@pytest.mark.parametrize("kind", ["plain", "hat-pq"])
+@pytest.mark.parametrize("recompute_every", [1, 40, 80, 1024])
+def test_the_last_step_keeps_its_running_value_and_the_endpoint_its_checked_one(
+        kind, recompute_every):
+    # m = 80: the endpoint check never overwrites step m, whether or not a
+    # periodic checkpoint falls there, so final - direct is a real margin
+    program = synth_perturbation(16, 0.0625, ROUTE_FAST_KRONECKER).program
+    m, spec = len(program), named_spec(kind, 16)
+    assert m == 80
+    trajectory = trace_potentials(program, spec, recompute_every=recompute_every)
+    assert trajectory.final_value.hex() == float(
+        trajectory.potentials[m - 1] + trajectory.deltas[m - 1]).hex()
+    state = run_program(program)
+    direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
+    assert trajectory.direct_final.hex() == direct.hex()
 
 
 def test_trace_reports_bounds_only_for_single_slice_specs():
@@ -641,7 +669,7 @@ def test_hat_potential_stays_zero_along_rotation_only_programs():
     n = 16
     program = random_program(n, 300, 0, np.random.default_rng(43))
     trajectory = trace_potentials(program, named_spec("hat-pq", n), recompute_every=64)
-    assert all(value == 0.0 for value in trajectory.potentials + trajectory.deltas)
+    assert all(value == 0.0 for value in [*trajectory.potentials, *trajectory.deltas])
     state = run_program(program)
     assert k_slice_quasi_entropy(state.M, named_spec("hat-pq", n), minv_t=state.MinvT) == 0.0
 
@@ -758,9 +786,8 @@ def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
     # At n = 1024 one n x n array is 8 MiB, four times the largest block
     # temporary, so any n x n temporary (a checkpoint's coupled matrix, a
     # cache probe's |X|, the endpoint's M^T M^-T) fails the bound:
-    # - per step, three new floats (potential, delta, bound; 24 B each) and
-    #   four list slots (8 B each; kappa reuses the certifier's float), 104 B,
-    #   rounded up to 128 B for the lists' over-allocation;
+    # - per step, 128 B, kept from when the columns were lists (104 B a
+    #   step); the float64 columns (potential, delta, bound, kappa) take 32 B;
     # - the n x PROBE_COLUMNS probe and, per distinct preconditioner, its
     #   image under it and the row sums of its absolute values;
     # - one block of the value: its coupled terms, their entropy terms and
@@ -790,8 +817,8 @@ def gate_by_gate_trace(program, spec, recompute_every):
     gate at a time: the engine's gate action (_apply_to_pair) on every
     cached pair and entropy_sum over the rows the gate touches, each pair's
     product times its slice's sign.  A periodic
-    checkpoint takes the caches' own value; only the endpoint's rebuilds
-    them from fresh products."""
+    checkpoint, at a step before the last, takes the caches' own value; the
+    last step keeps its running value."""
     state = TrackedState.identity(program.n)
 
     def caches():
@@ -818,11 +845,8 @@ def gate_by_gate_trace(program, spec, recompute_every):
             _apply_to_pair(gate, Lp, Rp)
         delta = 0.0 if spec.is_plain and not rotation else -(coupled_entropy() - before) + 0.0
         value += delta
-        if recompute_every and t % recompute_every == 0:
-            if t == len(program):
-                pairs, value = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT)
-            else:
-                value = potential._value([X for pair in pairs for X in pair], spec.signs)
+        if recompute_every and t % recompute_every == 0 and t < len(program):
+            value = potential._value([X for pair in pairs for X in pair], spec.signs)
         out.append((value, delta, bound))
     return out
 
@@ -861,8 +885,9 @@ def hexed(rows):
 def step_rows(trajectory):
     """(potential, delta, bound) per step from a trajectory's columns; the
     bound is None for k >= 2 specs."""
+    bounds = trajectory.bounds
     return list(zip(trajectory.potentials[1:], trajectory.deltas,
-                    trajectory.bounds or [None] * len(trajectory.deltas)))
+                    [None] * len(trajectory.deltas) if bounds is None else bounds))
 
 
 @settings(max_examples=60, deadline=None)
@@ -879,7 +904,7 @@ def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kin
         entries = chunk_gates * 4 * spec.k * spec.n
     with mock.patch.object(potential, "_CHUNK_ENTRIES", entries):
         trajectory = trace_potentials(program, spec, recompute_every=recompute_every,
-                                      check_bounds=False, track_kappa=False)
+                                      certify=False)
     assert hexed(step_rows(trajectory)) == hexed(gate_by_gate_trace(program, spec,
                                                                     recompute_every))
 
@@ -895,9 +920,17 @@ def test_buffers_that_flush_mid_chain_and_mid_level_match_the_gate_by_gate_track
     program = synth_perturbation(16, 0.125, route).program
     spec = equivalence_specs(16)[kind]
     with mock.patch.object(potential, "_CHUNK_ENTRIES", buffered * 8 * spec.k * spec.n):
-        trajectory = trace_potentials(program, spec, recompute_every=100,
-                                      check_bounds=False, track_kappa=False)
+        trajectory = trace_potentials(program, spec, recompute_every=100, certify=False)
+        tracker = PotentialTracker(spec, None)
+        value, running = tracker.value, []
+        potentials, deltas, _ = tracker.advance(program.gates)
     assert hexed(step_rows(trajectory)) == hexed(gate_by_gate_trace(program, spec, 100))
+    # advance's running potentials are a Python loop of += over its deltas
+    for delta in deltas.tolist():
+        value += delta
+        running.append(value.hex())
+    assert [x.hex() for x in potentials.tolist()] == running
+    assert tracker.value.hex() == running[-1]
 
 
 def test_a_chain_segment_evaluates_its_entropies_once_per_buffer(monkeypatch):
@@ -949,7 +982,7 @@ def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
     monkeypatch.setattr(PotentialTracker, "resync", resync)
     monkeypatch.setattr(potential, "_slice_products", products)
     try:
-        result = trace_potentials(program, spec, recompute_every=8, check_bounds=False)
+        result = trace_potentials(program, spec, recompute_every=8, certify=False)
     except RuntimeError as exc:
         result = exc
     return program, result, formed
@@ -983,7 +1016,7 @@ def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeyp
     program, trajectory, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1e-7)
     assert formed == [16, 36]
     state = run_program(GateProgram(8, program.gates[:16]))
-    fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
+    _, fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
     assert [d.hex() for d in trajectory.deltas[16:]] == [d.hex() for d in fresh]
 
 
@@ -995,7 +1028,7 @@ def test_deltas_and_bounds_do_not_depend_on_the_checkpoint_cadence(kind):
     spec = equivalence_specs(16)[kind]
     traces = [hexed(row[1:] for row in
                     step_rows(trace_potentials(program, spec, recompute_every=every,
-                                               check_bounds=False, track_kappa=False)))
+                                               certify=False)))
               for every in (0, 1, 7, 1024)]
     assert traces[1] == traces[0] and traces[2] == traces[0] and traces[3] == traces[0]
 

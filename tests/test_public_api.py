@@ -33,8 +33,7 @@ KEYWORD_DEFAULTS = [
     ("potential", "k_slice_quasi_entropy", "minv_t"),
     ("potential", "quasi_entropy", "minv_t"),
     ("potential", "trace_potentials", "recompute_every"),
-    ("potential", "trace_potentials", "check_bounds"),
-    ("potential", "trace_potentials", "track_kappa"),
+    ("potential", "trace_potentials", "certify"),
 ]
 
 
