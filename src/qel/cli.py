@@ -425,9 +425,9 @@ def _add_recompute_flag(parser):
         default=RECOMPUTE_EVERY,
         metavar="K",
         help="steps between checkpoints, which probe the tracked inverse and "
-             f"cached products with {PROBE_COLUMNS} random +-1 vectors and check "
-             "the tracked value against the caches' own (the endpoint checks "
-             "both from scratch)",
+             f"cached products with {PROBE_COLUMNS} random +-1 vectors, compare "
+             "each identity cache with the state bitwise, and check the tracked "
+             "value against the caches' own (the endpoint checks both from scratch)",
     )
 
 

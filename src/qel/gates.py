@@ -7,9 +7,9 @@ by a nonzero scalar.  The inverse-transpose of M is evolved jointly (the
 same rotation applies to it, a row scaling applies with 1/c), which keeps
 every step O(n) instead of the O(n^3) a re-inversion would cost.  That
 rule is written once, in rotate_rows and _scale_rows: apply_gate runs them
-on (M, M^-T) through _apply_to_pair, one gate at a time, and the potential
-tracker on the gathered rows of each cached (M A_p, M^-T B_p), a level of
-row-disjoint gates at a time.
+on (M, M^-T), one gate at a time, and the potential tracker on the
+gathered rows of each cached (M A_p, M^-T B_p), a level of row-disjoint
+gates at a time.
 Gates check their own fields and GateProgram checks their rows against n,
 once, when built, so run_program only applies gates.
 
@@ -158,27 +158,22 @@ def _scale_rows(X, Y, i, c):
     Y[i] *= 1.0 / c
 
 
-def _apply_to_pair(gate, X, Y):
-    """Apply one gate in place to a matrix X and its dual Y.
+def apply_gate(state, gate):
+    """Apply one gate to (M, MinvT) in place; returns the same state.
 
     A rotation turns rows (i, iprime) of both identically (plane rotations
     are orthogonal, so the inverse-transpose rotates the same way); a
-    constant gate scales row i of X by c and row i of Y by 1/c.  O(n) per
-    call.  The gate is not validated here: a row beyond n raises
+    constant gate scales row i of M by c and row i of MinvT by 1/c.  O(n)
+    per gate.  The gate is not validated here: a row beyond n raises
     IndexError before either matrix is written.
     """
     if isinstance(gate, Rotation):
         i, ip = gate.i - 1, gate.iprime - 1
         c, s = math.cos(gate.theta), math.sin(gate.theta)
-        rotate_rows(X, i, ip, c, s)
-        rotate_rows(Y, i, ip, c, s)
+        rotate_rows(state.M, i, ip, c, s)
+        rotate_rows(state.MinvT, i, ip, c, s)
     else:
-        _scale_rows(X, Y, gate.i - 1, gate.c)
-
-
-def apply_gate(state, gate):
-    """Apply one gate to (M, MinvT) in place; returns the same state."""
-    _apply_to_pair(gate, state.M, state.MinvT)
+        _scale_rows(state.M, state.MinvT, gate.i - 1, gate.c)
     state.t += 1
     return state
 

@@ -32,23 +32,24 @@ update.  trace_potentials writes advance's running potentials, deltas and
 bounds a segment at a time into float64 columns.  It resyncs the tracker at
 each `recompute_every`-th step before the last, whose potential becomes the
 checked value, and at the endpoint, which leaves the last step's running
-value.  A resync raises on inverse
-drift beyond DRIFT_TOL first (a value checked against a wrong inverse means
-nothing), then on a checked value off by more than DESYNC_TOL.  The
-endpoint's drift check is the exact n x n product; a periodic one is a
-probe with PROBE_COLUMNS fixed random +-1 vectors, O(n^2), which hands over
-to the exact product whenever it sees a residual beyond DRIFT_TOL.  The
-endpoint's value is the potential of fresh slice products; a periodic
-checkpoint forms no n x n product: it probes each preconditioned cache
-C = X A against the live state with the same vectors, and takes the value
-of the caches themselves, O(k n^2).  The caches are rebuilt there only
-when a probe residual is beyond CACHE_PROBE_TOL, so on a clean trace they
-are never reset between the endpoints and deltas do not depend on the
-cadence.  Every n x n pass of a trace (a value, a cache probe's |X|, the
-endpoint's drift product, the start's row sums of |A|) runs in blocks of
-about gates._CHUNK_ENTRIES entries, so a trace holds the engine's (M, M^-T),
-its caches and no n x n temporary; a value stays bitwise entropy_sum's over
-the whole coupled matrix (_value).
+value.  A resync raises on inverse drift beyond DRIFT_TOL first (a value
+checked against a wrong inverse means nothing), then on a checked value off
+by more than DESYNC_TOL.  The endpoint's drift check is the exact n x n
+product; a periodic one is a probe with PROBE_COLUMNS fixed random +-1
+vectors, O(n^2), which hands over to the exact product whenever it sees a
+residual beyond DRIFT_TOL.  The checked value is always the caches' own,
+O(k n^2), and one rule covers every cache slot.  The endpoint rebuilds
+them all (_slice_products: fresh products, and a copy of M or M^-T in an
+identity slot).  A periodic checkpoint forms no n x n product: it checks
+each slot against the live state, an identity slot for a bitwise twin of
+M or M^-T and a preconditioned cache C = X A with the same probe vectors,
+and rebuilds them all only when a slot fails, so on a clean trace the
+caches are never reset between the endpoints and deltas do not depend on
+the cadence.  Every n x n pass of a trace (a value, a twin comparison, a
+cache probe's |X|, the endpoint's drift product, the start's row sums of
+|A|) runs in blocks of about gates._CHUNK_ENTRIES entries, so a trace holds
+the engine's (M, M^-T), its caches and no n x n temporary; a value stays
+bitwise entropy_sum's over the whole coupled matrix (_value).
 """
 
 from __future__ import annotations
@@ -200,11 +201,17 @@ def named_spec(kind, n):
 
 
 def _slice_products(M, N, spec, out):
-    """[M A_0, N B_0, M A_1, N B_1, ...]; an identity slot is M or N itself,
-    and a product is written into out[slot] unless `out` is None."""
+    """[M A_0, N B_0, M A_1, N B_1, ...], an identity slot being M or N
+    itself; with `out`, every slot is written into `out` (returned)."""
     slots = [(X, P) for A, B in spec.slices for X, P in ((M, A), (N, B))]
-    return [X if P is None else np.matmul(X, P, out=None if out is None else out[slot])
-            for slot, (X, P) in enumerate(slots)]
+    if out is None:
+        return [X if P is None else np.matmul(X, P) for X, P in slots]
+    for cache, (X, P) in zip(out, slots):
+        if P is None:
+            cache[...] = X
+        else:
+            np.matmul(X, P, out=cache)
+    return out
 
 
 def _coupled(products, signs):
@@ -359,8 +366,8 @@ class PotentialTracker:
     exactly (row i of M scales by c, of MinvT by 1/c, products cancel) and
     the tracker returns literal 0.0 there; general specs recompute the
     affected rows.  `resync` checks the running value against the
-    caches' own value, after probing them against the live state, and at
-    the endpoint against a from-scratch evaluation.
+    caches' own value, after checking each slot against the live state
+    (or, at the endpoint, rebuilding every slot from it).
     """
 
     def __init__(self, spec, state):
@@ -372,7 +379,7 @@ class PotentialTracker:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
         self.probe = _probe_matrix(spec.n)
-        self.caches = np.empty((2 * spec.k, spec.n, spec.n))
+        self.caches = np.zeros((2 * spec.k, spec.n, spec.n))
         slots = [P for pair in spec.slices for P in pair]
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             # per distinct preconditioner A: A V and the row sums of |A|, its probe's fixed half
@@ -380,42 +387,38 @@ class PotentialTracker:
             images = {key: (A @ self.probe, np.concatenate(
                 [np.abs(A[rows]).sum(axis=1) for rows in _row_blocks(A)]))
                 for key, A in distinct.items()}
-            self._probed = [(slot, *images[id(A)]) for slot, A in enumerate(slots)
-                            if A is not None]
+            # per slot: None for an identity slot, else its preconditioner's probe images
+            self._checks = [None if A is None else images[id(A)] for A in slots]
             if state is None:
                 for cache, A in zip(self.caches, slots):
                     if A is None:
-                        cache[...] = 0.0
                         np.fill_diagonal(cache, 1.0)
                     else:
                         cache[...] = A
-                self.value = _value(self.caches, spec.signs)
             else:
-                self.caches[0::2], self.caches[1::2] = state.M, state.MinvT
-                self.value = self._rebuild(state)
+                _slice_products(state.M, state.MinvT, spec, self.caches)
+            self.value = _value(self.caches, spec.signs)
         if not math.isfinite(self.value):
             raise ValueError(f"the starting {spec.label} potential is {self.value!r}, not "
                              "finite: the preconditioners' products overflow")
 
-    def _rebuild(self, state):
-        """Form the preconditioned caches from `state` in place (an identity
-        slot already is M or MinvT, bitwise); returns the potential of
-        `state`, taken from those products and from M and MinvT."""
-        return _value(_slice_products(state.M, state.MinvT, self.spec, self.caches),
-                      self.spec.signs)
-
     def _caches_pass_probe(self, state):
-        """Whether every preconditioned cache C = X A (X = M or MinvT of
-        `state`) has max|C V - X (A V)| within CACHE_PROBE_TOL times
-        max |X| (|A| |V|), with V = `probe` (so |A| |V| repeats the row sums
-        of |A| in every column): O(PROBE_COLUMNS n^2) per slot.  |X| is taken
-        a row block at a time (_row_blocks), so no n x n temporary is held."""
-        for slot, AV, row_sums in self._probed:
-            X = state.MinvT if slot % 2 else state.M
-            R = self.caches[slot] @ self.probe
-            R -= X @ AV
-            scale = np.max([np.max(np.abs(X[rows]) @ row_sums) for rows in _row_blocks(X)])
-            if not np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * scale:
+        """Whether every cache matches `state` (X = M or MinvT by slot): an
+        identity slot equals X bitwise; a preconditioned C = X A has
+        max|C V - X (A V)| within CACHE_PROBE_TOL times max |X| (|A| |V|),
+        with V = `probe` (so |A| |V| repeats the row sums of |A| in every
+        column): O(PROBE_COLUMNS n^2) per slot.  X is read a row block at a
+        time (_row_blocks), so no n x n temporary is held."""
+        for C, X, image in zip(self.caches, (state.M, state.MinvT) * self.spec.k, self._checks):
+            if image is None:
+                passed = all(np.array_equal(C[rows], X[rows]) for rows in _row_blocks(X))
+            else:
+                AV, row_sums = image
+                R = C @ self.probe
+                R -= X @ AV
+                scale = np.max([np.max(np.abs(X[rows]) @ row_sums) for rows in _row_blocks(X)])
+                passed = np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * scale
+            if not passed:
                 return False
         return True
 
@@ -519,16 +522,17 @@ class PotentialTracker:
         probability at most 1/2 over its draw, all of them with at most
         2^-32 (in exact arithmetic).
 
-        The checked value at the `endpoint` is the potential of fresh slice
-        products, which replace the preconditioned caches.  Elsewhere each
-        preconditioned cache C = X A + E is probed first: (C V - X (A V)) is
-        E V up to rounding, so an error E[i, j] alone shows as |E[i, j]| in
-        every column of the probe, and several errors in one row slip past
-        all columns with at most 2^-32 as above.  If every probe is within
-        CACHE_PROBE_TOL, the checked value is that of the caches themselves,
-        O(k n^2), and no product is formed; otherwise the caches are rebuilt
-        as at the endpoint and the fresh value faces the desync check, so
-        the probe flags and the exact path decides.
+        The checked value is the caches' own.  At the `endpoint` every
+        slot is rebuilt first (_slice_products).  Elsewhere every slot is
+        checked against `state` first (_caches_pass_probe): an identity slot
+        bitwise, and a preconditioned cache C = X A + E by the probe, where
+        (C V - X (A V)) is E V up to rounding, so an error E[i, j] alone
+        shows as |E[i, j]| in every column, and several errors in one row
+        slip past all columns with at most 2^-32 as above.  If every slot
+        passes, no product is formed and the value costs O(k n^2);
+        otherwise every slot is rebuilt as at the endpoint and the fresh
+        value faces the desync check, so the check flags and the exact path
+        decides.
         """
         if endpoint or not inverse_probe(state, self.probe) <= DRIFT_TOL:
             drift = inverse_drift(state)
@@ -536,9 +540,8 @@ class PotentialTracker:
                 raise RuntimeError(f"step {state.t}: inverse-transpose drift "
                                    f"{drift:.3e} exceeds {DRIFT_TOL:.1e}")
         if endpoint or not self._caches_pass_probe(state):
-            direct = self._rebuild(state)
-        else:
-            direct = _value(self.caches, self.spec.signs)
+            _slice_products(state.M, state.MinvT, self.spec, self.caches)
+        direct = _value(self.caches, self.spec.signs)
         if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
@@ -601,7 +604,7 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
     bound check run when the engine reaches that step, after its
     certifier, so an error names the same first step as a gate-by-gate
     trace.  The tracker starts at the identity, so slice products are
-    formed only at the endpoint and after a failed cache probe.
+    formed only at the endpoint and after a failed cache check.
     """
     if type(recompute_every) is not int or recompute_every < 0:
         raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")

@@ -129,7 +129,6 @@ def test_run_wht_names_the_step_where_the_tracker_desynchronized(
 @pytest.mark.parametrize("every, steps", [("8", [8, 16, 24]), ("5", [5, 10, 15, 20, 24]),
                                           ("1024", [24])])
 def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys, monkeypatch):
-    # a periodic resync at the last step (24) doubles as the endpoint check;
     # each resync, and nothing else, checks the tracked inverse: the probe at
     # every periodic step before the endpoint, the exact product only at 24
     seen, probe_steps, drift_steps = [], [], []
@@ -180,10 +179,13 @@ def test_a_clean_trace_runs_the_exact_drift_check_once(capsys, monkeypatch):
     assert probes == list(range(1, 2048))
 
 
-def test_a_clean_trace_forms_slice_products_only_at_its_endpoints(capsys, monkeypatch):
-    # periodic checkpoints probe the caches instead of rebuilding them, so
-    # products are formed when a tracker starts and at its endpoint only;
-    # each call is recorded as the number of gates the engine has applied
+@pytest.mark.parametrize("kind", NAMED_POTENTIALS)
+def test_a_clean_trace_forms_slice_products_only_at_its_endpoints(kind, capsys, monkeypatch):
+    # periodic checkpoints check the caches instead of rebuilding them, so
+    # products are formed at a trace's endpoint only; a false alarm (an
+    # identity slot that is not a bitwise twin of the engine state, a probe
+    # beyond its tolerance) would rebuild at every checkpoint.  Each call is
+    # recorded as the number of gates the engine has applied
     applied, formed = [0], []
     real_apply, real_products = gates.apply_gate, potential._slice_products
 
@@ -194,7 +196,7 @@ def test_a_clean_trace_forms_slice_products_only_at_its_endpoints(capsys, monkey
     monkeypatch.setattr(gates, "apply_gate", counting_apply)
     monkeypatch.setattr(potential, "_slice_products",
                         lambda *args: formed.append(applied[0]) or real_products(*args))
-    code, _, _ = run_cli(["run-wht", "--n", "256", "--potential", "hat-pq",
+    code, _, _ = run_cli(["run-wht", "--n", "256", "--potential", kind,
                           "--recompute-every", "16", "--out", os.devnull], capsys)
     assert code == 0 and formed == [2048]
     applied[0], formed[:] = 0, []

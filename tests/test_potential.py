@@ -34,7 +34,6 @@ from qel.gates import (
     KappaCertifier,
     Rotation,
     TrackedState,
-    _apply_to_pair,
     apply_gate,
     inverse_drift,
     inverse_probe,
@@ -814,7 +813,7 @@ def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
 
 def gate_by_gate_trace(program, spec, recompute_every):
     """[(potential, delta, bound)] per step from a tracker written out one
-    gate at a time: the engine's gate action (_apply_to_pair) on every
+    gate at a time: the engine's gate action (apply_gate) on every
     cached pair and entropy_sum over the rows the gate touches, each pair's
     product times its slice's sign.  A periodic
     checkpoint, at a step before the last, takes the caches' own value; the
@@ -842,7 +841,7 @@ def gate_by_gate_trace(program, spec, recompute_every):
 
         before = coupled_entropy()
         for Lp, Rp in pairs:
-            _apply_to_pair(gate, Lp, Rp)
+            apply_gate(TrackedState(Lp, Rp), gate)
         delta = 0.0 if spec.is_plain and not rotation else -(coupled_entropy() - before) + 0.0
         value += delta
         if recompute_every and t % recompute_every == 0 and t < len(program):
@@ -949,7 +948,8 @@ def test_a_chain_segment_evaluates_its_entropies_once_per_buffer(monkeypatch):
     assert sum(calls) == 2 * len(segment)
 
 
-CORRUPTED_SLOTS = [("hat-pq", 1), ("hat-pq", 2), ("precond", 0), ("precond", 1)]
+CORRUPTED_SLOTS = [("hat-pq", 1), ("hat-pq", 2), ("precond", 0), ("precond", 1),
+                   ("plain", 0), ("plain", 1), ("precond-id-f", 0), ("hat-pq", 0), ("hat-pq", 3)]
 
 
 def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
@@ -991,8 +991,9 @@ def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
 @pytest.mark.parametrize("kind, slot", CORRUPTED_SLOTS)
 def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, monkeypatch):
     # the caches' own value agrees with the running one, which the same
-    # wrong entry moved; the probe flags the entry at step 16 and hands
-    # over to fresh products, whose value disagrees with the running one
+    # wrong entry moved; the slot's check (a probe, or bitwise equality for
+    # an identity slot) flags the entry at step 16 and hands over to fresh
+    # products, whose value disagrees with the running one
     spec = equivalence_specs(8)[kind]
     expected = []
 
@@ -1009,9 +1010,10 @@ def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, mon
 
 @pytest.mark.parametrize("kind, slot", CORRUPTED_SLOTS)
 def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeypatch):
-    # 1e-7 is far beyond the probe's tolerance and moves the value by less
-    # than DESYNC_TOL, so step 16 rebuilds the caches and passes; every
-    # delta after it is one a tracker built fresh at step 16 gives
+    # 1e-7 fails the slot's check (far beyond the probe's tolerance, and
+    # not bitwise equal) and moves the value by less than DESYNC_TOL, so
+    # step 16 rebuilds the caches and passes; every delta after it is one a
+    # tracker built fresh at step 16 gives
     spec = equivalence_specs(8)[kind]
     program, trajectory, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1e-7)
     assert formed == [16, 36]
