@@ -76,12 +76,8 @@ _TABLE_CHUNK = 4096  # CSV rows formatted per write
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (str, int)):  # a bool is an int: str(True) is "True"
         return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -427,7 +423,8 @@ def _add_recompute_flag(parser):
         help="steps between checkpoints, which probe the tracked inverse and "
              f"cached products with {PROBE_COLUMNS} random +-1 vectors, compare "
              "each identity cache with the state bitwise, and check the tracked "
-             "value against the caches' own (the endpoint checks both from scratch)",
+             "value against the caches' own; after any miss, and at the endpoint, "
+             "the exact inverse check runs and every cache is rebuilt",
     )
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "apply_gate",
     "run_program",
     "inverse_drift",
-    "inverse_probe",
     "condition_number",
     "verify_well_conditioned",
     "program_to_text",
@@ -199,14 +198,6 @@ def inverse_drift(state):
         P.reshape(-1)[cols.start::n + 1] -= 1.0  # the block's diagonal, in place
         peaks.append(np.max(np.abs(P, out=P)))
     return float(np.max(peaks))
-
-
-def inverse_probe(state, V):
-    """Max-entry of M^T (MinvT V) - V, that is of (M^T @ MinvT - Id) V, for
-    an n-by-r matrix V: O(r n^2) where inverse_drift is O(n^3)."""
-    R = state.M.T @ (state.MinvT @ V)
-    R -= V
-    return float(np.max(np.abs(R, out=R)))
 
 
 def run_program(program, observers=()):

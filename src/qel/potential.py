@@ -34,22 +34,20 @@ each `recompute_every`-th step before the last, whose potential becomes the
 checked value, and at the endpoint, which leaves the last step's running
 value.  A resync raises on inverse drift beyond DRIFT_TOL first (a value
 checked against a wrong inverse means nothing), then on a checked value off
-by more than DESYNC_TOL.  The endpoint's drift check is the exact n x n
-product; a periodic one is a probe with PROBE_COLUMNS fixed random +-1
-vectors, O(n^2), which hands over to the exact product whenever it sees a
-residual beyond DRIFT_TOL.  The checked value is always the caches' own,
-O(k n^2), and one rule covers every cache slot.  The endpoint rebuilds
-them all (_slice_products: fresh products, and a copy of M or M^-T in an
-identity slot).  A periodic checkpoint forms no n x n product: it checks
-each slot against the live state, an identity slot for a bitwise twin of
-M or M^-T and a preconditioned cache C = X A with the same probe vectors,
-and rebuilds them all only when a slot fails, so on a clean trace the
-caches are never reset between the endpoints and deltas do not depend on
-the cadence.  Every n x n pass of a trace (a value, a twin comparison, a
-cache probe's |X|, the endpoint's drift product, the start's row sums of
-|A|) runs in blocks of about gates._CHUNK_ENTRIES entries, so a trace holds
-the engine's (M, M^-T), its caches and no n x n temporary; a value stays
-bitwise entropy_sum's over the whole coupled matrix (_value).
+by more than DESYNC_TOL.  The checked value is always the caches' own,
+O(k n^2).  At a periodic checkpoint every probe passes, or the endpoint's
+exact check runs.  The probes, O(n^2) each with PROBE_COLUMNS fixed random
++-1 vectors, compare the tracked inverse with M and each cache slot with
+the live state (an identity slot for a bitwise twin of M or M^-T, a
+preconditioned cache C = X A by the same vectors).  The exact check forms
+the n x n drift product, then rebuilds every slot (_slice_products: fresh
+products, and a copy of M or M^-T in an identity slot).  So on a clean
+trace the caches are never reset between the endpoints and deltas do not
+depend on the cadence.  Every n x n pass of a trace (a value, a twin
+comparison, a cache probe's |X|, the exact drift product, the start's row
+sums of |A|) runs in blocks of about gates._CHUNK_ENTRIES entries, so a
+trace holds the engine's (M, M^-T), its caches and no n x n temporary; a
+value stays bitwise entropy_sum's over the whole coupled matrix (_value).
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import (_CHUNK_ENTRIES, GateProgram, KappaCertifier, Rotation, _row_blocks,
-                    _scale_rows, inverse_drift, inverse_probe, rotate_rows, run_program)
+                    _scale_rows, inverse_drift, rotate_rows, run_program)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -366,8 +364,9 @@ class PotentialTracker:
     exactly (row i of M scales by c, of MinvT by 1/c, products cancel) and
     the tracker returns literal 0.0 there; general specs recompute the
     affected rows.  `resync` checks the running value against the
-    caches' own value, after checking each slot against the live state
-    (or, at the endpoint, rebuilding every slot from it).
+    caches' own value, after probing the inverse and each slot against the
+    live state (or, at the endpoint or after a miss, checking the exact
+    drift and rebuilding every slot from the state).
     """
 
     def __init__(self, spec, state):
@@ -402,13 +401,19 @@ class PotentialTracker:
             raise ValueError(f"the starting {spec.label} potential is {self.value!r}, not "
                              "finite: the preconditioners' products overflow")
 
-    def _caches_pass_probe(self, state):
-        """Whether every cache matches `state` (X = M or MinvT by slot): an
-        identity slot equals X bitwise; a preconditioned C = X A has
-        max|C V - X (A V)| within CACHE_PROBE_TOL times max |X| (|A| |V|),
-        with V = `probe` (so |A| |V| repeats the row sums of |A| in every
-        column): O(PROBE_COLUMNS n^2) per slot.  X is read a row block at a
-        time (_row_blocks), so no n x n temporary is held."""
+    def _probes_pass(self, state):
+        """Whether every O(PROBE_COLUMNS n^2) probe of the tracker against
+        `state` passes, stopping at the first miss.  First the inverse:
+        max|M^T (M^-T V) - V| within DRIFT_TOL, V = `probe`.  Then each
+        slot in order (X = M or MinvT): an identity slot equals X bitwise;
+        a preconditioned C = X A has max|C V - X (A V)| within
+        CACHE_PROBE_TOL times max |X| (|A| |V|) (|A| |V| repeats the row
+        sums of |A| in every column).  X is read a row block at a time
+        (_row_blocks), so no n x n temporary is held."""
+        R = state.M.T @ (state.MinvT @ self.probe)
+        R -= self.probe
+        if not np.max(np.abs(R, out=R)) <= DRIFT_TOL:
+            return False
         for C, X, image in zip(self.caches, (state.M, state.MinvT) * self.spec.k, self._checks):
             if image is None:
                 passed = all(np.array_equal(C[rows], X[rows]) for rows in _row_blocks(X))
@@ -509,37 +514,26 @@ class PotentialTracker:
 
         Raises RuntimeError unless the inverse drift of `state` is within
         DRIFT_TOL and the checked value within DESYNC_TOL of the running one
-        (a NaN fails both); otherwise adopts it.
+        (a NaN fails both); otherwise adopts it.  Every probe passes
+        (_probes_pass: no product is formed, and the value costs O(k n^2)),
+        or the endpoint's exact check runs: at the `endpoint`, and after any
+        miss, the exact inverse_drift decides, and then every slot is
+        rebuilt (_slice_products) before the value is taken.
 
-        At the `endpoint` the drift is the exact inverse_drift.  Elsewhere
-        the probe max|(M^T M^-T - Id) V|, V = `probe` (n x PROBE_COLUMNS,
-        +-1 entries), comes first, in O(PROBE_COLUMNS n^2); inverse_drift
-        runs only when the probe is not within DRIFT_TOL, and then its value
-        decides and fills the message.  If an entry P[i, j] of
-        P = M^T M^-T - Id exceeds DRIFT_TOL, (P v)[i] = P[i, j] v[j] + (terms
-        without v[j]), so one of the two signs of v[j] gives
-        |(P v)[i]| >= |P[i, j]|: each column of V misses the drift with
-        probability at most 1/2 over its draw, all of them with at most
-        2^-32 (in exact arithmetic).
-
-        The checked value is the caches' own.  At the `endpoint` every
-        slot is rebuilt first (_slice_products).  Elsewhere every slot is
-        checked against `state` first (_caches_pass_probe): an identity slot
-        bitwise, and a preconditioned cache C = X A + E by the probe, where
-        (C V - X (A V)) is E V up to rounding, so an error E[i, j] alone
-        shows as |E[i, j]| in every column, and several errors in one row
-        slip past all columns with at most 2^-32 as above.  If every slot
-        passes, no product is formed and the value costs O(k n^2);
-        otherwise every slot is rebuilt as at the endpoint and the fresh
-        value faces the desync check, so the check flags and the exact path
-        decides.
+        If an entry P[i, j] of P = M^T M^-T - Id exceeds DRIFT_TOL,
+        (P v)[i] = P[i, j] v[j] + (terms without v[j]), so one of the two
+        signs of v[j] gives |(P v)[i]| >= |P[i, j]|: each column of V misses
+        the drift with probability at most 1/2 over its draw, all of them
+        with at most 2^-32 (in exact arithmetic).  Likewise for a cache
+        C = X A + E, C V - X (A V) is E V up to rounding, so an error
+        E[i, j] alone shows as |E[i, j]| in every column, and several
+        errors in one row slip past all columns with at most 2^-32.
         """
-        if endpoint or not inverse_probe(state, self.probe) <= DRIFT_TOL:
+        if endpoint or not self._probes_pass(state):
             drift = inverse_drift(state)
             if not drift <= DRIFT_TOL:
                 raise RuntimeError(f"step {state.t}: inverse-transpose drift "
                                    f"{drift:.3e} exceeds {DRIFT_TOL:.1e}")
-        if endpoint or not self._caches_pass_probe(state):
             _slice_products(state.M, state.MinvT, self.spec, self.caches)
         direct = _value(self.caches, self.spec.signs)
         if not abs(direct - self.value) <= DESYNC_TOL:
@@ -604,7 +598,7 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
     bound check run when the engine reaches that step, after its
     certifier, so an error names the same first step as a gate-by-gate
     trace.  The tracker starts at the identity, so slice products are
-    formed only at the endpoint and after a failed cache check.
+    formed only at the endpoint and after a failed probe.
     """
     if type(recompute_every) is not int or recompute_every < 0:
         raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")
@@ -622,7 +616,7 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
                 program.gates[steps])
             if bounds is not None:
                 bounds[steps] = moved_bounds
-        if recompute_every and t % recompute_every == 0 and t < m:
+        if t % segment == 0 and t < m:
             potentials[t] = tracker.resync(state, False)
         if certify:
             kappas[t - 1] = cert.kappa

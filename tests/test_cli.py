@@ -129,26 +129,26 @@ def test_run_wht_names_the_step_where_the_tracker_desynchronized(
 @pytest.mark.parametrize("every, steps", [("8", [8, 16, 24]), ("5", [5, 10, 15, 20, 24]),
                                           ("1024", [24])])
 def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys, monkeypatch):
-    # each resync, and nothing else, checks the tracked inverse: the probe at
+    # each resync, and nothing else, checks the tracked inverse: the probes at
     # every periodic step before the endpoint, the exact product only at 24
     seen, probe_steps, drift_steps = [], [], []
     real = potential.PotentialTracker.resync
     monkeypatch.setattr(potential.PotentialTracker, "resync",
                         lambda self, state, endpoint:
                         seen.append(state.t) or real(self, state, endpoint))
-    real_drift, real_probe = gates.inverse_drift, gates.inverse_probe
+    real_drift, real_probes = gates.inverse_drift, potential.PotentialTracker._probes_pass
 
     def drift_spy(state):
         drift_steps.append(state.t)
         return real_drift(state)
 
-    def probe_spy(state, V):
+    def probes_spy(self, state):
         probe_steps.append(state.t)
-        return real_probe(state, V)
+        return real_probes(self, state)
 
     for module in (gates, potential):
         monkeypatch.setattr(module, "inverse_drift", drift_spy)
-        monkeypatch.setattr(module, "inverse_probe", probe_spy)
+    monkeypatch.setattr(potential.PotentialTracker, "_probes_pass", probes_spy)
     code, stdout, _ = run_cli(["run-wht", "--n", "8", "--potential", "precond-id-f",
                                "--recompute-every", every, "--out", os.devnull], capsys)
     assert code == 0
@@ -165,13 +165,14 @@ def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys,
 
 def test_a_clean_trace_runs_the_exact_drift_check_once(capsys, monkeypatch):
     # every one of the 2048 steps is a checkpoint; the 2047 before the
-    # endpoint probe the inverse, and only the endpoint forms M^T M^-T
+    # endpoint probe the inverse and the caches, and only the endpoint forms
+    # M^T M^-T
     probes, drifts = [], []
-    real_drift, real_probe = gates.inverse_drift, gates.inverse_probe
+    real_drift, real_probes = gates.inverse_drift, potential.PotentialTracker._probes_pass
     monkeypatch.setattr(potential, "inverse_drift",
                         lambda state: drifts.append(state.t) or real_drift(state))
-    monkeypatch.setattr(potential, "inverse_probe",
-                        lambda state, V: probes.append(state.t) or real_probe(state, V))
+    monkeypatch.setattr(potential.PotentialTracker, "_probes_pass",
+                        lambda self, state: probes.append(state.t) or real_probes(self, state))
     code, _, _ = run_cli(["run-wht", "--n", "256", "--recompute-every", "1",
                           "--out", os.devnull], capsys)
     assert code == 0

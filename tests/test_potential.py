@@ -36,7 +36,6 @@ from qel.gates import (
     TrackedState,
     apply_gate,
     inverse_drift,
-    inverse_probe,
     random_program,
     run_program,
 )
@@ -548,18 +547,26 @@ def test_entries_below_the_drift_tolerance_that_add_up_past_it_fall_back_to_the_
         monkeypatch):
     # every entry of row 0 of M^T M^-T - Id is 0.9 DRIFT_TOL, so the exact
     # drift passes, but (P v)_0 = 0.9 DRIFT_TOL sum(v) sets off the probe;
-    # the exact product then decides, and the resync passes as before
+    # the tracker starts at that state, so only the inverse probe misses.
+    # The endpoint's exact check then runs: the exact product decides, every
+    # slot is rebuilt, and the resync passes as before
     n = 64
     state = run_program(random_program(n, 300, 30, np.random.default_rng(22)))
-    tracker = PotentialTracker(PotentialSpec.plain(n), state)
     D = np.zeros((n, n))
     D[0] = 0.9 * DRIFT_TOL
     state.MinvT += state.MinvT @ D
+    tracker = PotentialTracker(PotentialSpec.plain(n), state)
     assert inverse_drift(state) <= DRIFT_TOL
-    assert not inverse_probe(state, tracker.probe) <= DRIFT_TOL
-    drifts = spy_on_inverse_drift(monkeypatch)
+    residual = state.M.T @ (state.MinvT @ tracker.probe) - tracker.probe
+    assert not np.max(np.abs(residual)) <= DRIFT_TOL
+    assert np.array_equal(tracker.caches, [state.M, state.MinvT])
+    drifts, rebuilds = spy_on_inverse_drift(monkeypatch), []
+    real_products = potential._slice_products
+    monkeypatch.setattr(potential, "_slice_products",
+                        lambda *args: rebuilds.append(state.t) or real_products(*args))
     assert tracker.resync(state, False) == tracker.value
     assert [t for t, _ in drifts] == [state.t]
+    assert rebuilds == [state.t]
 
 
 def test_the_probe_matrix_is_fixed():
@@ -1002,9 +1009,11 @@ def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, mon
         expected.append(f"step {state.t}: tracker desynchronized from state: "
                         f"incremental {tracker.value!r} vs direct {direct!r}")
 
+    drifts = spy_on_inverse_drift(monkeypatch)
     _, result, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1.0, message)
     assert isinstance(result, RuntimeError)
     assert formed == [16]
+    assert [t for t, _ in drifts] == [16]  # a miss runs the endpoint's exact check
     assert str(result) == expected[1]
 
 
@@ -1012,11 +1021,14 @@ def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, mon
 def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeypatch):
     # 1e-7 fails the slot's check (far beyond the probe's tolerance, and
     # not bitwise equal) and moves the value by less than DESYNC_TOL, so
-    # step 16 rebuilds the caches and passes; every delta after it is one a
-    # tracker built fresh at step 16 gives
+    # step 16 runs the endpoint's exact check (the drift, then a rebuild of
+    # every cache) and passes; every delta after it is one a tracker built
+    # fresh at step 16 gives
     spec = equivalence_specs(8)[kind]
+    drifts = spy_on_inverse_drift(monkeypatch)
     program, trajectory, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1e-7)
     assert formed == [16, 36]
+    assert [t for t, _ in drifts] == [16, 36]
     state = run_program(GateProgram(8, program.gates[:16]))
     _, fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
     assert [d.hex() for d in trajectory.deltas[16:]] == [d.hex() for d in fresh]
