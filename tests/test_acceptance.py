@@ -8,11 +8,12 @@ tests/test_potential.py for the derivation) before the sweep below ran.
 """
 
 import csv
+import hashlib
 import math
 import numpy as np
 import pytest
 
-from qel.cli import main as cli_main
+from qel.cli import format_csv_row, main as cli_main
 from qel.gates import (
     Constant,
     Rotation,
@@ -282,29 +283,39 @@ def test_criterion_08_incremental_tracking_fidelity(report):
     )
 
 
+# sha256 of the campaign's 50 000 CSV rows, so any change to the campaign's
+# bytes fails the criterion; like the verify-lemma golden it is pinned to
+# numpy's AVX-512 dispatch of `**` and log2
+CAMPAIGN_ROWS_SHA256 = "53fefaa3d4a09f2e640f7fa53a75997039439ac80dcb0117503b67604ad57db7"
+
+
 @pytest.mark.slow
 def test_criterion_09_lemma_campaign(report):
     ells = (64, 256, 1024, 4096, 65536)
     violations = 0
     total = 0
     min_margin = math.inf
+    digest = hashlib.sha256()  # of the rows' CSV lines, as verify-lemma writes them
     for row in run_campaign(ells, 10 ** 4, C=0.125, seed=CAMPAIGN_SEED):
         total += 1
         min_margin = min(min_margin, row[6])
         violations += int(not row[7])
+        digest.update((format_csv_row(row) + "\n").encode("ascii"))
 
     uniform_ok = True
     for ell in (64, 1024):
         x = np.full(ell, 1.0 / ell)
         uniform = check_lemma(LemmaInstance(ell, x, np.zeros(ell), 0.0))
         uniform_ok = uniform_ok and abs(uniform.margin - 10.0) <= 1e-9
-    ok = violations == 0 and total == 5 * 10 ** 4 and uniform_ok
+    rows_ok = digest.hexdigest() == CAMPAIGN_ROWS_SHA256
+    ok = violations == 0 and total == 5 * 10 ** 4 and uniform_ok and rows_ok
     report(
         9,
         ok,
         f"{total} random admissible instances across ell in {ells}: "
         f"{violations} violations (slack 1e-9), min margin {min_margin:.3f}; "
-        "uniform/noiseless margin equals 10 within 1e-9",
+        "uniform/noiseless margin equals 10 within 1e-9; row digest "
+        f"{'matches' if rows_ok else 'differs: ' + digest.hexdigest()}",
     )
 
 

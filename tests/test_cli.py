@@ -66,6 +66,22 @@ def test_run_perturbation_trace_matches_golden_bytes(route, potential, name, tmp
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_lemma_matches_golden_bytes(threads, tmp_path, capsys, monkeypatch):
+    # 16 instances per ell hold three capped draws each: at ell = 64 the
+    # water-fill sorts every draw, at 1024 and 65536 only the capped block.
+    # Unlike the traces above, these bytes hold only at numpy's SIMD level on
+    # an AVX-512 host: with dispatch disabled, `raw ** 8.0` and np.log2 round
+    # differently and one ell = 64 row moves in its last digits
+    monkeypatch.setenv("QEL_THREADS", threads)
+    out = tmp_path / "lemma.csv"
+    code, stdout, _ = run_cli(["verify-lemma", "--ell-grid", "64,1024,65536",
+                               "--instances", "16", "--seed", "5", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == (DATA / "verify_lemma_seed5.csv").read_bytes()
+    assert stdout == (DATA / "verify_lemma_seed5.txt").read_text()
+
+
 def test_golden_traces_hold_with_numpy_simd_dispatch_disabled(tmp_path):
     # np.log2 may round differently at another SIMD level; rerun every
     # golden trace with each dispatched feature this host enables disabled

@@ -15,6 +15,7 @@ from qel.lemma import (
     check_lemma,
     lemma_lhs,
     lemma_rhs,
+    _water_fill,
     run_campaign,
     sample_instance,
 )
@@ -111,6 +112,78 @@ def test_sampler_produces_cap_saturated_instances():
         cap = 4.0 * inst.norm1() / 512
         saturated += int(np.any(inst.x >= cap * (1.0 - 1e-9)))
     assert saturated > 0
+
+
+def full_sort_water_fill(raw, target, cap):
+    """The water-fill as it was before the block sort: every draw sorted."""
+    total = float(np.sum(raw))
+    x = raw * (target / total)
+    if float(np.max(x)) <= cap:
+        return x
+    order = np.argsort(-raw)
+    z = raw[order]
+    prefix = np.cumsum(z)
+    k_arr = np.arange(1, raw.size)
+    need = target - cap * k_arr
+    rest = total - prefix[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = need / rest
+    ok = (need > 0.0) & (rest > 0.0) & (scale * z[1:] <= cap)
+    j = int(np.nonzero(ok)[0][0])
+    k = int(k_arr[j])
+    out = np.empty_like(raw)
+    out[order[:k]] = cap
+    out[order[k:]] = raw[order[k:]] * float(need[j] / rest[j])
+    return out
+
+
+def assert_water_filled(raw, target, cap, out):
+    assert np.all(out <= cap)
+    capped = out == cap
+    # the uncapped scale divides by the draws' total less the capped prefix,
+    # so the prefix's rounding grows by total / (uncapped draws' mass)
+    amplify = 1.0
+    if capped.any():
+        assert raw[capped].min() > raw[~capped].max()
+        amplify = float(np.sum(raw) / np.sum(raw[~capped]))
+    assert math.isclose(float(np.sum(out)), target,
+                        rel_tol=raw.size * np.finfo(float).eps * amplify)
+
+
+def water_fill_cases(ell):
+    """Seeded flat and concentrated draws, with the sampler's cap."""
+    rng = np.random.default_rng(ell)
+    for concentration in (1.0, 8.0):
+        for _ in range(4):
+            target = rng.random() * (1.0 - 1e-9) + 1e-9
+            yield rng.random(ell) ** concentration, target, 4.0 * target / ell * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("ell", [64, 1024, 65536])
+def test_water_fill_matches_the_full_sort_bitwise(ell):
+    capped = 0
+    for raw, target, cap in water_fill_cases(ell):
+        out = _water_fill(raw, target, cap)
+        assert out.tobytes() == full_sort_water_fill(raw, target, cap).tobytes()
+        assert_water_filled(raw, target, cap, out)
+        capped += int(np.any(out == cap))
+    assert capped >= 4  # every concentrated draw binds the cap
+
+
+def test_water_fill_falls_back_to_the_full_sort_when_the_block_holds_no_answer():
+    # one draw dominates, so the plain scaling puts only it over the cap and
+    # the block holds 2 + 64 draws; capping it lifts the next 200 over the
+    # cap too, so the answer caps 201 > 65 draws
+    ell, target = 1024, 1.0
+    cap = 4.0 * target / ell * (1.0 - 1e-12)
+    rng = np.random.default_rng(24)
+    raw = np.concatenate([[1e4], 1.0 + 1e-6 * rng.random(200), 1e-3 * rng.random(ell - 201)])
+    raw = raw[rng.permutation(ell)]
+    over = int(np.count_nonzero(raw * (target / np.sum(raw)) > cap))
+    out = _water_fill(raw, target, cap)
+    assert over == 1 and int(np.count_nonzero(out == cap)) == 201
+    assert out.tobytes() == full_sort_water_fill(raw, target, cap).tobytes()
+    assert_water_filled(raw, target, cap, out)
 
 
 def test_campaign_rows_and_determinism():
