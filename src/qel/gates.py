@@ -327,18 +327,28 @@ def load_program(path):
 
 
 def random_program(n, rotations, constants, rng):
-    """Random program for campaigns: uniform plane rotations plus row
-    scalings with |log2 c| <= 1 (keeps intermediates reasonably
-    conditioned).  Gate order is a random interleaving."""
-    gates = []
-    for _ in range(rotations):
-        i, ip = rng.choice(n, size=2, replace=False) + 1
-        gates.append(Rotation(int(i), int(ip), float(rng.uniform(-math.pi, math.pi))))
-    for _ in range(constants):
-        i = int(rng.integers(1, n + 1))
-        c = float(2.0 ** rng.uniform(-1.0, 1.0))
-        if rng.integers(2):
-            c = -c
-        gates.append(Constant(i, c))
+    """Random program for campaigns: `rotations` plane rotations and
+    `constants` row scalings, in a random interleaving.
+
+    Each field is one Generator call, drawn in this order: the rotations'
+    rows i (uniform over the n rows), their offsets to i' (uniform over the
+    other n - 1, so (i, i') is a uniform ordered pair of distinct rows),
+    their angles (uniform in [-pi, pi)); the scalings' rows, exponents u
+    (uniform in [-1, 1)) and signs (fair); then the gate order, one
+    permutation.  A scaling is c = +-2^u, so |log2 c| <= 1 keeps the
+    intermediates reasonably conditioned; 2^u is Python's float pow, one
+    constant at a time, whose bits do not depend on numpy's SIMD dispatch
+    as np.power's do.
+    """
+    rows = rng.integers(0, n, size=rotations)
+    others = (rows + rng.integers(1, n, size=rotations)) % n
+    thetas = rng.uniform(-math.pi, math.pi, size=rotations)
+    gates = [Rotation(i + 1, ip + 1, theta)
+             for i, ip, theta in zip(rows.tolist(), others.tolist(), thetas.tolist())]
+    scaled = rng.integers(1, n + 1, size=constants)
+    exponents = rng.uniform(-1.0, 1.0, size=constants)
+    negative = rng.integers(0, 2, size=constants)
+    gates += [Constant(i, -2.0 ** u if sign else 2.0 ** u)
+              for i, u, sign in zip(scaled.tolist(), exponents.tolist(), negative.tolist())]
     order = rng.permutation(len(gates))
     return GateProgram(n, [gates[j] for j in order])

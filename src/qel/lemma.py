@@ -158,7 +158,10 @@ def sample_instance(ell, C, norm1_target, seed):
     concentrated = int(rng.integers(0, 4)) == 3
     raw = rng.random(ell)
     if concentrated:
-        raw **= 8.0
+        # u^8 as three squarings: each product is correctly rounded, so its
+        # bits do not depend on numpy's SIMD dispatch as np.power's do
+        for _ in range(3):
+            raw *= raw
     x = _water_fill(raw, norm1_target, cap)
     if C == 0.0:
         y = np.zeros(ell)

@@ -284,9 +284,10 @@ def test_criterion_08_incremental_tracking_fidelity(report):
 
 
 # sha256 of the campaign's 50 000 CSV rows, so any change to the campaign's
-# bytes fails the criterion; like the verify-lemma golden it is pinned to
-# numpy's AVX-512 dispatch of `**` and log2
-CAMPAIGN_ROWS_SHA256 = "53fefaa3d4a09f2e640f7fa53a75997039439ac80dcb0117503b67604ad57db7"
+# bytes fails the criterion.  It holds at numpy's SIMD dispatch on an AVX-512
+# host: u^8 is three squarings, but np.log2 rounds 3 of the rows differently
+# with dispatch disabled
+CAMPAIGN_ROWS_SHA256 = "853d91d187bb58ac6de530e2f8ddc4cad9e33dd52c55d9095463e7ff7e5b87fd"
 
 
 @pytest.mark.slow

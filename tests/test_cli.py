@@ -33,6 +33,10 @@ GOLDEN_PERTURBATION = [
 ]
 
 
+GOLDEN_LEMMA_ARGV = ["verify-lemma", "--ell-grid", "64,1024,65536", "--instances", "16",
+                     "--seed", "5"]
+
+
 def golden_wht_argv(n):
     return ["run-wht", "--n", str(n)]
 
@@ -70,13 +74,12 @@ def test_run_perturbation_trace_matches_golden_bytes(route, potential, name, tmp
 def test_verify_lemma_matches_golden_bytes(threads, tmp_path, capsys, monkeypatch):
     # 16 instances per ell hold three capped draws each: at ell = 64 the
     # water-fill sorts every draw, at 1024 and 65536 only the capped block.
-    # Unlike the traces above, these bytes hold only at numpy's SIMD level on
-    # an AVX-512 host: with dispatch disabled, `raw ** 8.0` and np.log2 round
-    # differently and one ell = 64 row moves in its last digits
+    # Like the traces above, these bytes also hold with numpy's SIMD dispatch
+    # disabled (the next test): u^8 is three squarings, and np.log2 rounds
+    # these rows alike at both dispatch levels
     monkeypatch.setenv("QEL_THREADS", threads)
     out = tmp_path / "lemma.csv"
-    code, stdout, _ = run_cli(["verify-lemma", "--ell-grid", "64,1024,65536",
-                               "--instances", "16", "--seed", "5", "--out", str(out)], capsys)
+    code, stdout, _ = run_cli([*GOLDEN_LEMMA_ARGV, "--out", str(out)], capsys)
     assert code == 0
     assert out.read_bytes() == (DATA / "verify_lemma_seed5.csv").read_bytes()
     assert stdout == (DATA / "verify_lemma_seed5.txt").read_text()
@@ -84,7 +87,8 @@ def test_verify_lemma_matches_golden_bytes(threads, tmp_path, capsys, monkeypatc
 
 def test_golden_traces_hold_with_numpy_simd_dispatch_disabled(tmp_path):
     # np.log2 may round differently at another SIMD level; rerun every
-    # golden trace with each dispatched feature this host enables disabled
+    # golden trace, the verify-lemma golden and the random_program golden
+    # with each dispatched feature this host enables disabled
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
     if not enabled:
@@ -92,13 +96,19 @@ def test_golden_traces_hold_with_numpy_simd_dispatch_disabled(tmp_path):
     runs = [(golden_wht_argv(n), f"run_wht_n{n}.csv") for n in GOLDEN_WHT]
     runs += [(golden_perturbation_argv(route, potential), name)
              for route, potential, name in GOLDEN_PERTURBATION]
+    runs += [(GOLDEN_LEMMA_ARGV, "verify_lemma_seed5.csv")]
     script = (
-        "import json, sys\n"
+        "import contextlib, json, sys\n"
+        "import numpy as np\n"
         "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
         "from qel.cli import main\n"
+        "from qel.gates import program_to_text, random_program\n"
         "print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))\n"
         "for argv, name in json.loads(sys.argv[1]):\n"
-        "    assert main([*argv, '--out', name]) == 0\n"
+        "    with open(name + '.stdout', 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        "        assert main([*argv, '--out', name]) == 0\n"
+        "with open('random_program_n8_seed99.txt', 'w') as fh:\n"
+        "    fh.write(program_to_text(random_program(8, 20, 4, np.random.default_rng(99))))\n"
     )
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled),
                PYTHONPATH=str(Path(qel.__file__).parents[1]))
@@ -106,8 +116,10 @@ def test_golden_traces_hold_with_numpy_simd_dispatch_disabled(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0]) == []
-    for _, name in runs:
+    for name in [name for _, name in runs] + ["random_program_n8_seed99.txt"]:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+    lemma_stdout = (tmp_path / "verify_lemma_seed5.csv.stdout").read_text()
+    assert lemma_stdout == (DATA / "verify_lemma_seed5.txt").read_text()
 
 
 def test_run_wht_summary_line(capsys):

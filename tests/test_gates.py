@@ -1,8 +1,10 @@
 """Gate model tests: validation, joint state evolution, serialization."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +32,7 @@ from qel.gates import (
 from qel.hadamard import fast_wht_program, wht_matrix
 from qel.potential import PotentialSpec, trace_potentials
 
+DATA = Path(__file__).parent / "data"
 ATOL = 1e-12
 DRIFT_ATOL = 1e-10
 
@@ -214,6 +217,7 @@ def test_verify_well_conditioned_isometry_program():
     drawn = random_program(12, 80, 8, rng).gates
     program = GateProgram(12, [Constant(g.i, math.copysign(1.0, g.c))  # sign flips only
                                if isinstance(g, Constant) else g for g in drawn])
+    assert any(isinstance(g, Constant) and g.c == -1.0 for g in program.gates)
     report = verify_well_conditioned(program, kappa_max=1.0 + 1e-9)
     assert report.passed
     assert report.max_kappa == pytest.approx(1.0, abs=1e-9)
@@ -233,6 +237,7 @@ def test_exhaustive_and_sampled_conditioning_agree():
     fast = verify_well_conditioned(program, kappa_max=1e6)
     slow = KappaCertifier(exhaustive=True)
     run_program(program, observers=[slow])
+    assert fast.max_kappa > 2.0  # the draw's scalings move kappa
     assert fast.max_kappa == pytest.approx(slow.max_kappa, rel=1e-9)
 
 
@@ -312,5 +317,17 @@ def test_random_program_is_deterministic_in_seed():
     a = random_program(8, 20, 4, np.random.default_rng(99))
     b = random_program(8, 20, 4, np.random.default_rng(99))
     assert a.gates == b.gates
-    assert a.rotation_count() == 20
-    assert a.constant_count() == 4
+    assert program_to_text(a) == (DATA / "random_program_n8_seed99.txt").read_text()
+
+
+def test_random_program_fields_have_their_stated_ranges():
+    program = random_program(4, 2000, 400, np.random.default_rng(5))
+    assert program.rotation_count() == 2000 and program.constant_count() == 400
+    rotations = [g for g in program.gates if isinstance(g, Rotation)]
+    pairs = {(g.i, g.iprime) for g in rotations}
+    assert pairs == set(itertools.permutations(range(1, 5), 2))  # all 12, never i == i'
+    assert all(-math.pi <= g.theta < math.pi for g in rotations)
+    scalars = [g.c for g in program.gates if isinstance(g, Constant)]
+    assert all(0.5 <= abs(c) <= 2.0 for c in scalars)
+    assert min(scalars) < 0.0 < max(scalars)
+    assert {g.i for g in program.gates if isinstance(g, Constant)} == {1, 2, 3, 4}

@@ -35,7 +35,9 @@ from qel.gates import (
     Rotation,
     TrackedState,
     apply_gate,
+    condition_number,
     inverse_drift,
+    load_program,
     random_program,
     run_program,
 )
@@ -59,6 +61,7 @@ from qel.potential import (
     write_matrix_text,
 )
 
+DATA = Path(__file__).parent / "data"
 ORACLE_RTOL = 1e-10
 TRACK_ATOL = 1e-8
 BOUND_SLACK = 1e-8
@@ -425,6 +428,32 @@ def test_rotation_delta_bound_tight_at_quarter_turn_from_identity():
     assert bound == pytest.approx(2.0, abs=1e-12)
     assert after - before == pytest.approx(2.0, abs=1e-12)
     assert abs(after - before) / bound == pytest.approx(1.0, abs=1e-9)
+
+
+# well-conditioned states on which one rotation, each fixture's last gate,
+# moves the plain potential past the row-norm bound (ROADMAP item 1); the
+# value is the kappa of the state before it
+BOUND_COUNTEREXAMPLES = {"theorem2_counterexample_n2.txt": 2.264,
+                         "theorem2_counterexample_n4.txt": 4.842}
+
+
+@pytest.mark.parametrize("name, kappa", BOUND_COUNTEREXAMPLES.items())
+def test_bound_counterexample_states_are_well_conditioned(name, kappa):
+    program = load_program(DATA / name)
+    state = run_program(GateProgram(program.n, program.gates[:-1]))
+    assert isinstance(program.gates[-1], Rotation)
+    assert condition_number(state.M) == pytest.approx(kappa, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the row-norm rotation bound does not hold on "
+                          "these well-conditioned states")
+@pytest.mark.parametrize("name", BOUND_COUNTEREXAMPLES)
+def test_every_rotation_of_a_bound_counterexample_is_within_its_bound(name):
+    program = load_program(DATA / name)
+    trajectory = trace_potentials(program, PotentialSpec.plain(program.n), certify=False)
+    steps = zip(program.gates, trajectory.deltas, trajectory.bounds)
+    assert not any(_exceeds_bound(*step) for step in steps)
 
 
 def test_constant_gate_leaves_every_potential_unchanged():
