@@ -5,11 +5,11 @@ vector to the current register contents.  A rotation gate left-multiplies
 M by a plane rotation touching two rows; a constant gate rescales one row
 by a nonzero scalar.  The inverse-transpose of M is evolved jointly (the
 same rotation applies to it, a row scaling applies with 1/c), which keeps
-every step O(n) instead of the O(n^3) a re-inversion would cost.  That
-rule is written once, in rotate_rows and _scale_rows: apply_gate runs them
-on (M, M^-T), one gate at a time, and the potential tracker on the
-gathered rows of each cached (M A_p, M^-T B_p), a level of row-disjoint
-gates at a time.
+every step O(n) instead of the O(n^3) a re-inversion would cost.  Every
+trace state is an (n, slots, n) stack of row blocks, M and M^-T the slots
+of TrackedState.rows and (M A_p, M^-T B_p) those of the tracker's caches,
+so each gate kind is one rule, rotate_rows or _scale_rows: apply_gate runs
+it on the engine's rows, the tracker on a level's gathered blocks.
 Gates check their own fields and GateProgram checks their rows against n,
 once, when built, so run_program only applies gates.
 
@@ -122,15 +122,19 @@ class GateProgram:
 
 @dataclass
 class TrackedState:
-    """State matrix M and its inverse-transpose, evolved jointly."""
+    """State matrix M and its inverse-transpose, evolved jointly as the
+    (n, 2, n) row blocks `rows`; M and MinvT are read-only views of them."""
 
-    M: np.ndarray
-    MinvT: np.ndarray
+    rows: np.ndarray
     t: int = 0
+    M = property(lambda self: self.rows[:, 0])
+    MinvT = property(lambda self: self.rows[:, 1])
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(n), np.eye(n), 0)
+        rows = np.zeros((n, 2, n))
+        rows[np.arange(n), :, np.arange(n)] = 1.0  # in place: no second n x n array
+        return cls(rows, 0)
 
 
 def rotate_rows(X, i, ip, c, s):
@@ -138,9 +142,9 @@ def rotate_rows(X, i, ip, c, s):
     c X[ip] - s X[i]: left-multiplication by a plane rotation.  i and ip are
     integers, so X[i] and X[ip] are views that are written in place (an
     index array would select a copy, and raises TypeError); they may be
-    stacks of rows (the leading axis of a gathered block) with c, s
-    broadcasting against them, one angle per pair.  Only s X[ip] and s X[i]
-    are temporaries, and each entry is fl(fl(c a) + fl(s b)) as written."""
+    row blocks of a stack, or stacks of them (a gathered buffer's leading
+    axis) with c, s broadcasting against them, one angle per pair.  Only
+    s X[ip] and s X[i] are temporaries; each entry is fl(fl(c a) + fl(s b))."""
     a, b = X[operator.index(i)], X[operator.index(ip)]
     sb, sa = s * b, s * a
     a *= c
@@ -149,30 +153,26 @@ def rotate_rows(X, i, ip, c, s):
     b -= sa
 
 
-def _scale_rows(X, Y, i, c):
-    """Scale rows i (0-based) of X by c and of its dual Y by 1/c, in place.
-    X[i] may be a stack of rows with c broadcasting against it, one scalar
-    per row."""
-    X[i] *= c
-    Y[i] *= 1.0 / c
+def _scale_rows(X, i, c):
+    """Scale the row block X[i] (0-based) in place, its even slots by c and
+    its odd slots by 1/c; X[i] may be a stack of blocks, c one per block."""
+    X[i][..., 0::2, :] *= c
+    X[i][..., 1::2, :] *= 1.0 / c
 
 
 def apply_gate(state, gate):
     """Apply one gate to (M, MinvT) in place; returns the same state.
 
-    A rotation turns rows (i, iprime) of both identically (plane rotations
-    are orthogonal, so the inverse-transpose rotates the same way); a
-    constant gate scales row i of M by c and row i of MinvT by 1/c.  O(n)
-    per gate.  The gate is not validated here: a row beyond n raises
-    IndexError before either matrix is written.
+    A rotation turns the row blocks (i, iprime), so M and MinvT alike (the
+    inverse-transpose of a plane rotation is itself); a constant gate
+    scales row i of M by c and of MinvT by 1/c.  O(n) per gate.  The gate
+    is not validated: a row beyond n raises IndexError before any write.
     """
     if isinstance(gate, Rotation):
-        i, ip = gate.i - 1, gate.iprime - 1
-        c, s = math.cos(gate.theta), math.sin(gate.theta)
-        rotate_rows(state.M, i, ip, c, s)
-        rotate_rows(state.MinvT, i, ip, c, s)
+        rotate_rows(state.rows, gate.i - 1, gate.iprime - 1,
+                    math.cos(gate.theta), math.sin(gate.theta))
     else:
-        _scale_rows(state.M, state.MinvT, gate.i - 1, gate.c)
+        _scale_rows(state.rows, gate.i - 1, gate.c)
     state.t += 1
     return state
 

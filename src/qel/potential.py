@@ -17,12 +17,13 @@ stored once; named_spec builds the kinds the CLI names (NAMED_POTENTIALS).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products, formed in one place (_slice_products); a tracker
-started at the identity copies the preconditioners instead and forms none.
-PotentialTracker.advance takes a run of gates and schedules it into ASAP
-levels of row-disjoint gates; each level is one gather of its rows from
-every cache into a before/after buffer, one update with the engine's row
-rules (gates.rotate_rows, gates._scale_rows) and one scatter.  The deltas
+gate from cached products, held in the engine's row layout as one (n, 2k,
+n) stack and formed in one place (_slice_products); a tracker started at
+the identity copies the preconditioners instead and forms none.
+PotentialTracker.advance schedules a run of gates into ASAP levels of
+row-disjoint gates; each level is one gather of its row blocks into a
+before/after buffer, one update with the engine's row rules
+(gates.rotate_rows, gates._scale_rows) and one scatter.  The deltas
 and bounds wait in the buffer until it is full, the gate kind changes or
 the run ends, and then come from one pass over all its gates, so a chain
 of one-gate levels (an Appendix-B program) pays for that arithmetic once
@@ -199,12 +200,10 @@ def named_spec(kind, n):
 
 
 def _slice_products(M, N, spec, out):
-    """[M A_0, N B_0, M A_1, N B_1, ...], an identity slot being M or N
-    itself; with `out`, every slot is written into `out` (returned)."""
+    """Write M A_0, N B_0, M A_1, N B_1, ... into the slots of the (n, 2k, n)
+    stack `out` (returned), an identity slot as a copy of M or N."""
     slots = [(X, P) for A, B in spec.slices for X, P in ((M, A), (N, B))]
-    if out is None:
-        return [X if P is None else np.matmul(X, P) for X, P in slots]
-    for cache, (X, P) in zip(out, slots):
+    for cache, (X, P) in zip(out.swapaxes(0, 1), slots):
         if P is None:
             cache[...] = X
         else:
@@ -214,9 +213,10 @@ def _slice_products(M, N, spec, out):
 
 def _coupled(products, signs):
     """sum_p signs[p] products[2p] * products[2p + 1]: the coupled matrix of
-    sliced products, or of rows gathered from all of them at once, in one
-    new C-ordered array, so each gathered gate's terms are one contiguous
-    row (a later slice's products are formed a row block at a time).
+    the slots of a stack's rows (products[q] is slot q), or of rows gathered
+    from all of them at once, in one new C-ordered array, so each gathered
+    gate's terms are one contiguous row (a later slice's products are
+    formed a row block at a time).
     Adding a negated product is subtracting it, so a slice held with sign -1
     gives bitwise the sum of its negated preconditioner."""
     s = np.multiply(products[0], products[1], order="C")
@@ -229,33 +229,35 @@ def _coupled(products, signs):
     return s
 
 
-def _value(products, signs):
-    """The potential of the sliced products (+ 0.0 turns -0.0 into 0.0), in
-    entropy_sum's order over the whole coupled matrix but with no n x n
-    temporary.  np.sum of n^2 contiguous terms is numpy's pairwise sum: a
-    range of more than _PAIRWISE_BLOCK entries splits after half its length
-    rounded down to a multiple of 8, and each part is summed alone.  The
-    flat range [0, n^2) splits the same way down to blocks of at most
-    _CHUNK_ENTRIES entries (never below _PAIRWISE_BLOCK, where numpy stops
-    splitting); each block forms its coupled terms from flat slices of the
-    products (views of C-ordered arrays such as the caches; another layout
-    is copied once), np.sums their entropy terms, and the parts add back up
-    the tree as Python floats, which raise no floating-point warning, so the
+def _value(stack, signs):
+    """The potential of the (n, 2k, n) stack of sliced products (+ 0.0
+    turns -0.0 into 0.0), in entropy_sum's order over the whole coupled
+    matrix but with no n x n temporary.  np.sum of n^2 contiguous terms is
+    numpy's pairwise sum: a range of more than _PAIRWISE_BLOCK entries
+    splits after half its length rounded down to a multiple of 8, and each
+    part is summed alone.  The flat range [0, n^2) of the coupled matrix
+    splits the same way down to blocks of at most _CHUNK_ENTRIES entries
+    (never below _PAIRWISE_BLOCK, where numpy stops splitting); each block
+    forms the coupled terms of the stack rows it touches, slices out its
+    flat range, np.sums its entropy terms, and the parts add back up the
+    tree as Python floats, which raise no floating-point warning, so the
     value is bitwise that of the one np.sum."""
-    flat = [np.reshape(P, -1) for P in products]
-    return -_entropy_total(flat, signs, 0, flat[0].size) + 0.0
+    return -_entropy_total(stack, signs, 0, stack.shape[0] * stack.shape[-1]) + 0.0
 
 
-def _entropy_total(flat, signs, lo, hi):
-    """The entropy terms of the coupled entries [lo, hi) of the flat
-    products, summed in np.sum's pairwise order (see _value).  A module
-    function, not a closure: a recursive closure is a reference cycle,
-    which would keep the products alive until the garbage collector ran."""
+def _entropy_total(stack, signs, lo, hi):
+    """The entropy terms of the coupled entries [lo, hi) of the stack,
+    summed in np.sum's pairwise order (see _value).  A module function, not
+    a closure: a recursive closure is a reference cycle, which would keep
+    the stack alive until the garbage collector ran."""
     if hi - lo <= max(_CHUNK_ENTRIES, _PAIRWISE_BLOCK):
-        return float(np.sum(_entropy_terms(_coupled([f[lo:hi] for f in flat], signs))))
+        n = stack.shape[-1]
+        first = lo // n
+        coupled = _coupled(stack[first:-(-hi // n)].swapaxes(0, 1), signs)
+        return float(np.sum(_entropy_terms(coupled.reshape(-1)[lo - first * n:hi - first * n])))
     half = (hi - lo) // 2
     half -= half % 8
-    return _entropy_total(flat, signs, lo, lo + half) + _entropy_total(flat, signs, lo + half, hi)
+    return _entropy_total(stack, signs, lo, lo + half) + _entropy_total(stack, signs, lo + half, hi)
 
 
 def k_slice_quasi_entropy(M, spec, minv_t=None):
@@ -264,7 +266,8 @@ def k_slice_quasi_entropy(M, spec, minv_t=None):
     if M.shape[0] != spec.n:
         raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
     N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
-    return _value(_slice_products(M, N, spec, None), spec.signs)
+    stack = np.empty((spec.n, 2 * spec.k, spec.n))
+    return _value(_slice_products(M, N, spec, stack), spec.signs)
 
 
 def quasi_entropy(M, minv_t=None):
@@ -284,19 +287,6 @@ def _rotation_bounds(G):
     v = G.reshape(2, G.shape[1], 1, -1)
     norms = np.sqrt(v @ v.swapaxes(-1, -2))
     return (norms[0] * norms[1]).reshape(-1)
-
-
-def _rotate_pairs(G, c, s):
-    """Turn the gathered rows G, (2, g, 2k, n) with G[0, j] the rows i and
-    G[1, j] the rows i' of gate j in every cache, by cos c[j] and sin s[j]
-    ((g, 1, 1)), in place."""
-    rotate_rows(G, 0, 1, c, s)
-
-
-def _scale_pairs(G, c):
-    """Scale the gathered rows G, (1, g, 2k, n), by c[j] ((g, 1, 1)) in every
-    M A_p and by 1/c[j] in every M^-T B_p, in place."""
-    _scale_rows(G[0, :, 0::2], G[0, :, 1::2], Ellipsis, c)
 
 
 def _asap_levels(gates, n, chunk):
@@ -354,9 +344,10 @@ def _probe_matrix(n):
 class PotentialTracker:
     """Incremental quasi-entropy along a gate program.
 
-    Caches the sliced products in one (2k, n, n) array, M A_p at 2p and
-    MinvT B_p at 2p + 1; a rotation touches two rows of every cache, a
-    constant gate one row, so each gate costs O(k n).  `advance` moves a
+    Caches the sliced products in one (n, 2k, n) stack, the engine's row
+    layout: M A_p in slot 2p and MinvT B_p in slot 2p + 1, so row i of
+    every cache is one contiguous block.  A rotation touches two blocks, a
+    constant gate one, so each gate costs O(k n).  `advance` moves a
     run of gates through the caches a level of row-disjoint gates at a
     time: one gather of those rows from every cache, one update and one
     scatter per level, and the deltas and bounds of a buffer of gates in
@@ -378,7 +369,7 @@ class PotentialTracker:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
         self.spec = spec
         self.probe = _probe_matrix(spec.n)
-        self.caches = np.zeros((2 * spec.k, spec.n, spec.n))
+        self.caches = np.zeros((spec.n, 2 * spec.k, spec.n))
         slots = [P for pair in spec.slices for P in pair]
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             # per distinct preconditioner A: A V and the row sums of |A|, its probe's fixed half
@@ -389,7 +380,7 @@ class PotentialTracker:
             # per slot: None for an identity slot, else its preconditioner's probe images
             self._checks = [None if A is None else images[id(A)] for A in slots]
             if state is None:
-                for cache, A in zip(self.caches, slots):
+                for cache, A in zip(self.caches.swapaxes(0, 1), slots):
                     if A is None:
                         np.fill_diagonal(cache, 1.0)
                     else:
@@ -414,7 +405,8 @@ class PotentialTracker:
         R -= self.probe
         if not np.max(np.abs(R, out=R)) <= DRIFT_TOL:
             return False
-        for C, X, image in zip(self.caches, (state.M, state.MinvT) * self.spec.k, self._checks):
+        for C, X, image in zip(self.caches.swapaxes(0, 1), (state.M, state.MinvT) * self.spec.k,
+                               self._checks):
             if image is None:
                 passed = all(np.array_equal(C[rows], X[rows]) for rows in _row_blocks(X))
             else:
@@ -435,7 +427,8 @@ class PotentialTracker:
             raise ValueError("rotation delta bound is defined for single-slice specs")
         if not (1 <= i <= self.spec.n and 1 <= iprime <= self.spec.n and i != iprime):
             raise ValueError(f"rows ({i}, {iprime}) are not two distinct rows in 1..{self.spec.n}")
-        return float(_rotation_bounds(self.caches[:, [[i - 1, iprime - 1]]])[0])
+        rows = self.caches[[[i - 1, iprime - 1]]]  # (1, 2, 2, n): [gate][row][slot]
+        return float(_rotation_bounds(rows.transpose(2, 0, 1, 3))[0])
 
     def advance(self, gates):
         """Apply a run of gates to the caches, level by level; returns
@@ -443,9 +436,9 @@ class PotentialTracker:
 
         potentials[j] is the running value after gate j; bounds holds
         Theorem 2's bound per gate (0.0 on constant gates) for single-slice
-        specs and is None otherwise.  A level is applied in
-        chunks of one kind.  Each chunk gathers its rows of every cache
-        straight into the `after` half of a before/after buffer of at most
+        specs and is None otherwise.  A level is applied in chunks of one
+        kind.  Each chunk gathers its row blocks (2k n contiguous entries
+        each) straight into the `after` half of a before/after buffer of at most
         _CHUNK_ENTRIES entries, copies them into `before`, updates `after`
         and scatters it back.  The deltas and bounds of the buffered gates
         wait until the buffer is full, the kind changes or the run ends
@@ -462,29 +455,28 @@ class PotentialTracker:
         cpos, crows, scalars = constants
         deltas = np.zeros(len(gates))  # a plain spec's literal 0.0 on constant gates
         bounds = np.zeros(len(gates)) if k == 1 else None  # 0.0 on constant gates
-        # per kind: each gate's rows of every cache as rows of `flat`, (r, gates, 2k), its
-        # move with its parameters, its program positions and the columns its deltas and
-        # bounds go to (None: skip)
-        flat, offsets = self.caches.reshape(2 * k * n, n), np.arange(0, 2 * k * n, n)
-        kinds = {True: (rrows.T[:, :, None] + offsets, _rotate_pairs, (cos, sin), rpos,
+        # per kind: each gate's rows, (r, gates), the move of a chunk s of its gates in
+        # the buffer, its program positions and the columns its deltas and bounds go
+        # to (None: skip)
+        kinds = {True: (rrows.T, lambda G, s: rotate_rows(G, 0, 1, cos[s], sin[s]), rpos,
                         deltas, bounds),
-                 False: (crows.T[:, :, None] + offsets, _scale_pairs, (scalars,), cpos,
+                 False: (crows.T, lambda G, s: _scale_rows(G, 0, scalars[s]), cpos,
                          None if self.spec.is_plain else deltas, None)}
-        # [before, after][row of the gate][gate][cache]: one row of n entries
+        # [before, after][row of the gate][gate][slot]: one row of n entries
         buffer = np.empty((2, 2, min(capacity, len(gates)), 2 * k, n))
         kind, first, end = True, 0, 0  # the buffered gates: entries [first, end) of kind
         for is_rotation, s in chunks:
             if is_rotation != kind or s.stop - first > capacity:
                 self._flush(buffer, kinds[kind], slice(first, end))
                 kind, first = is_rotation, s.start
-            index, act, params = kinds[kind][:3]
+            index, act = kinds[kind][:2]
             rows = index[:, s]
             before, after = buffer[:, :len(rows), s.start - first:s.stop - first]
             for q, out in zip(rows, after):  # "clip" (rows are in range) fills `out` in place
-                flat.take(q, axis=0, out=out, mode="clip")
+                self.caches.take(q, axis=0, out=out, mode="clip")
             before[...] = after
-            act(after, *(p[s] for p in params))
-            flat[rows] = after
+            act(after, s)
+            self.caches[rows] = after
             end = s.stop
         self._flush(buffer, kinds[kind], slice(first, end))
         running = np.add.accumulate(np.concatenate(([self.value], deltas)))
@@ -497,7 +489,7 @@ class PotentialTracker:
         each gate's potential change and, for a kind with bounds, Theorem 2's
         bound of its rows before the move, in one pass over all of them, into
         the gates' program positions."""
-        index, _, _, positions, deltas, bounds = kind
+        index, _, positions, deltas, bounds = kind
         if gates.start == gates.stop:
             return
         at = positions[gates]
@@ -588,10 +580,11 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
     across isometries); certifying also raises RuntimeError on a rotation
     over its bound (_exceeds_bound).  The tracker is resynced (inverse
     drift, then the caches' value, see PotentialTracker.resync) at each
-    step t < m that `recompute_every` divides (a non-negative int; 0:
-    never), whose checked value replaces potentials[t], and once at the
-    endpoint, whose from-scratch value is `direct_final`; potentials[m]
-    keeps the running value, so final_value - direct_final is a margin.
+    step t < m that `recompute_every` divides (a positive int; one of at
+    least m checks only the endpoint), whose checked value replaces
+    potentials[t], and once at the endpoint, whose from-scratch value is
+    `direct_final`; potentials[m] keeps the running value, so final_value -
+    direct_final is a margin.
 
     The tracker advances through each segment between checkpoints at once
     (in ASAP levels) when the engine enters it; each step's resync and
@@ -600,14 +593,13 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
     trace.  The tracker starts at the identity, so slice products are
     formed only at the endpoint and after a failed probe.
     """
-    if type(recompute_every) is not int or recompute_every < 0:
-        raise ValueError(f"recompute_every must be a non-negative int, got {recompute_every!r}")
+    if type(recompute_every) is not int or recompute_every < 1:
+        raise ValueError(f"recompute_every must be a positive int, got {recompute_every!r}")
     tracker = PotentialTracker(spec, None)
     m = len(program)
     potentials, deltas = np.full(m + 1, tracker.value), np.empty(m)
     bounds, kappas = (np.empty(m) if spec.k == 1 else None), (np.empty(m) if certify else None)
-    cert = KappaCertifier()
-    segment = recompute_every or m
+    cert, segment = KappaCertifier(), recompute_every
 
     def observer(t, gate, state):
         if (t - 1) % segment == 0:

@@ -85,41 +85,117 @@ def test_verify_lemma_matches_golden_bytes(threads, tmp_path, capsys, monkeypatc
     assert stdout == (DATA / "verify_lemma_seed5.txt").read_text()
 
 
+def dispatched_simd_features():
+    """The SIMD features numpy dispatches to on this host, beyond its baseline."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+DISPATCH_SCRIPT = (
+    "import contextlib, json, sys\n"
+    "import numpy as np\n"
+    "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+    "from qel.cli import main\n"
+    "from qel.gates import program_to_text, random_program\n"
+    "print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))\n"
+    "for argv, name in json.loads(sys.argv[1]):\n"
+    "    with open(name + '.stdout', 'w') as fh, contextlib.redirect_stdout(fh):\n"
+    "        assert main([*argv, '--out', name]) == 0\n"
+    "with open('random_program_n8_seed99.txt', 'w') as fh:\n"
+    "    fh.write(program_to_text(random_program(8, 20, 4, np.random.default_rng(99))))\n"
+)
+
+
+def run_cli_at_dispatch(runs, cwd, disabled):
+    """Run main([*argv, '--out', name]) for each (argv, name) of `runs` in a
+    fresh interpreter in `cwd`, with numpy's SIMD features `disabled`; each
+    run's stdout goes to name + '.stdout', and the random_program golden's
+    program text to random_program_n8_seed99.txt.  Returns the dispatched
+    features the interpreter saw."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=str(Path(qel.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, json.dumps(runs)],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[0])
+
+
 def test_golden_traces_hold_with_numpy_simd_dispatch_disabled(tmp_path):
     # np.log2 may round differently at another SIMD level; rerun every
     # golden trace, the verify-lemma golden and the random_program golden
     # with each dispatched feature this host enables disabled
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    enabled = dispatched_simd_features()
     if not enabled:
         pytest.skip("numpy dispatches no SIMD feature beyond its baseline here")
     runs = [(golden_wht_argv(n), f"run_wht_n{n}.csv") for n in GOLDEN_WHT]
     runs += [(golden_perturbation_argv(route, potential), name)
              for route, potential, name in GOLDEN_PERTURBATION]
     runs += [(GOLDEN_LEMMA_ARGV, "verify_lemma_seed5.csv")]
-    script = (
-        "import contextlib, json, sys\n"
-        "import numpy as np\n"
-        "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
-        "from qel.cli import main\n"
-        "from qel.gates import program_to_text, random_program\n"
-        "print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))\n"
-        "for argv, name in json.loads(sys.argv[1]):\n"
-        "    with open(name + '.stdout', 'w') as fh, contextlib.redirect_stdout(fh):\n"
-        "        assert main([*argv, '--out', name]) == 0\n"
-        "with open('random_program_n8_seed99.txt', 'w') as fh:\n"
-        "    fh.write(program_to_text(random_program(8, 20, 4, np.random.default_rng(99))))\n"
-    )
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled),
-               PYTHONPATH=str(Path(qel.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[0]) == []
+    assert run_cli_at_dispatch(runs, tmp_path, enabled) == []
     for name in [name for _, name in runs] + ["random_program_n8_seed99.txt"]:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
     lemma_stdout = (tmp_path / "verify_lemma_seed5.csv.stdout").read_text()
     assert lemma_stdout == (DATA / "verify_lemma_seed5.txt").read_text()
+
+
+def test_an_appendix_b_trace_moves_across_simd_dispatch_only_within_log2_rounding(tmp_path):
+    # Trace bytes hold at one SIMD dispatch level, not across levels: on an
+    # AVX-512 host a few of this run's 16385 rows differ in the last digits
+    # of `potential` or `delta` with the dispatch off.  Bound how far.
+    #
+    # Each potential and delta is one fixed sequence of float operations on
+    # terms t = fl(x fl(log2|x|)), x an entry of M o M^-T; only fl(log2|x|)
+    # depends on the dispatch level.  numpy validates its float64 log2
+    # within 1 ulp at every level (umath-validation-set-log2.csv, ulperrortol
+    # 1), so two levels' logs differ by at most 2 ulp(log2|x|) <= 2^-51
+    # |log2|x||, and with the two products' roundings a term moves by at most
+    # 3 * 2^-52 |L(x)|.  |x| <= |M_ij| |M^-T_ij| <= kappa(M) <= K, the largest
+    # kappa in the trace, and |L(x)| <= T = max(K log2 K, 1/(e ln 2)) there.
+    # A fixed tree of additions over N terms moves by the terms' moves plus
+    # at most one ulp of each sum whose operands moved, and the sums at one
+    # depth of the tree cover each term once, so by at most
+    # 2^-52 T N (3 + D) for a tree of depth D.  np.sum's tree is at most 25
+    # deep within a 128-term block (8 lanes of 16 terms, 3 levels joining
+    # the lanes, 7 leftover terms) and one deeper per pairwise split; a
+    # checked value sums N = n^2 = 2^14 terms (7 splits, _value adds its
+    # blocks along the same tree), a delta the 4n terms of two rows before
+    # and after its gate (two sums of 2n, one split, and their difference),
+    # so D = 32 covers both.  The running potential adds each delta to the
+    # last one, so it moves by the last one's bound, the delta's and one ulp
+    # of the new sum; a checkpoint (recompute_every steps) restarts from a
+    # checked value.  The other columns take no log2 and are byte-equal.
+    argv = ["run-perturbation", "--n", "128", "--route", "appendix-b"]
+    enabled = dispatched_simd_features()
+    if not enabled:
+        pytest.skip("numpy dispatches no SIMD feature beyond its baseline here")
+    traces = []
+    for disabled in ([], enabled):
+        cwd = tmp_path / ("off" if disabled else "on")
+        cwd.mkdir()
+        assert run_cli_at_dispatch([(argv, "trace.csv")], cwd, disabled) == (
+            [] if disabled else enabled)
+        with open(cwd / "trace.csv", newline="") as fh:
+            traces.append(list(csv.DictReader(fh)))
+    on, off = traces
+    assert len(on) == len(off) == 16385  # the init row and one per gate
+    exact = [c for c in on[0] if c not in ("potential", "delta")]
+    assert [[row[c] for c in exact] for row in on] == [[row[c] for c in exact] for row in off]
+    n, K = 128, max(float(row["kappa"]) for row in on)
+    T = max(K * math.log2(K), 1.0 / (math.e * math.log(2.0)))
+
+    def bound(terms):
+        return 2.0 ** -52 * T * terms * (3 + 32)
+
+    moved = bound(n * n)  # the initial value's bound
+    for row_on, row_off in zip(on, off):
+        t = int(row_on["step"])
+        p_on, p_off = float(row_on["potential"]), float(row_off["potential"])
+        d_on, d_off = float(row_on["delta"]), float(row_off["delta"])
+        assert abs(d_on - d_off) <= bound(4 * n), t
+        if t > 0:
+            moved = (bound(n * n) if t % potential.RECOMPUTE_EVERY == 0 else
+                     moved + bound(4 * n) + 2.0 ** -52 * max(abs(p_on), abs(p_off)))
+        assert abs(p_on - p_off) <= moved, t
 
 
 def test_run_wht_summary_line(capsys):

@@ -37,6 +37,11 @@ ATOL = 1e-12
 DRIFT_ATOL = 1e-10
 
 
+def paired(M, MinvT):
+    """A state at (M, MinvT), stacked into its own row layout."""
+    return TrackedState(np.stack([M, MinvT], axis=1))
+
+
 def rotation_block(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]])
@@ -73,7 +78,7 @@ def test_apply_gate_beyond_n_raises_before_writing(gate):
     # M or MinvT is written
     rng = np.random.default_rng(10)
     M0 = rng.standard_normal((4, 4)) + 3 * np.eye(4)
-    state = TrackedState(M0.copy(), np.linalg.inv(M0).T.copy(), 0)
+    state = paired(M0, np.linalg.inv(M0).T)
     MinvT0 = state.MinvT.copy()
     with pytest.raises(IndexError):
         apply_gate(state, gate)
@@ -81,10 +86,26 @@ def test_apply_gate_beyond_n_raises_before_writing(gate):
     assert state.t == 0
 
 
+def test_the_state_is_one_row_layout_that_m_and_its_inverse_view():
+    # M and M^-T are views of the rows' two slots: a write through either
+    # lands in `rows` (the NaN-poisoning tests rely on it), and neither can
+    # be rebound to another array
+    state = TrackedState.identity(3)
+    assert state.rows.shape == (3, 2, 3) and state.t == 0
+    assert np.array_equal(state.rows, np.stack([np.eye(3), np.eye(3)], axis=1))
+    assert np.shares_memory(state.M, state.rows) and np.shares_memory(state.MinvT, state.rows)
+    state.M[0, 2] = 5.0
+    state.MinvT[1] *= -2.0
+    assert state.rows[0, 0, 2] == 5.0 and state.rows[1, 1].tolist() == [0.0, -2.0, 0.0]
+    for name in ("M", "MinvT"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, np.eye(3))
+
+
 def test_apply_rotation_matches_left_multiplication():
     rng = np.random.default_rng(11)
     M0 = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-    state = TrackedState(M0.copy(), np.linalg.inv(M0).T.copy(), 0)
+    state = paired(M0, np.linalg.inv(M0).T)
     theta = 0.7
     apply_gate(state, Rotation(2, 5, theta))
     G = np.eye(6)
@@ -138,7 +159,7 @@ def test_rotating_two_rows_allocates_at_most_two_rows():
 def test_apply_constant_scales_row_and_inverse_row():
     rng = np.random.default_rng(12)
     M0 = rng.standard_normal((5, 5)) + 3 * np.eye(5)
-    state = TrackedState(M0.copy(), np.linalg.inv(M0).T.copy(), 0)
+    state = paired(M0, np.linalg.inv(M0).T)
     apply_gate(state, Constant(3, -4.0))
     npt.assert_allclose(state.M[2], -4.0 * M0[2], atol=ATOL)
     npt.assert_allclose(state.M.T @ state.MinvT, np.eye(5), atol=1e-10)
@@ -158,9 +179,9 @@ def test_inverse_drift_matches_the_identity_subtraction_bitwise(n):
     rng = np.random.default_rng(n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     G = rng.standard_normal((n, n)) + n * np.eye(n)
-    states = [TrackedState(Q, Q.copy()),                      # orthogonal
-              TrackedState(G, np.linalg.inv(G).T),            # non-orthogonal
-              TrackedState(G, np.linalg.inv(G).T + 1e-9 * Q)]  # drifted inverse
+    states = [paired(Q, Q),                               # orthogonal
+              paired(G, np.linalg.inv(G).T),              # non-orthogonal
+              paired(G, np.linalg.inv(G).T + 1e-9 * Q)]   # drifted inverse
     for state in states:
         M, MinvT = state.M.copy(), state.MinvT.copy()
         expected = float(np.max(np.abs(M.T @ MinvT - np.eye(n))))

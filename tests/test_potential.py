@@ -137,9 +137,11 @@ def test_entropy_sum_matches_scalar_reference_bitwise(shape):
     assert v.tobytes() == original
 
 
-def dense_value(products, signs):
-    """-entropy_sum of the coupled matrix built whole: sign_p times the
-    product of slots 2p and 2p + 1, summed over the slices in order."""
+def dense_value(stack, signs):
+    """-entropy_sum of the coupled matrix of an (n, 2k, n) stack built
+    whole: sign_p times the product of slots 2p and 2p + 1, summed over the
+    slices in order."""
+    products = stack.swapaxes(0, 1)
     coupled = signs[0] * products[0] * products[1]
     for p in range(1, len(signs)):
         coupled = coupled + signs[p] * products[2 * p] * products[2 * p + 1]
@@ -151,29 +153,28 @@ def test_value_keeps_np_sums_order_over_the_whole_coupled_matrix(n):
     # _value sums blocks of at most _CHUNK_ENTRIES = 2^17 terms and adds them
     # as numpy's pairwise sum splits the n^2 terms (362^2 < 2^17 < 363^2), so
     # it is bitwise -entropy_sum of the dense coupled matrix; a numpy release
-    # that changed its pairwise rule fails here.  Entries span 40 binades, so
+    # that changed its pairwise rule fails here.  From n = 363 on, blocks
+    # start and end mid-row of the stack.  Entries span 40 binades, so
     # another order would move the last bits.
     rng = np.random.default_rng(n)
     for k in (1, 2):
-        products = rng.standard_normal((2 * k, n, n)) * np.exp2(rng.uniform(-20, 20, (2 * k, n, n)))
-        products[0, 0] = 0.0
-        products[-1, -1, ::2] = -0.0
+        stack = rng.standard_normal((n, 2 * k, n)) * np.exp2(rng.uniform(-20, 20, (n, 2 * k, n)))
+        stack[0, 0] = 0.0
+        stack[-1, -1, ::2] = -0.0
         for signs in {(1.0, 1.0)[:k], (-1.0, -1.0)[:k], (1.0, -1.0)[:k], (-1.0, 1.0)[:k]}:
-            expected = dense_value(products, signs).hex()
-            assert potential._value(products, signs).hex() == expected
-            assert potential._value(list(products), signs).hex() == expected
+            assert potential._value(stack, signs).hex() == dense_value(stack, signs).hex()
 
 
 def test_a_value_frees_its_products_on_return():
-    # the dense evaluator's products are temporaries: no reference cycle may
-    # keep them (or views of them) alive until the garbage collector runs
-    products = [np.ones((4, 4)), np.full((4, 4), 2.0)]
-    refs = [weakref.ref(P) for P in products]
+    # the dense evaluator's stack is a temporary: no reference cycle may
+    # keep it (or views of it) alive until the garbage collector runs
+    stack = np.stack([np.ones((4, 4)), np.full((4, 4), 2.0)], axis=1)
+    ref = weakref.ref(stack)
     gc.disable()
     try:
-        assert potential._value(products, (1.0,)) == -32.0
-        del products
-        assert [r() for r in refs] == [None, None]
+        assert potential._value(stack, (1.0,)) == -32.0
+        del stack
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -185,12 +186,12 @@ def test_value_of_non_finite_terms_stays_non_finite_without_a_new_warning(case):
     # meet, as the dense sum does.  Under the errstate the tracker starts in,
     # nothing warns (the blocks are added as Python floats)
     n = 600
-    products = np.full((2, n, n), 1e200)
+    stack = np.full((n, 2, n), 1e200)
     if case == "inf-minus-inf":
-        products[0, n // 2:] = -1e200
+        stack[n // 2:, 0] = -1e200
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, expected = potential._value(products, (1.0,)), dense_value(products, (1.0,))
+        value, expected = potential._value(stack, (1.0,)), dense_value(stack, (1.0,))
     assert not math.isfinite(value)
     assert value.hex() == expected.hex() == ("-inf" if case == "overflow" else "nan")
 
@@ -470,7 +471,7 @@ def test_constant_gate_leaves_every_potential_unchanged():
         apply_gate(state, gate)
     for spec in specs:
         before = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
-        probe = TrackedState(state.M.copy(), state.MinvT.copy(), state.t)
+        probe = TrackedState(state.rows.copy(), state.t)
         apply_gate(probe, Constant(3, -4.0))
         after = k_slice_quasi_entropy(probe.M, spec, minv_t=probe.MinvT)
         assert after == pytest.approx(before, abs=1e-12)
@@ -583,12 +584,12 @@ def test_entries_below_the_drift_tolerance_that_add_up_past_it_fall_back_to_the_
     state = run_program(random_program(n, 300, 30, np.random.default_rng(22)))
     D = np.zeros((n, n))
     D[0] = 0.9 * DRIFT_TOL
-    state.MinvT += state.MinvT @ D
+    state.rows[:, 1] += state.MinvT @ D
     tracker = PotentialTracker(PotentialSpec.plain(n), state)
     assert inverse_drift(state) <= DRIFT_TOL
     residual = state.M.T @ (state.MinvT @ tracker.probe) - tracker.probe
     assert not np.max(np.abs(residual)) <= DRIFT_TOL
-    assert np.array_equal(tracker.caches, [state.M, state.MinvT])
+    assert np.array_equal(tracker.caches, state.rows)
     drifts, rebuilds = spy_on_inverse_drift(monkeypatch), []
     real_products = potential._slice_products
     monkeypatch.setattr(potential, "_slice_products",
@@ -623,11 +624,13 @@ def test_the_probe_matrix_is_fixed():
         assert proc.stdout.strip() == hashlib.sha256(V.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("recompute_every", [-3, -24, 2.0, True])
-def test_trace_rejects_a_recompute_period_that_is_not_a_non_negative_int(recompute_every):
-    # before: -3 failed as a false desync, -24 leaked StopIteration, 2.0 a
-    # TypeError, and True passed as a cadence of 1
-    with pytest.raises(ValueError, match=re.escape(f"got {recompute_every!r}")):
+@pytest.mark.parametrize("recompute_every", [0, -1, -3, -24, 2.0, 1.5, True])
+def test_trace_rejects_a_recompute_period_that_is_not_a_positive_int(recompute_every):
+    # before: 0 meant "never" (a cadence of at least m does that), -3 failed
+    # as a false desync, -24 leaked StopIteration, 2.0 a TypeError, and True
+    # passed as a cadence of 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"recompute_every must be a positive int, got {recompute_every!r}")):
         trace_potentials(fast_wht_program(8), PotentialSpec.plain(8),
                          recompute_every=recompute_every)
 
@@ -785,7 +788,7 @@ def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
     def observer(t, gate, state):
         tracker.advance([gate])
         for p, (A, B) in enumerate(spec.slices):
-            Lp, Rp = tracker.caches[2 * p], tracker.caches[2 * p + 1]
+            Lp, Rp = tracker.caches[:, 2 * p], tracker.caches[:, 2 * p + 1]
             if A is None:
                 assert not np.shares_memory(Lp, state.M) and np.array_equal(Lp, state.M)
                 checked.append(t)
@@ -795,6 +798,15 @@ def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
 
     run_program(mixed, observers=[observer])
     assert len(checked) >= len(mixed)
+
+
+def test_a_plain_tracker_moves_its_caches_as_the_engine_moves_its_rows():
+    # a plain tracker's stack is the engine's (n, 2, n) layout, moved by the
+    # same two row rules: after a segment, one comparison covers every entry
+    program = random_program(16, 300, 60, np.random.default_rng(27))
+    tracker = PotentialTracker(PotentialSpec.plain(16), None)
+    tracker.advance(program.gates)
+    assert np.array_equal(tracker.caches, run_program(program).rows)
 
 
 @pytest.mark.parametrize("kind", ["plain", "precond", "precond-id-f", "hat-pq"])
@@ -811,6 +823,7 @@ def test_a_tracker_at_the_identity_copies_its_preconditioners(kind, monkeypatch)
     multiplied = PotentialTracker(spec, TrackedState.identity(8))
     assert formed == [1]
     assert copied.value.hex() == multiplied.value.hex()
+    assert copied.caches.shape == (8, 2 * spec.k, 8)  # row block i: row i of every slot
     assert np.array_equal(copied.caches, multiplied.caches)
 
 
@@ -850,38 +863,37 @@ def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
 def gate_by_gate_trace(program, spec, recompute_every):
     """[(potential, delta, bound)] per step from a tracker written out one
     gate at a time: the engine's gate action (apply_gate) on every
-    cached pair and entropy_sum over the rows the gate touches, each pair's
-    product times its slice's sign.  A periodic
-    checkpoint, at a step before the last, takes the caches' own value; the
-    last step keeps its running value."""
+    cached pair, each held as its own TrackedState, and entropy_sum over the
+    rows the gate touches, each pair's product times its slice's sign.  A
+    periodic checkpoint, at a step before the last, takes the caches' own
+    value; the last step keeps its running value."""
     state = TrackedState.identity(program.n)
-
-    def caches():
-        return [(state.M.copy() if A is None else state.M @ A,
-                 state.MinvT.copy() if B is None else state.MinvT @ B)
-                for A, B in spec.slices]
-
-    pairs, value, out = caches(), k_slice_quasi_entropy(state.M, spec, state.MinvT), []
+    pairs = [TrackedState(np.stack([state.M if A is None else state.M @ A,
+                                    state.MinvT if B is None else state.MinvT @ B], axis=1))
+             for A, B in spec.slices]
+    value, out = k_slice_quasi_entropy(state.M, spec, state.MinvT), []
     for t, gate in enumerate(program.gates, start=1):
         apply_gate(state, gate)
         rotation = isinstance(gate, Rotation)
         rows = [gate.i - 1, gate.iprime - 1] if rotation else [gate.i - 1]
         bound = None
         if spec.k == 1:
-            (Lp, Rp), = pairs
-            bound = float(np.linalg.norm(Lp[rows]) * np.linalg.norm(Rp[rows])) if rotation else 0.0
+            pair, = pairs
+            bound = (float(np.linalg.norm(pair.M[rows]) * np.linalg.norm(pair.MinvT[rows]))
+                     if rotation else 0.0)
 
         def coupled_entropy():
-            return entropy_sum(sum(sign * Lp[rows] * Rp[rows]
-                                   for (Lp, Rp), sign in zip(pairs, spec.signs)))
+            return entropy_sum(sum(sign * pair.M[rows] * pair.MinvT[rows]
+                                   for pair, sign in zip(pairs, spec.signs)))
 
         before = coupled_entropy()
-        for Lp, Rp in pairs:
-            apply_gate(TrackedState(Lp, Rp), gate)
+        for pair in pairs:
+            apply_gate(pair, gate)
         delta = 0.0 if spec.is_plain and not rotation else -(coupled_entropy() - before) + 0.0
         value += delta
-        if recompute_every and t % recompute_every == 0 and t < len(program):
-            value = potential._value([X for pair in pairs for X in pair], spec.signs)
+        if t % recompute_every == 0 and t < len(program):
+            value = potential._value(np.concatenate([pair.rows for pair in pairs], axis=1),
+                                     spec.signs)
         out.append((value, delta, bound))
     return out
 
@@ -928,7 +940,7 @@ def step_rows(trajectory):
 @settings(max_examples=60, deadline=None)
 @given(program=shared_row_programs(),
        kind=st.sampled_from(["plain", "precond", "precond-id-f", "hat-pq"]),
-       recompute_every=st.sampled_from([0, 1, 7, 1024]),
+       recompute_every=st.sampled_from([1, 7, 1024]),
        chunk_gates=st.sampled_from([1, 2, None]))
 def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kind,
                                                                    recompute_every,
@@ -1007,7 +1019,7 @@ def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
         value = real_resync(tracker, state, endpoint)
         checkpoint[0] = None
         if state.t == 8:
-            tracker.caches[slot, row, (row + 3) % 8] += error
+            tracker.caches[row, slot, (row + 3) % 8] += error
         return value
 
     def products(*args):
@@ -1072,7 +1084,7 @@ def test_deltas_and_bounds_do_not_depend_on_the_checkpoint_cadence(kind):
     traces = [hexed(row[1:] for row in
                     step_rows(trace_potentials(program, spec, recompute_every=every,
                                                certify=False)))
-              for every in (0, 1, 7, 1024)]
+              for every in (10 ** 9, 1, 7, 1024)]
     assert traces[1] == traces[0] and traces[2] == traces[0] and traces[3] == traces[0]
 
 
