@@ -5,11 +5,12 @@ vector to the current register contents.  A rotation gate left-multiplies
 M by a plane rotation touching two rows; a constant gate rescales one row
 by a nonzero scalar.  The inverse-transpose of M is evolved jointly (the
 same rotation applies to it, a row scaling applies with 1/c), which keeps
-every step O(n) instead of the O(n^3) a re-inversion would cost.  Every
-trace state is an (n, slots, n) stack of row blocks, M and M^-T the slots
-of TrackedState.rows and (M A_p, M^-T B_p) those of the tracker's caches,
-so each gate kind is one rule, rotate_rows or _scale_rows: apply_gate runs
-it on the engine's rows, the tracker on a level's gathered blocks.
+every step O(n) instead of the O(n^3) a re-inversion would cost.  The state
+is an (n, slots, n) stack of row blocks: M and M^-T are slots 0 and 1, and
+a potential tracker puts its products M A after them, at even slots, and
+M^-T B at odd ones, so each gate kind is one rule on every slot at once
+(rotate_rows, _scale_rows), which apply_gate runs.  One loop (_run) applies
+a run of gates to a state and calls the observers after each.
 Gates check their own fields and GateProgram checks their rows against n,
 once, when built, so run_program only applies gates.
 
@@ -123,7 +124,9 @@ class GateProgram:
 @dataclass
 class TrackedState:
     """State matrix M and its inverse-transpose, evolved jointly as the
-    (n, 2, n) row blocks `rows`; M and MinvT are read-only views of them."""
+    (n, slots, n) row blocks `rows`: M is slot 0 and MinvT slot 1, read-only
+    views; slots from 2 on hold products that move with them (M A at even
+    slots, M^-T B at odd ones).  `t` counts the gates applied."""
 
     rows: np.ndarray
     t: int = 0
@@ -141,10 +144,9 @@ def rotate_rows(X, i, ip, c, s):
     """Replace rows i, ip (0-based) of X in place by c X[i] + s X[ip] and
     c X[ip] - s X[i]: left-multiplication by a plane rotation.  i and ip are
     integers, so X[i] and X[ip] are views that are written in place (an
-    index array would select a copy, and raises TypeError); they may be
-    row blocks of a stack, or stacks of them (a gathered buffer's leading
-    axis) with c, s broadcasting against them, one angle per pair.  Only
-    s X[ip] and s X[i] are temporaries; each entry is fl(fl(c a) + fl(s b))."""
+    index array would select a copy, and raises TypeError); of a stack,
+    they are row blocks, every slot turned at once.  Only s X[ip] and
+    s X[i] are temporaries; each entry is fl(fl(c a) + fl(s b))."""
     a, b = X[operator.index(i)], X[operator.index(ip)]
     sb, sa = s * b, s * a
     a *= c
@@ -154,18 +156,19 @@ def rotate_rows(X, i, ip, c, s):
 
 
 def _scale_rows(X, i, c):
-    """Scale the row block X[i] (0-based) in place, its even slots by c and
-    its odd slots by 1/c; X[i] may be a stack of blocks, c one per block."""
-    X[i][..., 0::2, :] *= c
-    X[i][..., 1::2, :] *= 1.0 / c
+    """Scale the row block X[i] (0-based) of a stack in place, its even
+    slots (M and its products M A) by c and its odd slots (M^-T and M^-T B)
+    by 1/c."""
+    X[i, 0::2] *= c
+    X[i, 1::2] *= 1.0 / c
 
 
 def apply_gate(state, gate):
-    """Apply one gate to (M, MinvT) in place; returns the same state.
+    """Apply one gate to the state's stack in place; returns the same state.
 
     A rotation turns the row blocks (i, iprime), so M and MinvT alike (the
     inverse-transpose of a plane rotation is itself); a constant gate
-    scales row i of M by c and of MinvT by 1/c.  O(n) per gate.  The gate
+    scales row i of M by c and of MinvT by 1/c.  O(slots n) per gate.  The gate
     is not validated: a row beyond n raises IndexError before any write.
     """
     if isinstance(gate, Rotation):
@@ -200,19 +203,20 @@ def inverse_drift(state):
     return float(np.max(peaks))
 
 
-def run_program(program, observers=()):
-    """Run all gates from the identity state.
-
-    Each observer is called after every gate with (step, gate, state);
-    the state passed is the live object, mutated in place as the run
-    proceeds.
-    """
-    state = TrackedState.identity(program.n)
-    for t, gate in enumerate(program.gates, start=1):
+def _run(state, gates, observers):
+    """Apply `gates` to `state` in order, calling each observer after every
+    gate with (state.t, gate, state): the step counts every gate the state
+    has taken, and the state is the live object, mutated in place."""
+    for gate in gates:
         apply_gate(state, gate)
         for obs in observers:
-            obs(t, gate, state)
+            obs(state.t, gate, state)
     return state
+
+
+def run_program(program, observers=()):
+    """Run all gates from the identity state, observed as _run does."""
+    return _run(TrackedState.identity(program.n), program.gates, observers)
 
 
 def condition_number(M):

@@ -17,38 +17,32 @@ stored once; named_spec builds the kinds the CLI names (NAMED_POTENTIALS).
 
 Rotation and constant gates touch two rows (resp. one row) of every
 sliced product, so a PotentialTracker updates the potential in O(k n) per
-gate from cached products, held in the engine's row layout as one (n, 2k,
-n) stack and formed in one place (_slice_products); a tracker started at
-the identity copies the preconditioners instead and forms none.
-PotentialTracker.advance schedules a run of gates into ASAP levels of
-row-disjoint gates; each level is one gather of its row blocks into a
-before/after buffer, one update with the engine's row rules
-(gates.rotate_rows, gates._scale_rows) and one scatter.  The deltas
-and bounds wait in the buffer until it is full, the gate kind changes or
-the run ends, and then come from one pass over all its gates, so a chain
-of one-gate levels (an Appendix-B program) pays for that arithmetic once
-per buffer rather than once per gate.  Each gate's terms are summed as one
-contiguous row, so every delta and bound is bitwise that of a gate-by-gate
-update.  trace_potentials writes advance's running potentials, deltas and
-bounds a segment at a time into float64 columns.  It resyncs the tracker at
-each `recompute_every`-th step before the last, whose potential becomes the
-checked value, and at the endpoint, which leaves the last step's running
-value.  A resync raises on inverse drift beyond DRIFT_TOL first (a value
-checked against a wrong inverse means nothing), then on a checked value off
-by more than DESYNC_TOL.  The checked value is always the caches' own,
-O(k n^2).  At a periodic checkpoint every probe passes, or the endpoint's
-exact check runs.  The probes, O(n^2) each with PROBE_COLUMNS fixed random
-+-1 vectors, compare the tracked inverse with M and each cache slot with
-the live state (an identity slot for a bitwise twin of M or M^-T, a
-preconditioned cache C = X A by the same vectors).  The exact check forms
-the n x n drift product, then rebuilds every slot (_slice_products: fresh
-products, and a copy of M or M^-T in an identity slot).  So on a clean
-trace the caches are never reset between the endpoints and deltas do not
-depend on the cadence.  Every n x n pass of a trace (a value, a twin
-comparison, a cache probe's |X|, the exact drift product, the start's row
-sums of |A|) runs in blocks of about gates._CHUNK_ENTRIES entries, so a
-trace holds the engine's (M, M^-T), its caches and no n x n temporary; a
-value stays bitwise entropy_sum's over the whole coupled matrix (_value).
+gate.  It owns one state, an (n, slots, n) stack of M, M^-T and the spec's
+products (_slot_map; an identity slot is M or M^-T itself), and
+PotentialTracker.advance moves it with the engine, gates.apply_gate in
+program order.  The tracker only reads rows: it copies each gate's rows
+before and after its move into a buffer of its kind, and takes the deltas
+and bounds of a full buffer in one pass, so a chain of gates (an
+Appendix-B program) pays for that arithmetic once per buffer.  Each gate's
+terms are summed as one contiguous row, so every delta and bound is
+bitwise that of a gate-by-gate update.  trace_potentials writes advance's
+running potentials, deltas and bounds a segment at a time into float64
+columns.  It resyncs the tracker at each `recompute_every`-th step before
+the last, whose potential becomes the checked value, and at the endpoint,
+which leaves the last step's running value.  A resync raises on inverse
+drift beyond DRIFT_TOL first (a value checked against a wrong inverse means
+nothing), then on a checked value off by more than DESYNC_TOL.  The checked
+value is always the stack's own, O(k n^2).  At a periodic checkpoint every
+probe passes, or the endpoint's exact check runs.  The probes, O(n^2) each
+with PROBE_COLUMNS fixed random +-1 vectors, check the tracked inverse
+against M and each product C = X A against X (A V).  The exact check forms
+the n x n drift product, then rebuilds every product from M or M^-T
+(_slice_products).  So on a clean trace the products are never reset
+between the endpoints and deltas do not depend on the cadence.  Every n x n
+pass of a trace (a value, a product probe's |X|, the exact drift product,
+the start's row sums of |A|) runs in blocks of about gates._CHUNK_ENTRIES
+entries, so a trace holds its stack and no n x n temporary; a value stays
+bitwise entropy_sum's over the whole coupled matrix (_value).
 """
 
 from __future__ import annotations
@@ -59,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import (_CHUNK_ENTRIES, GateProgram, KappaCertifier, Rotation, _row_blocks,
-                    _scale_rows, inverse_drift, rotate_rows, run_program)
+from .gates import (_CHUNK_ENTRIES, Constant, GateProgram, KappaCertifier, Rotation,
+                    TrackedState, _row_blocks, _run, inverse_drift)
 from .hadamard import wht_matrix
 
 __all__ = [
@@ -199,65 +193,82 @@ def named_spec(kind, n):
     return PotentialSpec(n, slices, label=kind)
 
 
-def _slice_products(M, N, spec, out):
-    """Write M A_0, N B_0, M A_1, N B_1, ... into the slots of the (n, 2k, n)
-    stack `out` (returned), an identity slot as a copy of M or N."""
-    slots = [(X, P) for A, B in spec.slices for X, P in ((M, A), (N, B))]
-    for cache, (X, P) in zip(out.swapaxes(0, 1), slots):
-        if P is None:
-            cache[...] = X
-        else:
-            np.matmul(X, P, out=cache)
-    return out
+def _slot_map(spec):
+    """Where a stack holds the spec's products, after M in slot 0 and M^-T
+    in slot 1: (pairs, products, slots).  pairs[p] is (a_p, b_p), the slots
+    of M A_p and M^-T B_p (0 or 1 for an identity, which has no slot of its
+    own); products lists (slot, 0 or 1, preconditioner) for each product of
+    M or of M^-T; slots counts them all.  Products of M take the even slots
+    from 2 on and those of M^-T the odd ones from 3, so gates._scale_rows
+    scales each as its row of M or M^-T; the side with fewer products is
+    padded with slots nothing reads."""
+    pairs, products, taken = [], [], [0, 0]
+    for pair in spec.slices:
+        slots = []
+        for side, P in enumerate(pair):
+            if P is None:
+                slots.append(side)
+                continue
+            slots.append(2 + 2 * taken[side] + side)
+            taken[side] += 1
+            products.append((slots[-1], side, P))
+        pairs.append(tuple(slots))
+    return pairs, products, 2 + 2 * max(taken)
 
 
-def _coupled(products, signs):
-    """sum_p signs[p] products[2p] * products[2p + 1]: the coupled matrix of
-    the slots of a stack's rows (products[q] is slot q), or of rows gathered
-    from all of them at once, in one new C-ordered array, so each gathered
-    gate's terms are one contiguous row (a later slice's products are
-    formed a row block at a time).
-    Adding a negated product is subtracting it, so a slice held with sign -1
-    gives bitwise the sum of its negated preconditioner."""
-    s = np.multiply(products[0], products[1], order="C")
+def _slice_products(slots, products):
+    """Form each product of _slot_map's list into its slot of the sequence
+    `slots` of n x n arrays, from slot 0 (M) or 1 (M^-T), in place."""
+    for q, side, P in products:
+        np.matmul(slots[side], P, out=slots[q])
+
+
+def _coupled(slots, pairs, signs):
+    """sum_p signs[p] slots[a_p] * slots[b_p] over the slot pairs of
+    _slot_map, for a block of rows of every slot or for gathered rows, in
+    one new C-ordered array, so each gathered gate's terms are one
+    contiguous row.  Adding a negated product is subtracting it, so a slice
+    held with sign -1 gives bitwise the sum of its negated preconditioner."""
+    (a, b), *rest = pairs
+    s = np.multiply(slots[a], slots[b], order="C")
     if signs[0] < 0:
         np.negative(s, out=s)
-    for p in range(1, len(signs)):
-        X, Y, add = products[2 * p], products[2 * p + 1], np.add if signs[p] > 0 else np.subtract
-        for rows in _row_blocks(s):
-            add(s[rows], X[rows] * Y[rows], out=s[rows])
+    for (a, b), sign in zip(rest, signs[1:]):
+        (np.add if sign > 0 else np.subtract)(s, slots[a] * slots[b], out=s)
     return s
 
 
-def _value(stack, signs):
-    """The potential of the (n, 2k, n) stack of sliced products (+ 0.0
-    turns -0.0 into 0.0), in entropy_sum's order over the whole coupled
-    matrix but with no n x n temporary.  np.sum of n^2 contiguous terms is
-    numpy's pairwise sum: a range of more than _PAIRWISE_BLOCK entries
-    splits after half its length rounded down to a multiple of 8, and each
-    part is summed alone.  The flat range [0, n^2) of the coupled matrix
-    splits the same way down to blocks of at most _CHUNK_ENTRIES entries
-    (never below _PAIRWISE_BLOCK, where numpy stops splitting); each block
-    forms the coupled terms of the stack rows it touches, slices out its
+def _value(slots, pairs, signs):
+    """The potential of the n x n arrays `slots` coupled by `pairs` (+ 0.0
+    turns -0.0 into 0.0): a tracker's stack.swapaxes(0, 1), or a list of
+    M, M^-T and the products.  It is in entropy_sum's order over the whole
+    coupled matrix but with no n x n temporary.  np.sum of n^2 contiguous
+    terms is numpy's pairwise sum: a range of more than _PAIRWISE_BLOCK
+    entries splits after half its length rounded down to a multiple of 8,
+    and each part is summed alone.  The flat range [0, n^2) of the coupled
+    matrix splits the same way down to blocks of at most _CHUNK_ENTRIES
+    entries (never below _PAIRWISE_BLOCK, where numpy stops splitting); each
+    block forms the coupled terms of the rows it touches, slices out its
     flat range, np.sums its entropy terms, and the parts add back up the
     tree as Python floats, which raise no floating-point warning, so the
     value is bitwise that of the one np.sum."""
-    return -_entropy_total(stack, signs, 0, stack.shape[0] * stack.shape[-1]) + 0.0
+    return -_entropy_total(slots, pairs, signs, 0, slots[0].size) + 0.0
 
 
-def _entropy_total(stack, signs, lo, hi):
-    """The entropy terms of the coupled entries [lo, hi) of the stack,
-    summed in np.sum's pairwise order (see _value).  A module function, not
-    a closure: a recursive closure is a reference cycle, which would keep
-    the stack alive until the garbage collector ran."""
+def _entropy_total(slots, pairs, signs, lo, hi):
+    """The entropy terms of the coupled entries [lo, hi), summed in
+    np.sum's pairwise order (see _value).  A module function, not a
+    closure: a recursive closure is a reference cycle, which would keep the
+    slots alive until the garbage collector ran."""
     if hi - lo <= max(_CHUNK_ENTRIES, _PAIRWISE_BLOCK):
-        n = stack.shape[-1]
-        first = lo // n
-        coupled = _coupled(stack[first:-(-hi // n)].swapaxes(0, 1), signs)
+        n = slots[0].shape[-1]
+        first, last = lo // n, -(-hi // n)
+        coupled = _coupled([X[first:last] for X in slots], pairs, signs)
         return float(np.sum(_entropy_terms(coupled.reshape(-1)[lo - first * n:hi - first * n])))
     half = (hi - lo) // 2
     half -= half % 8
-    return _entropy_total(stack, signs, lo, lo + half) + _entropy_total(stack, signs, lo + half, hi)
+    return (_entropy_total(slots, pairs, signs, lo, lo + half)
+            + _entropy_total(slots, pairs, signs, lo + half, hi))
 
 
 def k_slice_quasi_entropy(M, spec, minv_t=None):
@@ -266,8 +277,10 @@ def k_slice_quasi_entropy(M, spec, minv_t=None):
     if M.shape[0] != spec.n:
         raise ValueError(f"state is {M.shape[0]}-dimensional, spec expects {spec.n}")
     N = _inverse_transpose(M) if minv_t is None else _as_square(minv_t, "minv_t")
-    stack = np.empty((spec.n, 2 * spec.k, spec.n))
-    return _value(_slice_products(M, N, spec, stack), spec.signs)
+    pairs, products, count = _slot_map(spec)
+    slots = [M, N, *np.empty((count - 2, spec.n, spec.n))]
+    _slice_products(slots, products)
+    return _value(slots, pairs, spec.signs)
 
 
 def quasi_entropy(M, minv_t=None):
@@ -277,57 +290,19 @@ def quasi_entropy(M, minv_t=None):
 
 
 def _rotation_bounds(G):
-    """Theorem 2's bound for each rotation of a batch, from the rows G,
-    (2, g, 2, n), of a single-slice tracker: G[0, j] and G[1, j] hold the
-    rows (i, i') of rotation j in M A and in M^-T B.  The bound is the
-    product of the Frobenius norms of those row pairs.  Each norm is the
-    square root of one BLAS dot product over the pair's 2n contiguous
-    entries (the reshape copies them together if they are apart), as
-    np.linalg.norm forms it."""
+    """The row-norm bound of each rotation of a batch, from the rows G,
+    (2, g, 2, n), of a single-slice stack: G[0, j] and G[1, j] hold the rows
+    (i, i') of rotation j in M A and in M^-T B, and the bound is the product
+    of the Frobenius norms of those row pairs, each the square root of one
+    BLAS dot product over 2n contiguous entries (the reshape copies them
+    together if they are apart), as np.linalg.norm forms it.  It holds at
+    orthogonal states (a quarter turn at the identity meets it), not at
+    every state: the last rotation of tests/data/theorem2_counterexample_n2.txt
+    (kappa 2.26) exceeds it 1.27-fold and that of ..._n4.txt 1.005-fold, as a
+    strict-xfail test records (ROADMAP item 1)."""
     v = G.reshape(2, G.shape[1], 1, -1)
     norms = np.sqrt(v @ v.swapaxes(-1, -2))
     return (norms[0] * norms[1]).reshape(-1)
-
-
-def _asap_levels(gates, n, chunk):
-    """Schedule a run of gates into ASAP levels, in chunks of one kind.
-
-    A gate's level is one more than the latest level of any earlier gate
-    of the run that shares a row with it, so the gates of a level touch
-    disjoint rows and each finds its rows as the gates before it in the
-    run left them.  Returns (rotations, constants, chunks): rotations as
-    program positions, (g, 2) 0-based rows and cos, sin as (g, 1, 1);
-    constants as positions, (g, 1) rows and scalars as (g, 1, 1); both
-    sorted by level, then position.  chunks lists (is_rotation, slice) in
-    level order, each slice at most `chunk` entries of one level.
-    """
-    last = [0] * n  # the level of the latest gate on each row
-    rotations, constants = [], []
-    for j, gate in enumerate(gates):
-        if isinstance(gate, Rotation):
-            i, ip = gate.i - 1, gate.iprime - 1
-            level = last[i] = last[ip] = max(last[i], last[ip]) + 1
-            rotations.append((level, j, i, ip, math.cos(gate.theta), math.sin(gate.theta)))
-        else:
-            i = gate.i - 1
-            level = last[i] = last[i] + 1
-            constants.append((level, j, i, gate.c))
-    tasks = []
-    for kind, entries in enumerate((constants, rotations)):
-        entries.sort()
-        start = 0
-        for end in range(1, len(entries) + 1):
-            if (end == len(entries) or entries[end][0] != entries[start][0]
-                    or end - start == chunk):
-                tasks.append((entries[start][0], kind, start, end))
-                start = end
-    tasks.sort()
-    rot = np.array(rotations, dtype=float).reshape(-1, 6)
-    con = np.array(constants, dtype=float).reshape(-1, 4)
-    return ((rot[:, 1].astype(np.intp), rot[:, 2:4].astype(np.intp),
-             rot[:, 4:5, None], rot[:, 5:6, None]),
-            (con[:, 1].astype(np.intp), con[:, 2:3].astype(np.intp), con[:, 3:4, None]),
-            [(bool(kind), slice(a, b)) for _, kind, a, b in tasks])
 
 
 def _probe_matrix(n):
@@ -344,190 +319,192 @@ def _probe_matrix(n):
 class PotentialTracker:
     """Incremental quasi-entropy along a gate program.
 
-    Caches the sliced products in one (n, 2k, n) stack, the engine's row
-    layout: M A_p in slot 2p and MinvT B_p in slot 2p + 1, so row i of
-    every cache is one contiguous block.  A rotation touches two blocks, a
-    constant gate one, so each gate costs O(k n).  `advance` moves a
-    run of gates through the caches a level of row-disjoint gates at a
-    time: one gather of those rows from every cache, one update and one
-    scatter per level, and the deltas and bounds of a buffer of gates in
-    one pass.  Constant gates leave the plain potential unchanged
-    exactly (row i of M scales by c, of MinvT by 1/c, products cancel) and
-    the tracker returns literal 0.0 there; general specs recompute the
-    affected rows.  `resync` checks the running value against the
-    caches' own value, after probing the inverse and each slot against the
-    live state (or, at the endpoint or after a miss, checking the exact
-    drift and rebuilding every slot from the state).
+    The tracker owns one gates.TrackedState, `state`, whose (n, slots, n)
+    stack holds M in slot 0, M^-T in slot 1 and after them the spec's
+    products, M A_p at even slots and M^-T B_p at odd ones (_slot_map, whose
+    `pairs` and `products` it keeps); row i of every slot is one contiguous
+    block.  Constant gates leave the plain potential unchanged exactly (row
+    i of M scales by c, of MinvT by 1/c, products cancel) and the tracker
+    returns literal 0.0 there; general specs recompute the affected rows.
+    `resync` checks the running value against the stack's own value.
     """
 
     def __init__(self, spec, state):
-        """Start at `state`, or at the identity when it is None.  There each
-        cache is its slot's preconditioner (Id for None), copied, and no
+        """Start at a copy of `state`, or at the identity when it is None.
+        There each product slot is its preconditioner, copied, and no
         product is formed: a copy differs from Id A only in the sign of
         zero entries, and L maps both signs of zero to 0."""
         if state is not None and state.M.shape[0] != spec.n:
             raise ValueError(f"state is {state.M.shape[0]}-dimensional, spec expects {spec.n}")
+        n = spec.n
         self.spec = spec
-        self.probe = _probe_matrix(spec.n)
-        self.caches = np.zeros((spec.n, 2 * spec.k, spec.n))
-        slots = [P for pair in spec.slices for P in pair]
+        self.probe = _probe_matrix(n)
+        self.pairs, self.products, count = _slot_map(spec)
+        self.state = TrackedState(np.zeros((n, count, n)), 0 if state is None else state.t)
+        slots = self.state.rows.swapaxes(0, 1)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             # per distinct preconditioner A: A V and the row sums of |A|, its probe's fixed half
-            distinct = {id(A): A for A in slots if A is not None}
+            distinct = {id(P): P for _, _, P in self.products}
             images = {key: (A @ self.probe, np.concatenate(
                 [np.abs(A[rows]).sum(axis=1) for rows in _row_blocks(A)]))
                 for key, A in distinct.items()}
-            # per slot: None for an identity slot, else its preconditioner's probe images
-            self._checks = [None if A is None else images[id(A)] for A in slots]
+            self._checks = [images[id(P)] for _, _, P in self.products]
             if state is None:
-                for cache, A in zip(self.caches.swapaxes(0, 1), slots):
-                    if A is None:
-                        np.fill_diagonal(cache, 1.0)
-                    else:
-                        cache[...] = A
+                self.state.rows[np.arange(n), :2, np.arange(n)] = 1.0
+                for q, _, P in self.products:
+                    slots[q] = P
             else:
-                _slice_products(state.M, state.MinvT, spec, self.caches)
-            self.value = _value(self.caches, spec.signs)
+                slots[0], slots[1] = state.M, state.MinvT
+                _slice_products(slots, self.products)
+            self.value = _value(slots, self.pairs, spec.signs)
         if not math.isfinite(self.value):
             raise ValueError(f"the starting {spec.label} potential is {self.value!r}, not "
                              "finite: the preconditioners' products overflow")
 
-    def _probes_pass(self, state):
-        """Whether every O(PROBE_COLUMNS n^2) probe of the tracker against
-        `state` passes, stopping at the first miss.  First the inverse:
-        max|M^T (M^-T V) - V| within DRIFT_TOL, V = `probe`.  Then each
-        slot in order (X = M or MinvT): an identity slot equals X bitwise;
-        a preconditioned C = X A has max|C V - X (A V)| within
-        CACHE_PROBE_TOL times max |X| (|A| |V|) (|A| |V| repeats the row
-        sums of |A| in every column).  X is read a row block at a time
-        (_row_blocks), so no n x n temporary is held."""
-        R = state.M.T @ (state.MinvT @ self.probe)
+    def _probes_pass(self):
+        """Whether every O(PROBE_COLUMNS n^2) probe of the stack passes,
+        stopping at the first miss.  First the inverse: max|M^T (M^-T V) - V|
+        within DRIFT_TOL, V = `probe`.  Then each product C = X A in order
+        (X = M or MinvT): max|C V - X (A V)| within CACHE_PROBE_TOL times
+        max |X| (|A| |V|) (|A| |V| repeats the row sums of |A| in every
+        column).  X is read a row block at a time (_row_blocks), so no n x n
+        temporary is held."""
+        slots = self.state.rows.swapaxes(0, 1)
+        R = slots[0].T @ (slots[1] @ self.probe)
         R -= self.probe
         if not np.max(np.abs(R, out=R)) <= DRIFT_TOL:
             return False
-        for C, X, image in zip(self.caches.swapaxes(0, 1), (state.M, state.MinvT) * self.spec.k,
-                               self._checks):
-            if image is None:
-                passed = all(np.array_equal(C[rows], X[rows]) for rows in _row_blocks(X))
-            else:
-                AV, row_sums = image
-                R = C @ self.probe
-                R -= X @ AV
-                scale = np.max([np.max(np.abs(X[rows]) @ row_sums) for rows in _row_blocks(X)])
-                passed = np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * scale
-            if not passed:
+        for (q, side, _), (AV, row_sums) in zip(self.products, self._checks):
+            X = slots[side]
+            R = slots[q] @ self.probe
+            R -= X @ AV
+            scale = np.max([np.max(np.abs(X[rows]) @ row_sums) for rows in _row_blocks(X)])
+            if not np.max(np.abs(R, out=R)) <= CACHE_PROBE_TOL * scale:
                 return False
         return True
 
     def rotation_bound(self, i, iprime):
-        """Theorem 2's bound on |delta Phi_{A,B}| for any rotation of rows
-        (i, iprime): the product of the Frobenius norms of those rows of M A
-        and of MinvT B, O(n) from the caches.  Single-slice specs only."""
+        """The row-norm bound on |delta Phi_{A,B}| for a rotation of rows
+        (i, iprime), O(n) from the stack, for single-slice specs: the
+        product of the Frobenius norms of those rows of M A and of MinvT B,
+        which holds at orthogonal states but not at every state
+        (_rotation_bounds)."""
         if self.spec.k != 1:
             raise ValueError("rotation delta bound is defined for single-slice specs")
         if not (1 <= i <= self.spec.n and 1 <= iprime <= self.spec.n and i != iprime):
             raise ValueError(f"rows ({i}, {iprime}) are not two distinct rows in 1..{self.spec.n}")
-        rows = self.caches[[[i - 1, iprime - 1]]]  # (1, 2, 2, n): [gate][row][slot]
-        return float(_rotation_bounds(rows.transpose(2, 0, 1, 3))[0])
+        rows = self.state.rows[np.ix_([i - 1, iprime - 1], self.pairs[0])]  # [row][slot]
+        return float(_rotation_bounds(rows.transpose(1, 0, 2)[:, None])[0])
 
-    def advance(self, gates):
-        """Apply a run of gates to the caches, level by level; returns
-        (potentials, deltas, bounds), float64 arrays in program order.
+    def advance(self, gates, *observers):
+        """Apply a run of gates to the stack, one gates.apply_gate each in
+        program order (gates._run), the tracker's recorder observing each
+        gate before `observers`; returns (potentials, deltas, bounds),
+        float64 arrays in program order.
 
-        potentials[j] is the running value after gate j; bounds holds
-        Theorem 2's bound per gate (0.0 on constant gates) for single-slice
-        specs and is None otherwise.  A level is applied in chunks of one
-        kind.  Each chunk gathers its row blocks (2k n contiguous entries
-        each) straight into the `after` half of a before/after buffer of at most
-        _CHUNK_ENTRIES entries, copies them into `before`, updates `after`
-        and scatters it back.  The deltas and bounds of the buffered gates
-        wait until the buffer is full, the kind changes or the run ends
-        (_flush), so a chain of one-gate levels pays for them once per
-        buffer.  Each gate's terms are still summed as one contiguous row,
-        so every delta and bound is bitwise the one a gate-by-gate update
-        gives, and the running value adds the deltas one at a time, in
-        program order (np.add.accumulate: bitwise a Python loop of +=).
+        potentials[j] is the running value after gate j; bounds holds the
+        row-norm bound (_rotation_bounds) per gate (0.0 on constant gates)
+        for single-slice specs and is None otherwise.  The recorder copies
+        gate j's row blocks after its move, and gate j + 1's before its own,
+        into a buffer of their kind (a plain spec buffers no scaling: its
+        delta is 0.0).  The two buffers hold at most _CHUNK_ENTRIES entries
+        together; a full one, and each at the end, is evaluated in one pass
+        (_flush), so a chain of gates (an Appendix-B program) pays for that
+        arithmetic once per buffer, and gates of alternating kinds (a
+        butterfly) never cut one short.  Each gate's terms are summed as one
+        contiguous row, so every delta and bound is bitwise a gate-by-gate
+        update's, and the running value adds the deltas one at a time
+        (np.add.accumulate: bitwise a Python loop of +=).  If an observer
+        raises, the buffers are evaluated first, so the attributes `deltas`
+        and `bounds` hold the columns of every step before it.
         """
-        k, n = self.spec.k, self.spec.n
-        capacity = max(1, _CHUNK_ENTRIES // (8 * k * n))  # gates: a rotation's 8kn entries
-        rotations, constants, chunks = _asap_levels(gates, n, capacity)
-        rpos, rrows, cos, sin = rotations
-        cpos, crows, scalars = constants
-        deltas = np.zeros(len(gates))  # a plain spec's literal 0.0 on constant gates
-        bounds = np.zeros(len(gates)) if k == 1 else None  # 0.0 on constant gates
-        # per kind: each gate's rows, (r, gates), the move of a chunk s of its gates in
-        # the buffer, its program positions and the columns its deltas and bounds go
-        # to (None: skip)
-        kinds = {True: (rrows.T, lambda G, s: rotate_rows(G, 0, 1, cos[s], sin[s]), rpos,
-                        deltas, bounds),
-                 False: (crows.T, lambda G, s: _scale_rows(G, 0, scalars[s]), cpos,
-                         None if self.spec.is_plain else deltas, None)}
-        # [before, after][row of the gate][gate][slot]: one row of n entries
-        buffer = np.empty((2, 2, min(capacity, len(gates)), 2 * k, n))
-        kind, first, end = True, 0, 0  # the buffered gates: entries [first, end) of kind
-        for is_rotation, s in chunks:
-            if is_rotation != kind or s.stop - first > capacity:
-                self._flush(buffer, kinds[kind], slice(first, end))
-                kind, first = is_rotation, s.start
-            index, act = kinds[kind][:2]
-            rows = index[:, s]
-            before, after = buffer[:, :len(rows), s.start - first:s.stop - first]
-            for q, out in zip(rows, after):  # "clip" (rows are in range) fills `out` in place
-                self.caches.take(q, axis=0, out=out, mode="clip")
-            before[...] = after
-            act(after, s)
-            self.caches[rows] = after
-            end = s.stop
-        self._flush(buffer, kinds[kind], slice(first, end))
+        n, count, plain = self.spec.n, self.state.rows.shape[1], self.spec.is_plain
+        stack, first = self.state.rows, self.state.t + 1  # gate j is step first + j
+        self.deltas = deltas = np.zeros(len(gates))  # a plain spec's literal 0.0 on scalings
+        self.bounds = bounds = np.zeros(len(gates)) if self.spec.k == 1 else None
+        # a rotation's two row blocks before and after its move, a scaling's one
+        capacity = max(1, _CHUNK_ENTRIES // ((4 if plain else 6) * count * n))
+        # per kind: [before, after][entry][row of the gate][slot] and the positions of
+        # the entries that hold both halves
+        buffers = {Rotation: (np.empty((2, capacity, 2, count, n)), []),
+                   Constant: None if plain else (np.empty((2, capacity, 1, count, n)), [])}
+        rows = [(g.i - 1, g.iprime - 1) if type(g) is Rotation else (g.i - 1,) for g in gates]
+
+        # "clip" (rows are in range) makes take fill `out` in place
+        def fetch(j):  # gate j's rows before its move, flushing a full buffer first
+            kind = buffers[type(gates[j])]
+            if kind is not None:
+                buffer, at = kind
+                if len(at) == capacity:
+                    self._flush(buffer, at)
+                stack.take(rows[j], axis=0, out=buffer[0, len(at)], mode="clip")
+
+        def record(t, gate, state):  # gate t's rows after its move, then the next gate's
+            j = t - first
+            kind = buffers[type(gate)]
+            if kind is not None:
+                buffer, at = kind
+                stack.take(rows[j], axis=0, out=buffer[1, len(at)], mode="clip")
+                at.append(j)
+            if j + 1 < len(gates):
+                fetch(j + 1)
+
+        try:
+            if gates:
+                fetch(0)
+            _run(self.state, gates, (record, *observers))
+        finally:
+            for kind in buffers.values():
+                if kind is not None:
+                    self._flush(*kind)
         running = np.add.accumulate(np.concatenate(([self.value], deltas)))
         self.value = float(running[-1])
         return running[1:], deltas, bounds
 
-    def _flush(self, buffer, kind, gates):
-        """Evaluate the buffered `gates`, a slice of the entries of `kind`,
-        whose rows buffer[0] holds before their move and buffer[1] after it:
-        each gate's potential change and, for a kind with bounds, Theorem 2's
-        bound of its rows before the move, in one pass over all of them, into
-        the gates' program positions."""
-        index, _, positions, deltas, bounds = kind
-        if gates.start == gates.stop:
+    def _flush(self, buffer, at):
+        """Evaluate a buffer's complete entries, the gates at positions `at`
+        (emptied on return), whose rows buffer[0] holds before their move and
+        buffer[1] after it: each gate's potential change and, for rotations
+        of a single-slice spec, the row-norm bound of its rows before the
+        move, in one pass over all of them."""
+        if not at:
             return
-        at = positions[gates]
-        # (2k, g, r, n): the gates' rows by cache
-        before, after = buffer[:, :len(index), :gates.stop - gates.start].transpose(0, 3, 2, 1, 4)
-        if bounds is not None:
-            bounds[at] = _rotation_bounds(before)
-        if deltas is not None:
-            deltas[at] = -(_entropy_rows(_coupled(after, self.spec.signs))
-                           - _entropy_rows(_coupled(before, self.spec.signs))) + 0.0
+        # (slots, gates, rows, n): the gates' rows by slot
+        before, after = buffer[:, :len(at)].transpose(0, 3, 1, 2, 4)
+        if self.bounds is not None and buffer.shape[2] == 2:  # rotations: two rows a gate
+            self.bounds[at] = _rotation_bounds(before[list(self.pairs[0])])
+        self.deltas[at] = -(_entropy_rows(_coupled(after, self.pairs, self.spec.signs))
+                            - _entropy_rows(_coupled(before, self.pairs, self.spec.signs))) + 0.0
+        at.clear()
 
-    def resync(self, state, endpoint):
-        """Check the tracker against `state` and return the checked value.
+    def resync(self, endpoint):
+        """Check the tracker's stack and return the checked value.
 
-        Raises RuntimeError unless the inverse drift of `state` is within
+        Raises RuntimeError unless the inverse drift of the state is within
         DRIFT_TOL and the checked value within DESYNC_TOL of the running one
         (a NaN fails both); otherwise adopts it.  Every probe passes
         (_probes_pass: no product is formed, and the value costs O(k n^2)),
         or the endpoint's exact check runs: at the `endpoint`, and after any
-        miss, the exact inverse_drift decides, and then every slot is
-        rebuilt (_slice_products) before the value is taken.
+        miss, the exact inverse_drift decides, and then every product is
+        rebuilt from M or M^-T (_slice_products) before the value is taken.
 
         If an entry P[i, j] of P = M^T M^-T - Id exceeds DRIFT_TOL,
         (P v)[i] = P[i, j] v[j] + (terms without v[j]), so one of the two
         signs of v[j] gives |(P v)[i]| >= |P[i, j]|: each column of V misses
         the drift with probability at most 1/2 over its draw, all of them
-        with at most 2^-32 (in exact arithmetic).  Likewise for a cache
+        with at most 2^-32 (in exact arithmetic).  Likewise for a product
         C = X A + E, C V - X (A V) is E V up to rounding, so an error
         E[i, j] alone shows as |E[i, j]| in every column, and several
         errors in one row slip past all columns with at most 2^-32.
         """
-        if endpoint or not self._probes_pass(state):
+        state, slots = self.state, self.state.rows.swapaxes(0, 1)
+        if endpoint or not self._probes_pass():
             drift = inverse_drift(state)
             if not drift <= DRIFT_TOL:
                 raise RuntimeError(f"step {state.t}: inverse-transpose drift "
                                    f"{drift:.3e} exceeds {DRIFT_TOL:.1e}")
-            _slice_products(state.M, state.MinvT, self.spec, self.caches)
-        direct = _value(self.caches, self.spec.signs)
+            _slice_products(slots, self.products)
+        direct = _value(slots, self.pairs, self.spec.signs)
         if not abs(direct - self.value) <= DESYNC_TOL:
             raise RuntimeError(
                 f"step {state.t}: tracker desynchronized from state: "
@@ -579,19 +556,23 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
     kappa (from a KappaCertifier: recomputed after scaling gates, carried
     across isometries); certifying also raises RuntimeError on a rotation
     over its bound (_exceeds_bound).  The tracker is resynced (inverse
-    drift, then the caches' value, see PotentialTracker.resync) at each
+    drift, then the stack's value, see PotentialTracker.resync) at each
     step t < m that `recompute_every` divides (a positive int; one of at
     least m checks only the endpoint), whose checked value replaces
     potentials[t], and once at the endpoint, whose from-scratch value is
     `direct_final`; potentials[m] keeps the running value, so final_value -
     direct_final is a margin.
 
-    The tracker advances through each segment between checkpoints at once
-    (in ASAP levels) when the engine enters it; each step's resync and
-    bound check run when the engine reaches that step, after its
-    certifier, so an error names the same first step as a gate-by-gate
-    trace.  The tracker starts at the identity, so slice products are
-    formed only at the endpoint and after a failed probe.
+    The tracker's stack is the trace's one state: each segment between
+    checkpoints is one PotentialTracker.advance, which applies its gates
+    and calls the certifier after each.  A step's bound is checked after
+    its certifier and its resync: the bounds of a segment are checked in
+    step order once advance returns (or once the certifier raised at step
+    t, up to t - 1, so a violation before t is reported instead), the
+    segment's last step after its resync, so an error names the same first
+    step as a gate-by-gate trace.  The tracker starts at the identity, so
+    slice products are formed only at the endpoint and after a failed
+    probe.
     """
     if type(recompute_every) is not int or recompute_every < 1:
         raise ValueError(f"recompute_every must be a positive int, got {recompute_every!r}")
@@ -599,25 +580,35 @@ def trace_potentials(program, spec, recompute_every=RECOMPUTE_EVERY, certify=Tru
     m = len(program)
     potentials, deltas = np.full(m + 1, tracker.value), np.empty(m)
     bounds, kappas = (np.empty(m) if spec.k == 1 else None), (np.empty(m) if certify else None)
-    cert, segment = KappaCertifier(), recompute_every
+    cert = KappaCertifier()
 
-    def observer(t, gate, state):
-        if (t - 1) % segment == 0:
-            steps = slice(t - 1, t - 1 + segment)
-            potentials[t:t + segment], deltas[steps], moved_bounds = tracker.advance(
-                program.gates[steps])
+    def record_kappa(t, gate, state):
+        kappas[t - 1] = cert.kappa
+
+    observers = (cert, record_kappa) if certify else ()
+
+    def check(first, last):  # the bound rule at steps first..last, in order
+        if certify and bounds is not None:
+            for t in range(first, last + 1):
+                if _exceeds_bound(program.gates[t - 1], deltas[t - 1], bounds[t - 1]):
+                    raise RuntimeError(f"step {t}: |delta| = {abs(float(deltas[t - 1]))!r} "
+                                       f"exceeds rotation bound {float(bounds[t - 1])!r}")
+
+    for start in range(0, m, recompute_every):
+        steps = slice(start, start + recompute_every)
+        try:
+            potentials[start + 1:start + 1 + recompute_every] = tracker.advance(
+                program.gates[steps], *observers)[0]
+        finally:  # also when the certifier raised: a violation before its step comes first
+            deltas[steps] = tracker.deltas
             if bounds is not None:
-                bounds[steps] = moved_bounds
-        if t % segment == 0 and t < m:
-            potentials[t] = tracker.resync(state, False)
-        if certify:
-            kappas[t - 1] = cert.kappa
-            if bounds is not None and _exceeds_bound(gate, deltas[t - 1], bounds[t - 1]):
-                raise RuntimeError(f"step {t}: |delta| = {abs(float(deltas[t - 1]))!r} "
-                                   f"exceeds rotation bound {float(bounds[t - 1])!r}")
-
-    final = run_program(program, observers=[cert, observer] if certify else [observer])
-    direct = tracker.resync(final, True)
+                bounds[steps] = tracker.bounds
+            check(start + 1, tracker.state.t - 1)
+        t = tracker.state.t
+        if t < m:
+            potentials[t] = tracker.resync(False)
+        check(t, t)
+    direct = tracker.resync(True)
     return Trajectory(spec.label, program, potentials, deltas, bounds, kappas, direct)
 
 

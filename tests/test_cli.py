@@ -238,17 +238,17 @@ def test_trace_evaluates_the_final_state_from_scratch_once(every, steps, capsys,
     seen, probe_steps, drift_steps = [], [], []
     real = potential.PotentialTracker.resync
     monkeypatch.setattr(potential.PotentialTracker, "resync",
-                        lambda self, state, endpoint:
-                        seen.append(state.t) or real(self, state, endpoint))
+                        lambda self, endpoint:
+                        seen.append(self.state.t) or real(self, endpoint))
     real_drift, real_probes = gates.inverse_drift, potential.PotentialTracker._probes_pass
 
     def drift_spy(state):
         drift_steps.append(state.t)
         return real_drift(state)
 
-    def probes_spy(self, state):
-        probe_steps.append(state.t)
-        return real_probes(self, state)
+    def probes_spy(self):
+        probe_steps.append(self.state.t)
+        return real_probes(self)
 
     for module in (gates, potential):
         monkeypatch.setattr(module, "inverse_drift", drift_spy)
@@ -276,7 +276,7 @@ def test_a_clean_trace_runs_the_exact_drift_check_once(capsys, monkeypatch):
     monkeypatch.setattr(potential, "inverse_drift",
                         lambda state: drifts.append(state.t) or real_drift(state))
     monkeypatch.setattr(potential.PotentialTracker, "_probes_pass",
-                        lambda self, state: probes.append(state.t) or real_probes(self, state))
+                        lambda self: probes.append(self.state.t) or real_probes(self))
     code, _, _ = run_cli(["run-wht", "--n", "256", "--recompute-every", "1",
                           "--out", os.devnull], capsys)
     assert code == 0
@@ -286,10 +286,9 @@ def test_a_clean_trace_runs_the_exact_drift_check_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind", NAMED_POTENTIALS)
 def test_a_clean_trace_forms_slice_products_only_at_its_endpoints(kind, capsys, monkeypatch):
-    # periodic checkpoints check the caches instead of rebuilding them, so
-    # products are formed at a trace's endpoint only; a false alarm (an
-    # identity slot that is not a bitwise twin of the engine state, a probe
-    # beyond its tolerance) would rebuild at every checkpoint.  Each call is
+    # periodic checkpoints probe the products instead of rebuilding them,
+    # so products are formed at a trace's endpoint only; a false alarm (a
+    # probe beyond its tolerance) would rebuild at every checkpoint.  Each call is
     # recorded as the number of gates the engine has applied
     applied, formed = [0], []
     real_apply, real_products = gates.apply_gate, potential._slice_products

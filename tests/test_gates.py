@@ -117,21 +117,14 @@ def test_apply_rotation_matches_left_multiplication():
 
 def test_rotate_rows_is_bitwise_the_two_products_and_their_sum():
     # in place, each entry is still fl(fl(c a) + fl(s b)) and fl(fl(c b) - fl(s a)),
-    # for one row pair and for a stack of them with one angle per pair
+    # for one row pair of a matrix and for one pair of row blocks of a stack
     rng = np.random.default_rng(14)
-    X = rng.standard_normal((6, 9))
-    a, b = X[1].copy(), X[4].copy()
     c, s = math.cos(0.7), math.sin(0.7)
-    rotate_rows(X, 1, 4, c, s)
-    assert X[1].tobytes() == (c * a + s * b).tobytes()
-    assert X[4].tobytes() == (c * b - s * a).tobytes()
-    G = rng.standard_normal((2, 5, 3, 9))
-    theta = rng.uniform(-math.pi, math.pi, (5, 1, 1))
-    c, s = np.cos(theta), np.sin(theta)
-    a, b = G[0].copy(), G[1].copy()
-    rotate_rows(G, 0, 1, c, s)
-    assert G[0].tobytes() == (c * a + s * b).tobytes()
-    assert G[1].tobytes() == (c * b - s * a).tobytes()
+    for X in (rng.standard_normal((6, 9)), rng.standard_normal((6, 3, 9))):
+        a, b = X[1].copy(), X[4].copy()
+        rotate_rows(X, 1, 4, c, s)
+        assert X[1].tobytes() == (c * a + s * b).tobytes()
+        assert X[4].tobytes() == (c * b - s * a).tobytes()
 
 
 def test_rotate_rows_rejects_index_arrays():

@@ -137,6 +137,16 @@ def test_entropy_sum_matches_scalar_reference_bitwise(shape):
     assert v.tobytes() == original
 
 
+def slice_pairs(k):
+    """The slot map of k slices held as consecutive slot pairs."""
+    return [(2 * p, 2 * p + 1) for p in range(k)]
+
+
+def stack_value(stack, signs):
+    """_value of an (n, 2k, n) stack whose slice p is slots 2p and 2p + 1."""
+    return potential._value(stack.swapaxes(0, 1), slice_pairs(len(signs)), signs)
+
+
 def dense_value(stack, signs):
     """-entropy_sum of the coupled matrix of an (n, 2k, n) stack built
     whole: sign_p times the product of slots 2p and 2p + 1, summed over the
@@ -162,7 +172,11 @@ def test_value_keeps_np_sums_order_over_the_whole_coupled_matrix(n):
         stack[0, 0] = 0.0
         stack[-1, -1, ::2] = -0.0
         for signs in {(1.0, 1.0)[:k], (-1.0, -1.0)[:k], (1.0, -1.0)[:k], (-1.0, 1.0)[:k]}:
-            assert potential._value(stack, signs).hex() == dense_value(stack, signs).hex()
+            expected = dense_value(stack, signs).hex()
+            assert stack_value(stack, signs).hex() == expected
+            # the other input form: a list of n x n slots, each contiguous
+            slots = [np.ascontiguousarray(X) for X in stack.swapaxes(0, 1)]
+            assert potential._value(slots, slice_pairs(k), signs).hex() == expected
 
 
 def test_a_value_frees_its_products_on_return():
@@ -172,7 +186,7 @@ def test_a_value_frees_its_products_on_return():
     ref = weakref.ref(stack)
     gc.disable()
     try:
-        assert potential._value(stack, (1.0,)) == -32.0
+        assert stack_value(stack, (1.0,)) == -32.0
         del stack
         assert ref() is None
     finally:
@@ -191,7 +205,7 @@ def test_value_of_non_finite_terms_stays_non_finite_without_a_new_warning(case):
         stack[n // 2:, 0] = -1e200
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, expected = potential._value(stack, (1.0,)), dense_value(stack, (1.0,))
+        value, expected = stack_value(stack, (1.0,)), dense_value(stack, (1.0,))
     assert not math.isfinite(value)
     assert value.hex() == expected.hex() == ("-inf" if case == "overflow" else "nan")
 
@@ -484,38 +498,31 @@ def test_tracker_agrees_with_direct_evaluation(recompute_every):
     program = random_program(n, 400, 40, rng)
     F = wht_matrix(n)
     spec = PotentialSpec(n, [(None, F)], label="precond-id-f")
-    state = TrackedState.identity(n)
-    tracker = PotentialTracker(spec, state)
+    tracker = PotentialTracker(spec, TrackedState.identity(n))
     for gate in program.gates:
-        apply_gate(state, gate)
         tracker.advance([gate])
-        if recompute_every and state.t % recompute_every == 0:
-            assert tracker.resync(state, False) == tracker.value
+        if recompute_every and tracker.state.t % recompute_every == 0:
+            assert tracker.resync(False) == tracker.value
+    state = run_program(program)
     direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
     assert tracker.value == pytest.approx(direct, abs=TRACK_ATOL)
 
 
 def test_tracker_plain_constant_delta_is_literal_zero():
-    state = TrackedState.identity(4)
-    tracker = PotentialTracker(PotentialSpec.plain(4), state)
-    apply_gate(state, Rotation(1, 2, 0.3))
+    tracker = PotentialTracker(PotentialSpec.plain(4), TrackedState.identity(4))
     tracker.advance([Rotation(1, 2, 0.3)])
     _, (delta,), _ = tracker.advance([Constant(2, 3.7)])
-    apply_gate(state, Constant(2, 3.7))
     assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
 
 
 def test_tracker_detects_cache_desync():
-    state = TrackedState.identity(4)
-    tracker = PotentialTracker(PotentialSpec.plain(4), state)
-    apply_gate(state, Rotation(1, 2, 0.3))
+    tracker = PotentialTracker(PotentialSpec.plain(4), TrackedState.identity(4))
     tracker.advance([Rotation(1, 2, 0.3)])
     tracker.value += 1.0  # simulate accumulated drift
-    apply_gate(state, Rotation(3, 4, 0.5))
     tracker.advance([Rotation(3, 4, 0.5)])
     for endpoint in (False, True):  # a failed resync adopts nothing
         with pytest.raises(RuntimeError, match="step 2: tracker desync"):
-            tracker.resync(state, endpoint)
+            tracker.resync(endpoint)
 
 
 @pytest.mark.parametrize("poison, message", [
@@ -525,17 +532,15 @@ def test_tracker_detects_cache_desync():
 def test_tracker_resync_fails_on_nan(poison, message):
     # a NaN compares false against any tolerance, so each check must fail on
     # it, the periodic probe included
-    state = TrackedState.identity(4)
-    tracker = PotentialTracker(PotentialSpec.plain(4), state)
-    apply_gate(state, Rotation(1, 2, 0.3))
+    tracker = PotentialTracker(PotentialSpec.plain(4), TrackedState.identity(4))
     tracker.advance([Rotation(1, 2, 0.3)])
     if poison == "value":
         tracker.value = math.nan
     else:
-        state.MinvT[0, 0] = math.nan
+        tracker.state.MinvT[0, 0] = math.nan
     for endpoint in (False, True):
         with pytest.raises(RuntimeError, match=re.escape(message)):
-            tracker.resync(state, endpoint)
+            tracker.resync(endpoint)
 
 
 def spy_on_inverse_drift(monkeypatch):
@@ -589,12 +594,12 @@ def test_entries_below_the_drift_tolerance_that_add_up_past_it_fall_back_to_the_
     assert inverse_drift(state) <= DRIFT_TOL
     residual = state.M.T @ (state.MinvT @ tracker.probe) - tracker.probe
     assert not np.max(np.abs(residual)) <= DRIFT_TOL
-    assert np.array_equal(tracker.caches, state.rows)
+    assert np.array_equal(tracker.state.rows, state.rows)
     drifts, rebuilds = spy_on_inverse_drift(monkeypatch), []
     real_products = potential._slice_products
     monkeypatch.setattr(potential, "_slice_products",
                         lambda *args: rebuilds.append(state.t) or real_products(*args))
-    assert tracker.resync(state, False) == tracker.value
+    assert tracker.resync(False) == tracker.value
     assert [t for t, _ in drifts] == [state.t]
     assert rebuilds == [state.t]
 
@@ -605,7 +610,7 @@ def test_the_probe_matrix_is_fixed():
     state = run_program(random_program(16, 40, 4, np.random.default_rng(23)))
     first = PotentialTracker(PotentialSpec.plain(16), state)
     V = first.probe.copy()
-    first.resync(state, False)
+    first.resync(False)
     second = PotentialTracker(named_spec("hat-pq", 16), TrackedState.identity(16))
     assert V.shape == (16, PROBE_COLUMNS)
     assert set(np.unique(V)) == {-1.0, 1.0}
@@ -770,46 +775,29 @@ def test_matrix_text_non_positive_sizes_rejected(text, header, tmp_path):
         load_matrices_text(path)
 
 
-@pytest.mark.parametrize("kind", NAMED_POTENTIALS)
-def test_tracker_identity_slots_are_bitwise_twins_of_the_engine_state(kind):
-    # the tracker moves its caches with the engine's own row rules, so
-    # an identity slot equals M or M^-T exactly, not merely within roundoff
-    rng = np.random.default_rng(44)
-    n = 8
-    program = random_program(n, 60, 20, rng)
-    flips = [Constant(int(i), -1.0) for i in rng.integers(1, n + 1, size=10)]
-    gates = [*program.gates, *flips]
-    mixed = GateProgram(n, [gates[j] for j in rng.permutation(len(gates))])
-    assert any(isinstance(g, Constant) and abs(g.c) != 1.0 for g in mixed.gates)
-    spec = named_spec(kind, n)
-    tracker = PotentialTracker(spec, TrackedState.identity(n))
-    checked = []
-
-    def observer(t, gate, state):
-        tracker.advance([gate])
-        for p, (A, B) in enumerate(spec.slices):
-            Lp, Rp = tracker.caches[:, 2 * p], tracker.caches[:, 2 * p + 1]
-            if A is None:
-                assert not np.shares_memory(Lp, state.M) and np.array_equal(Lp, state.M)
-                checked.append(t)
-            if B is None:
-                assert not np.shares_memory(Rp, state.MinvT) and np.array_equal(Rp, state.MinvT)
-                checked.append(t)
-
-    run_program(mixed, observers=[observer])
-    assert len(checked) >= len(mixed)
+# n x n arrays in the stack of a tracker of each equivalence spec: M, M^-T,
+# then M A at even slots and M^-T B at odd ones, an unpaired one padded
+STACK_SLOTS = {"plain": 2, "precond": 4, "precond-id-f": 4, "hat-pq": 4, "k-slice": 6}
+EQUIVALENCE_KINDS = tuple(STACK_SLOTS)
 
 
-def test_a_plain_tracker_moves_its_caches_as_the_engine_moves_its_rows():
-    # a plain tracker's stack is the engine's (n, 2, n) layout, moved by the
-    # same two row rules: after a segment, one comparison covers every entry
-    program = random_program(16, 300, 60, np.random.default_rng(27))
-    tracker = PotentialTracker(PotentialSpec.plain(16), None)
-    tracker.advance(program.gates)
-    assert np.array_equal(tracker.caches, run_program(program).rows)
+def equivalence_specs(n):
+    # k-slice: three slices with identities on both sides, a sign -1, and
+    # one product of M against two of M^-T, so one slot is padding
+    rng = np.random.default_rng(n)
+    return {
+        "plain": PotentialSpec.plain(n),
+        "precond": PotentialSpec.preconditioned(rng.standard_normal((n, n)),
+                                                rng.standard_normal((n, n))),
+        "precond-id-f": named_spec("precond-id-f", n),
+        "hat-pq": named_spec("hat-pq", n),
+        "k-slice": PotentialSpec(n, [(None, rng.standard_normal((n, n))),
+                                     (rng.standard_normal((n, n)), None, -1),
+                                     (None, rng.standard_normal((n, n)))]),
+    }
 
 
-@pytest.mark.parametrize("kind", ["plain", "precond", "precond-id-f", "hat-pq"])
+@pytest.mark.parametrize("kind", EQUIVALENCE_KINDS)
 def test_a_tracker_at_the_identity_copies_its_preconditioners(kind, monkeypatch):
     # started with no state, a tracker forms no product and holds what the
     # products at the identity state hold, up to the sign of zero entries
@@ -823,14 +811,17 @@ def test_a_tracker_at_the_identity_copies_its_preconditioners(kind, monkeypatch)
     multiplied = PotentialTracker(spec, TrackedState.identity(8))
     assert formed == [1]
     assert copied.value.hex() == multiplied.value.hex()
-    assert copied.caches.shape == (8, 2 * spec.k, 8)  # row block i: row i of every slot
-    assert np.array_equal(copied.caches, multiplied.caches)
+    # row block i: row i of M, M^-T and every product (precond-id-f pads M^-T F's pair)
+    assert copied.state.rows.shape == (8, STACK_SLOTS[kind], 8)
+    assert np.array_equal(copied.state.rows, multiplied.state.rows)
 
 
 @pytest.mark.parametrize("kind", NAMED_POTENTIALS)
-def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
-    # measured after the spec (and its F) is built: the engine's M and M^-T
-    # and the 2k caches, plus an allowance for what does not grow with n^2.
+def test_a_trace_holds_one_stack_and_no_n_by_n_temporary(kind):
+    # measured after the spec (and its F) is built: the tracker's stack of
+    # M, M^-T and the products (STACK_SLOTS n x n arrays, plain 2 and hat-pq
+    # 4, where the engine and the caches held 4 and 6), plus an allowance
+    # for what does not grow with n^2.
     # At n = 1024 one n x n array is 8 MiB, four times the largest block
     # temporary, so any n x n temporary (a checkpoint's coupled matrix, a
     # cache probe's |X|, the endpoint's M^T M^-T) fails the bound:
@@ -841,8 +832,8 @@ def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
     # - one block of the value: its coupled terms, their entropy terms and
     #   nonzero mask, 2 _CHUNK_ENTRIES doubles and _CHUNK_ENTRIES bytes (a
     #   drift or cache-probe block is at most _CHUNK_ENTRIES doubles, and
-    #   advance's before/after buffer of at most _CHUNK_ENTRIES doubles with
-    #   a flush's temporaries fits too);
+    #   advance's before/after buffers of at most _CHUNK_ENTRIES doubles
+    #   together with a flush's temporaries fit too);
     # - 64 KiB for the tracker, certifier and trajectory objects.
     n = 1024
     program, spec = fast_wht_program(n), named_spec(kind, n)
@@ -857,7 +848,44 @@ def test_a_trace_holds_the_engine_its_caches_and_no_n_by_n_temporary(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (2 + 2 * spec.k) * n * n + allowance
+    assert peak <= 8 * STACK_SLOTS[kind] * n * n + allowance
+
+
+STRIDED_BLAS_SCRIPT = """
+import sys
+import numpy as np
+rng = np.random.default_rng(0)
+for n in (2, 64, 1024):
+    P, V = rng.standard_normal((n, n)), rng.standard_normal((n, 32))
+    for slots in (2, 4, 6):
+        stack = rng.standard_normal((n, slots, n))
+        X, Y = stack[:, 0], stack[:, slots - 1]  # row stride slots n
+        Xc, Yc = X.copy(), Y.copy()
+        cols = slice(0, max(1, n // 2))  # a block of M's columns, as inverse_drift takes
+        pairs = [(X @ P, Xc @ P), (X @ V, Xc @ V), (X[:, cols].T @ Y, Xc[:, cols].T @ Yc),
+                 (np.linalg.svd(X, compute_uv=False), np.linalg.svd(Xc, compute_uv=False))]
+        np.matmul(X, P, out=stack[:, 1])
+        pairs.append((stack[:, 1], Xc @ P))
+        for index, (strided, contiguous) in enumerate(pairs):
+            assert strided.tobytes() == contiguous.tobytes(), (n, slots, index)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_on_strided_slots_is_bitwise_blas_on_contiguous_copies(threads):
+    # a slot of an (n, slots, n) stack is an n x n view of row stride
+    # slots n; the products a trace forms from slots (a product M A, a
+    # probe's X V, a drift block M[:, cols]^T M^-T, a product written into
+    # its slot) and the certifier's SVD must be those of contiguous copies
+    # bit for bit, at every stack width the specs use (2, 4) and a wider
+    # k-slice one (6), under 1 and 2 BLAS threads
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", STRIDED_BLAS_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def gate_by_gate_trace(program, spec, recompute_every):
@@ -892,21 +920,10 @@ def gate_by_gate_trace(program, spec, recompute_every):
         delta = 0.0 if spec.is_plain and not rotation else -(coupled_entropy() - before) + 0.0
         value += delta
         if t % recompute_every == 0 and t < len(program):
-            value = potential._value(np.concatenate([pair.rows for pair in pairs], axis=1),
-                                     spec.signs)
+            value = potential._value([X for pair in pairs for X in (pair.M, pair.MinvT)],
+                                     slice_pairs(spec.k), spec.signs)
         out.append((value, delta, bound))
     return out
-
-
-def equivalence_specs(n):
-    rng = np.random.default_rng(n)
-    return {
-        "plain": PotentialSpec.plain(n),
-        "precond": PotentialSpec.preconditioned(rng.standard_normal((n, n)),
-                                                rng.standard_normal((n, n))),
-        "precond-id-f": named_spec("precond-id-f", n),
-        "hat-pq": named_spec("hat-pq", n),
-    }
 
 
 @st.composite
@@ -939,7 +956,7 @@ def step_rows(trajectory):
 
 @settings(max_examples=60, deadline=None)
 @given(program=shared_row_programs(),
-       kind=st.sampled_from(["plain", "precond", "precond-id-f", "hat-pq"]),
+       kind=st.sampled_from(EQUIVALENCE_KINDS),
        recompute_every=st.sampled_from([1, 7, 1024]),
        chunk_gates=st.sampled_from([1, 2, None]))
 def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kind,
@@ -956,8 +973,40 @@ def test_level_tracker_matches_the_gate_by_gate_tracker_bit_for_bit(program, kin
                                                                     recompute_every))
 
 
+@settings(max_examples=60, deadline=None)
+@given(program=shared_row_programs(),
+       kind=st.sampled_from(EQUIVALENCE_KINDS),
+       recompute_every=st.sampled_from([1, 7, 1024]))
+def test_a_trace_moves_one_stack_as_the_engine_moves_its_state(program, kind, recompute_every):
+    # every row move of a trace is one apply_gate on the tracker's one
+    # stack, in program order, and the stack's M and M^-T end bitwise where
+    # run_program's do
+    spec = equivalence_specs(program.n)[kind]
+    moved, ends = [], []
+    real_apply, real_resync = gates.apply_gate, PotentialTracker.resync
+
+    def apply(state, gate):
+        moved.append((id(state.rows), gate))
+        return real_apply(state, gate)
+
+    def resync(tracker, endpoint):
+        if endpoint:
+            ends.append(tracker.state.rows[:, :2].copy())
+        return real_resync(tracker, endpoint)
+
+    with mock.patch.object(gates, "apply_gate", apply), \
+            mock.patch.object(PotentialTracker, "resync", resync):
+        trace_potentials(program, spec, recompute_every=recompute_every, certify=False)
+    [rows] = ends
+    assert [gate for _, gate in moved] == list(program.gates)
+    assert len({stack for stack, _ in moved}) == 1
+    engine = run_program(program)
+    assert rows[:, 0].tobytes() == engine.M.tobytes()
+    assert rows[:, 1].tobytes() == engine.MinvT.tobytes()
+
+
 @pytest.mark.parametrize("buffered", [1, 3, 5, 1024])
-@pytest.mark.parametrize("kind", ["plain", "precond", "precond-id-f", "hat-pq"])
+@pytest.mark.parametrize("kind", EQUIVALENCE_KINDS)
 @pytest.mark.parametrize("route", [ROUTE_APPENDIX_B, ROUTE_FAST_KRONECKER])
 def test_buffers_that_flush_mid_chain_and_mid_level_match_the_gate_by_gate_tracker(
         route, kind, buffered):
@@ -986,7 +1035,6 @@ def test_a_chain_segment_evaluates_its_entropies_once_per_buffer(monkeypatch):
     n = 128
     segment = givens_decompose(wht_eigenbasis(n)[0].T).gates[:1024]
     capacity = potential._CHUNK_ENTRIES // (8 * n)  # gates a plain tracker buffers
-    assert len(potential._asap_levels(segment, n, capacity)[2]) == len(segment)
     calls = []
     real_entropy_rows = potential._entropy_rows
     monkeypatch.setattr(potential, "_entropy_rows",
@@ -996,30 +1044,34 @@ def test_a_chain_segment_evaluates_its_entropies_once_per_buffer(monkeypatch):
     assert sum(calls) == 2 * len(segment)
 
 
-CORRUPTED_SLOTS = [("hat-pq", 1), ("hat-pq", 2), ("precond", 0), ("precond", 1),
-                   ("plain", 0), ("plain", 1), ("precond-id-f", 0), ("hat-pq", 0), ("hat-pq", 3)]
+# (kind, slot of the stack): a product, M A at an even slot or M^-T B at an odd one
+CORRUPTED_PRODUCTS = [("hat-pq", 3), ("hat-pq", 2), ("precond", 2), ("precond", 3),
+                      ("precond-id-f", 3)]
+# M or M^-T itself, which an identity slot of the spec reads
+CORRUPTED_STATE = [("plain", 0), ("plain", 1), ("precond-id-f", 0), ("hat-pq", 0),
+                   ("hat-pq", 1)]
 
 
 def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
     """Trace a 36-gate program with checkpoints every 8 steps, adding
-    `error` to one entry of cache `slot` right after the checkpoint at step
-    8, on a row the next gate moves.  on_resync(tracker, state) runs before
-    each resync.  Returns (program, the trajectory or the RuntimeError,
-    the steps at which slice products were formed)."""
+    `error` to one entry of the stack's `slot` right after the checkpoint
+    at step 8, on a row the next gate moves.  on_resync(tracker) runs
+    before each resync.  Returns (program, the trajectory or the
+    RuntimeError, the steps at which slice products were formed)."""
     program = random_program(8, 32, 4, np.random.default_rng(24))
     row = program.gates[8].i - 1
     real_resync, real_products = PotentialTracker.resync, potential._slice_products
     formed, checkpoint = [], [0]  # the step of the resync in progress, 0 at the start
 
-    def resync(tracker, state, endpoint):
+    def resync(tracker, endpoint):
         checkpoint[0] = None
         if on_resync is not None:
-            on_resync(tracker, state)
-        checkpoint[0] = state.t
-        value = real_resync(tracker, state, endpoint)
+            on_resync(tracker)
+        checkpoint[0] = tracker.state.t
+        value = real_resync(tracker, endpoint)
         checkpoint[0] = None
-        if state.t == 8:
-            tracker.caches[row, slot, (row + 3) % 8] += error
+        if tracker.state.t == 8:
+            tracker.state.rows[row, slot, (row + 3) % 8] += error
         return value
 
     def products(*args):
@@ -1036,16 +1088,16 @@ def corrupt_after_step_8(monkeypatch, spec, slot, error, on_resync=None):
     return program, result, formed
 
 
-@pytest.mark.parametrize("kind, slot", CORRUPTED_SLOTS)
-def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, monkeypatch):
-    # the caches' own value agrees with the running one, which the same
-    # wrong entry moved; the slot's check (a probe, or bitwise equality for
-    # an identity slot) flags the entry at step 16 and hands over to fresh
-    # products, whose value disagrees with the running one
+@pytest.mark.parametrize("kind, slot", CORRUPTED_PRODUCTS)
+def test_a_corrupted_product_fails_at_the_next_periodic_checkpoint(kind, slot, monkeypatch):
+    # the stack's own value agrees with the running one, which the same
+    # wrong entry moved; the product's probe flags the entry at step 16 and
+    # hands over to fresh products, whose value disagrees with the running one
     spec = equivalence_specs(8)[kind]
     expected = []
 
-    def message(tracker, state):
+    def message(tracker):
+        state = tracker.state
         direct = k_slice_quasi_entropy(state.M, spec, minv_t=state.MinvT)
         expected.append(f"step {state.t}: tracker desynchronized from state: "
                         f"incremental {tracker.value!r} vs direct {direct!r}")
@@ -1058,13 +1110,12 @@ def test_a_corrupted_cache_fails_at_the_next_periodic_checkpoint(kind, slot, mon
     assert str(result) == expected[1]
 
 
-@pytest.mark.parametrize("kind, slot", CORRUPTED_SLOTS)
-def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeypatch):
-    # 1e-7 fails the slot's check (far beyond the probe's tolerance, and
-    # not bitwise equal) and moves the value by less than DESYNC_TOL, so
-    # step 16 runs the endpoint's exact check (the drift, then a rebuild of
-    # every cache) and passes; every delta after it is one a tracker built
-    # fresh at step 16 gives
+@pytest.mark.parametrize("kind, slot", CORRUPTED_PRODUCTS)
+def test_a_product_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeypatch):
+    # 1e-7 fails the product's probe (far beyond its tolerance) and moves
+    # the value by less than DESYNC_TOL, so step 16 runs the endpoint's
+    # exact check (the drift, then a rebuild of every product) and passes;
+    # every delta after it is one a tracker built fresh at step 16 gives
     spec = equivalence_specs(8)[kind]
     drifts = spy_on_inverse_drift(monkeypatch)
     program, trajectory, formed = corrupt_after_step_8(monkeypatch, spec, slot, 1e-7)
@@ -1073,6 +1124,23 @@ def test_a_cache_error_below_the_desync_tolerance_is_rebuilt(kind, slot, monkeyp
     state = run_program(GateProgram(8, program.gates[:16]))
     _, fresh, _ = PotentialTracker(spec, state).advance(program.gates[16:])
     assert [d.hex() for d in trajectory.deltas[16:]] == [d.hex() for d in fresh]
+
+
+@pytest.mark.parametrize("error", [1.0, 1e-7])
+@pytest.mark.parametrize("kind, slot", CORRUPTED_STATE)
+def test_a_corrupted_state_fails_the_inverse_check_at_the_next_periodic_checkpoint(
+        kind, slot, error, monkeypatch):
+    # an identity slot of the spec is M or M^-T itself, so a wrong entry
+    # there is inverse drift: the inverse probe flags it at step 16 (the
+    # gates after step 8 move M^T M^-T - Id only by rounding), the exact
+    # product confirms it, and no product is formed
+    spec = equivalence_specs(8)[kind]
+    drifts = spy_on_inverse_drift(monkeypatch)
+    _, result, formed = corrupt_after_step_8(monkeypatch, spec, slot, error)
+    [(t, drift)] = drifts
+    assert t == 16 and drift > DRIFT_TOL
+    assert str(result) == f"step 16: inverse-transpose drift {drift:.3e} exceeds {DRIFT_TOL:.1e}"
+    assert formed == []
 
 
 @pytest.mark.parametrize("kind", ["plain", "precond", "hat-pq"])
@@ -1086,6 +1154,27 @@ def test_deltas_and_bounds_do_not_depend_on_the_checkpoint_cadence(kind):
                                                certify=False)))
               for every in (10 ** 9, 1, 7, 1024)]
     assert traces[1] == traces[0] and traces[2] == traces[0] and traces[3] == traces[0]
+
+
+def test_an_observer_error_leaves_the_columns_of_the_steps_before_it():
+    # advance evaluates its buffers before an observer's error propagates,
+    # so a trace can still check the steps the engine got through: the
+    # columns up to the failing step are a clean run's over those gates
+    program = random_program(8, 40, 8, np.random.default_rng(26))
+    spec = equivalence_specs(8)["precond"]  # bounds on rotations, deltas on scalings
+
+    def stop_at_step_30(t, gate, state):
+        if t == 30:
+            raise ValueError("stop")
+
+    tracker = PotentialTracker(spec, None)
+    with pytest.raises(ValueError, match="stop"):
+        tracker.advance(program.gates, stop_at_step_30)
+    assert tracker.state.t == 30
+    _, deltas, bounds = PotentialTracker(spec, None).advance(program.gates[:30])
+    assert tracker.deltas[:30].tobytes() == deltas.tobytes()
+    assert tracker.bounds[:30].tobytes() == bounds.tobytes()
+    assert any(d != 0.0 for g, d in zip(program.gates, deltas) if isinstance(g, Constant))
 
 
 @pytest.mark.parametrize("gates, recompute_every, error, message", [
